@@ -61,41 +61,35 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _write_csv(stream, header: list[str], rows: list[tuple]):
-    stream.write(",".join(header) + "\n")
-    for row in rows:
-        stream.write(",".join(_fmt(v) for v in row) + "\n")
+def _csv_text(header: list[str], rows: list[tuple]) -> str:
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(args, manifest: RunManifest, header: list[str], rows: list[tuple],
           extra: dict | None = None) -> None:
-    if args.format == "json":
-        document = {"manifest": manifest.as_dict(),
-                    "data": [dict(zip(header, row)) for row in rows]}
-        if extra:
-            document.update(extra)
-        payload = json.dumps(document, indent=2, default=float) + "\n"
-        if args.output:
-            with open(args.output, "w", newline="\n") as handle:
-                handle.write(payload)
-        else:
-            sys.stdout.write(payload)
+    """Write the rows with the manifest and ``extra`` as JSON or CSV.
+
+    JSON is one document.  CSV keeps the manifest out of the data section:
+    it goes to a ``<file>.manifest.json`` sidecar, or as one line to stderr
+    when the rows go to stdout.
+    """
+    as_json = args.format == "json"
+    record = {"manifest": manifest.as_dict()}
+    if as_json:
+        record["data"] = [dict(zip(header, row)) for row in rows]
+    record.update(extra or {})
+    text = json.dumps(record, indent=2 if as_json or args.output else None,
+                      default=float) + "\n"
+    body, meta = (text, "") if as_json else (_csv_text(header, rows), text)
+    if not args.output:
+        sys.stdout.write(body)
+        sys.stderr.write(meta)
         return
-    if args.output:
-        with open(args.output, "w", newline="\n") as handle:
-            _write_csv(handle, header, rows)
-        sidecar = {"manifest": manifest.as_dict()}
-        if extra:
-            sidecar.update(extra)
-        with open(args.output + ".manifest.json", "w", newline="\n") as handle:
-            json.dump(sidecar, handle, indent=2, default=float)
-            handle.write("\n")
-    else:
-        _write_csv(sys.stdout, header, rows)
-        note = {"manifest": manifest.as_dict()}
-        if extra:
-            note.update(extra)
-        print(json.dumps(note, default=float), file=sys.stderr)
+    for path, text in ((args.output, body), (args.output + ".manifest.json", meta)):
+        if text:
+            with open(path, "w", newline="\n") as handle:
+                handle.write(text)
 
 
 def _add_common(parser: argparse.ArgumentParser):
@@ -257,8 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stepharm",
         description="Quantum mechanics of the step-harmonic potential: bound "
                     "states, phase shifts, delay times, resonances and "
-                    "wave-packet reflection.",
-        epilog="Set STEPHARM_THREADS to cap sweep parallelism (0 = auto).")
+                    "wave-packet reflection.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("levels", help="bound-state table")

@@ -67,20 +67,18 @@ class ContourSpec:
 
 DEFAULT_CONTOUR = ContourSpec()
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _NODES_PER_PANEL = 20
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
 
 
 def _panel_rule(a: float, b: float, n_nodes: int):
     """Composite Gauss-Legendre rule on [a, b] with about n_nodes nodes."""
     n_panels = max(1, int(math.ceil(n_nodes / _NODES_PER_PANEL)))
-    if _NODES_PER_PANEL not in _GL_CACHE:
-        _GL_CACHE[_NODES_PER_PANEL] = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
-    xs, ws = _GL_CACHE[_NODES_PER_PANEL]
     edges = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return (mid + half * xs[None, :]).ravel(), (half * ws[None, :]).ravel()
+    return ((mid + half * _GL_NODES[None, :]).ravel(),
+            (half * _GL_WEIGHTS[None, :]).ravel())
 
 
 def _beta_of(point) -> float:

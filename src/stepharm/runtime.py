@@ -1,30 +1,14 @@
-"""Thread-pool helpers honoring the STEPHARM_THREADS environment variable."""
+"""Order-preserving map over the points of a sweep."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-_ENV_VAR = "STEPHARM_THREADS"
-
-
-def thread_limit() -> int:
-    """Configured parallelism cap; 0 or unset means one worker per CPU."""
-    raw = os.environ.get(_ENV_VAR, "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        value = 0
-    if value <= 0:
-        return os.cpu_count() or 1
-    return value
-
 
 def parallel_map(fn, items):
-    """Map preserving order, threaded when the limit and workload allow it."""
-    items = list(items)
-    workers = min(thread_limit(), len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(item) for item in items]``.
+
+    Serial: the mapped work is small, GIL-bound numpy calls, and a thread
+    pool made it slower on two CPUs.  The function stays as the one place
+    where sweeps map over their points, which the benchmark tracer
+    (``bench/tracer.py``) times as the ``runtime.parallel_map`` layer.
+    """
+    return [fn(item) for item in items]

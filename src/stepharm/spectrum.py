@@ -20,11 +20,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contour
-from .errors import BracketError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError
 from .potential import PotentialConfig
-from .special import gamma_half_ratio
+from .special import digamma, gamma_half_ratio
 
 _ENDPOINT_PULL = 1e-9
+_JUNCTION_TOL = 1e-8  # relative F(0) - J(beta_n), as in the verify junction checks
 
 
 @dataclass(frozen=True)
@@ -120,21 +121,23 @@ def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLeve
     return levels
 
 
-def _extend_trapezoid(f, start: float, step: float, direction: int,
-                      chunk_width: float = 1.0, rel_tail: float = 1e-8,
-                      max_chunks: int = 400) -> float:
-    """Integrate f from `start` outward until a chunk adds < rel_tail of the total."""
-    total = 0.0
-    a = start
-    for _ in range(max_chunks):
-        b = a + direction * chunk_width
-        xs = np.linspace(min(a, b), max(a, b), max(8, int(chunk_width / step)))
-        chunk = float(np.trapezoid(f(xs), xs))
-        total += chunk
-        if total > 0 and chunk < rel_tail * total:
-            return total
-        a = b
-    return total
+def _norm_over_j2(level: EnergyLevel, config: PotentialConfig,
+                  xs: np.ndarray) -> float:
+    """Integral of |u_n|^2 dx in units of |J(beta_n)|^2 (see bound_eigenfunction)."""
+    alpha = config.alpha
+    if level.marginal:
+        lo, hi = float(xs.min()), float(xs.max())
+        if hi <= lo:
+            raise DomainError("the marginal state is normalized over the sampled "
+                              "range, which must have positive length")
+        inside = (math.erf(alpha * min(hi, 0.0)) - math.erf(alpha * min(lo, 0.0)))
+        return math.sqrt(math.pi) / (2.0 * alpha) * inside + max(hi, 0.0) - max(lo, 0.0)
+    beta = level.beta_n
+    sin, cos = math.sin(math.pi * beta / 2.0), math.cos(math.pi * beta / 2.0)
+    ratio = gamma_half_ratio(beta / 2.0)
+    d_ratio = 0.5 * ratio * (digamma((beta + 1.0) / 2.0) - digamma(beta / 2.0))
+    d_slope = 2.0 * (d_ratio * cos / sin - 0.5 * math.pi * ratio / (sin * sin))
+    return -d_slope / (2.0 * alpha) + 1.0 / (2.0 * level.k_n)
 
 
 def bound_eigenfunction(level: EnergyLevel, config: PotentialConfig, xs,
@@ -144,45 +147,46 @@ def bound_eigenfunction(level: EnergyLevel, config: PotentialConfig, xs,
 
     u_n(x) = F(alpha x) exp(-(alpha x)^2 / 2) for x < 0 and
     J(beta_n) exp(-k_n x) for x >= 0; both branches equal J(beta_n) at the
-    junction.  When ``normalized`` the result carries unit L2 norm, computed
-    by trapezoid quadrature with the integration range extended until the
-    tails contribute less than 1e-8 of the total.  The marginal beta0 = 1
-    state has a non-decaying exterior and is normalized over the sampled
-    range instead.
+    junction.  Before sampling, the contour value F(0) is checked against
+    the closed-form J(beta_n): a relative mismatch above 1e-8 (the contour
+    quadrature fails for highly excited states) raises ConvergenceError
+    instead of returning wrong samples.
+
+    When ``normalized`` the result carries unit L2 norm, in closed form.
+    With y = alpha x and eps = 2 beta - 1 the interior obeys
+    u'' = (y^2 - eps) u; differentiating in eps gives, for the real
+    solution v = u / (-i e^{-i pi beta}),
+
+        int_{-inf}^0 v^2 dy = v'(0) d_eps v(0) - v(0) d_eps v'(0)
+                            = -v(0)^2 s'(beta) / 2,
+
+    where s = v'(0)/v(0) = 2 R cot(pi beta / 2) is the log-slope at the
+    junction and R = Gamma((beta+1)/2) / Gamma(beta/2).  Hence
+
+        int |u|^2 dx = |J|^2 [-s'(beta) / (2 alpha) + 1 / (2 k_n)],
+        s' = 2 [R' cot(pi beta/2) - (pi/2) R csc^2(pi beta/2)],
+        R' = (R/2) [psi((beta+1)/2) - psi(beta/2)].
+
+    The samples are divided by |J| sqrt([...]), never by |J|^2, which is
+    subnormal near beta = 200.  The marginal beta0 = 1 state, J e^{-y^2/2}
+    inside and flat outside, is not square-integrable; it is normalized
+    over the sampled range [min xs, max xs] instead.
     """
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    alpha = config.alpha
     beta_n = level.beta_n
     j_val = contour.j_beta(beta_n)
+    mismatch = abs(contour.f_epsilon(beta_n, 0.0, contour_spec) - j_val) / abs(j_val)
+    if not mismatch <= _JUNCTION_TOL:
+        raise ConvergenceError(
+            f"contour solution for beta_n={beta_n!r} misses J(beta_n) at the "
+            f"junction by {mismatch:.3g} relative (tolerance {_JUNCTION_TOL:g})")
 
-    def evaluate(points: np.ndarray) -> np.ndarray:
-        out = np.empty(points.shape, dtype=complex)
-        neg = points < 0.0
-        if neg.any():
-            y = alpha * points[neg]
-            out[neg] = contour.f_epsilon(beta_n, y, contour_spec) * np.exp(-0.5 * y * y)
-        if (~neg).any():
-            out[~neg] = j_val * np.exp(-level.k_n * points[~neg])
-        return out
-
-    values = evaluate(xs_arr)
+    values = np.empty(xs_arr.shape, dtype=complex)
+    neg = xs_arr < 0.0
+    if neg.any():
+        y = config.alpha * xs_arr[neg]
+        values[neg] = contour.f_epsilon(beta_n, y, contour_spec) * np.exp(-0.5 * y * y)
+    values[~neg] = j_val * np.exp(-level.k_n * xs_arr[~neg])
     if normalized:
-        step = 0.005 / alpha
-
-        def density(pts):
-            return np.abs(evaluate(pts)) ** 2
-
-        if level.marginal:
-            grid = np.linspace(xs_arr.min(), xs_arr.max(),
-                               max(64, int((xs_arr.max() - xs_arr.min()) / step)))
-            norm_sq = float(np.trapezoid(density(grid), grid))
-        else:
-            # the exterior decay length 1/k_n sets the right-side sampling,
-            # keeping near-threshold states affordable and accurate
-            width_r = max(1.0 / alpha, 0.5 / level.k_n)
-            norm_sq = (_extend_trapezoid(density, 0.0, step, direction=-1,
-                                         chunk_width=1.0 / alpha)
-                       + _extend_trapezoid(density, 0.0, width_r / 400.0,
-                                           direction=+1, chunk_width=width_r))
-        values = values / math.sqrt(norm_sq)
+        values /= abs(j_val) * math.sqrt(_norm_over_j2(level, config, xs_arr))
     return values[0] if np.ndim(xs) == 0 else values.reshape(np.shape(xs))

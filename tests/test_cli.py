@@ -126,6 +126,13 @@ class TestEigenfunction:
     def test_missing_level_exits_3(self, capsys):
         assert run_cli("eigenfunction", "--beta0", "1.5", "--n", "3") == 3
 
+    def test_inaccurate_excited_state_exits_4(self, capsys):
+        # beta_n ~ 37.4: the contour solution misses J(beta_n) at the junction
+        assert run_cli("eigenfunction", "--beta0", "60", "--n", "18") == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "beta_n=37.42" in captured.err
+
     def test_continuity_across_origin(self, capsys):
         assert run_cli("eigenfunction", "--beta0", "4.5", "--n", "1",
                        "--x-min", "-2", "--x-max", "2", "--points", "201") == 0

@@ -6,6 +6,7 @@ package itself never imports it.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
@@ -118,6 +119,16 @@ class TestGammaHalfRatio:
         zs = np.linspace(0.05, 80.0, 801)
         product = gamma_half_ratio(zs) * gamma_half_ratio(zs + 0.5)
         assert np.max(np.abs(product / zs - 1.0)) < 1e-10
+
+    @pytest.mark.parametrize("z", [1e3, 1e5, 1e7])
+    def test_large_argument_against_mpmath(self, z):
+        with mpmath.workdps(40):
+            exact = float(mpmath.gamma(mpmath.mpf(z) + 0.5) / mpmath.gamma(mpmath.mpf(z)))
+        assert abs(gamma_half_ratio(z) / exact - 1.0) < 1e-14
+
+    def test_continuous_across_series_crossover(self):
+        below = gamma_half_ratio(np.nextafter(1e3, 0.0))
+        assert abs(below / gamma_half_ratio(1e3) - 1.0) < 1e-12
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

@@ -1,12 +1,14 @@
 """Bound-state level structure and eigenfunctions."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
+import scipy.integrate as spi
 import scipy.special as sps
 
-from stepharm import (DomainError, PotentialConfig, j_beta,
+from stepharm import (ConvergenceError, DomainError, PotentialConfig, j_beta,
                       bound_eigenfunction, level_count,
                       level_equation_residual, solve_levels)
 from tests.conftest import make_config
@@ -108,6 +110,37 @@ class TestSolveLevels:
             solve_levels(make_config(2.0), tol=0.0)
 
 
+def _pbdv_norm(level, config) -> float:
+    """Integral of |u|^2 dx for u scaled to J(beta_n) at x = 0, by scipy.
+
+    Interior u = J D_{beta-1}(-sqrt(2) alpha x) / D_{beta-1}(0), integrated
+    by adaptive quadrature; exterior J e^{-k x} integrates to |J|^2 / (2k).
+    """
+    order = level.beta_n - 1.0
+    d0 = sps.pbdv(order, 0.0)[0]
+    inside, _ = spi.quad(lambda y: (sps.pbdv(order, -math.sqrt(2.0) * y)[0] / d0) ** 2,
+                         -np.inf, 0.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    return abs(j_beta(level.beta_n)) ** 2 * (inside / config.alpha + 0.5 / level.k_n)
+
+
+def _closed_form_error(level, config) -> float:
+    """Relative deviation of normalized/raw samples from 1/sqrt(scipy norm)."""
+    xs = np.array([-2.5, -0.7, -1e-3, 0.0, 0.4, 3.0])
+    ratio = (bound_eigenfunction(level, config, xs)
+             / bound_eigenfunction(level, config, xs, normalized=False))
+    expected = 1.0 / math.sqrt(_pbdv_norm(level, config))
+    return float(np.max(np.abs(ratio - expected))) / expected
+
+
+@functools.cache
+def _levels(beta0: float):
+    return solve_levels(make_config(beta0))
+
+
+CLOSED_FORM_CASES = ([(b0, n) for b0 in (2.5, 12.0, 16.0) for n in range(len(_levels(b0)))]
+                     + [(200.0, n) for n in range(7)])
+
+
 class TestBoundEigenfunction:
     def test_continuous_at_junction(self, cfg45):
         for level in solve_levels(cfg45):
@@ -128,6 +161,23 @@ class TestBoundEigenfunction:
         values = bound_eigenfunction(level, cfg45, xs)
         assert np.trapezoid(np.abs(values) ** 2, xs) == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("beta0,n", CLOSED_FORM_CASES)
+    def test_closed_form_norm_against_quadrature(self, beta0, n):
+        assert _closed_form_error(_levels(beta0)[n], make_config(beta0)) < 1e-10
+
+    def test_closed_form_norm_in_physical_units(self):
+        config = PotentialConfig(hbar=2.0, mass=3.0, kappa=5.0, u0=7.0)
+        assert config.alpha != pytest.approx(1.0)
+        for level in solve_levels(config):
+            assert _closed_form_error(level, config) < 1e-10
+
+    def test_contour_fault_raises_before_sampling(self):
+        # beta_n ~ 31.5: the contour quadrature misses J(beta_n) by ~2e-3
+        config = make_config(60.0)
+        state = solve_levels(config)[15]
+        with pytest.raises(ConvergenceError, match="beta_n=31.48"):
+            bound_eigenfunction(state, config, np.linspace(-3.0, 3.0, 7))
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_interior_node_count(self, cfg45, n):
         level = solve_levels(cfg45)[n]
@@ -147,3 +197,12 @@ class TestBoundEigenfunction:
             math.exp(-0.5) / math.exp(-2.0), rel=1e-8)
         # exterior flat: zero decay constant
         assert values[2] == pytest.approx(values[3], rel=1e-12)
+
+    def test_marginal_state_normalized_over_sampled_range(self):
+        config = make_config(1.0)
+        level = solve_levels(config)[0]
+        xs = np.linspace(-3.0, 2.0, 20001)
+        values = bound_eigenfunction(level, config, xs)
+        assert np.trapezoid(np.abs(values) ** 2, xs) == pytest.approx(1.0, abs=1e-8)
+        with pytest.raises(DomainError):
+            bound_eigenfunction(level, config, np.array([0.5, 0.5]))
