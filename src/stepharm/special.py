@@ -130,7 +130,8 @@ def gamma_half_ratio(z):
     """Ratio Gamma(z + 1/2) / Gamma(z) for z > 0.
 
     Below z = 1e3 it is ``exp(log_gamma(z + 1/2) - log_gamma(z))``, which
-    never overflows.  Above, that difference of large logarithms loses
+    never overflows; both logarithms come from one ``log_gamma`` call on
+    the joined arguments.  Above, that difference of large logarithms loses
     digits (2e-10 relative at z = 1e5), so the asymptotic series
     sqrt(z) (1 - 1/(8z) + 1/(128z^2) + 5/(1024z^3) - 21/(32768z^4)) is
     used instead; its truncation error is about 1e-18 at z = 1e3.
@@ -153,6 +154,7 @@ def gamma_half_ratio(z):
         result[large] = np.sqrt(work[large]) * series
     if not large.all():
         small = work[~large]
-        result[~large] = np.exp(np.real(log_gamma(small + 0.5) - log_gamma(small)))
+        logs = np.real(log_gamma(np.concatenate([small + 0.5, small])))
+        result[~large] = np.exp(logs[:small.size] - logs[small.size:])
     result = result.reshape(arr.shape)
     return float(result) if arr.ndim == 0 else result

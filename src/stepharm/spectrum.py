@@ -9,7 +9,9 @@ from the junction conditions gives the level equation
 
 whose zeros on (0, beta0) are the levels.  The cotangent confines each root
 to an interval (2n+1, 2n+2), one root per interval, which makes bracketed
-bisection a guaranteed solver.
+bisection a guaranteed solver.  All brackets are bisected at once: each
+step evaluates g once, on the midpoints of the brackets still open, so a
+table costs about 40 array evaluations however many levels it has.
 """
 
 from __future__ import annotations
@@ -76,32 +78,54 @@ def level_equation_residual(beta, config: PotentialConfig):
     return float(g) if np.ndim(beta) == 0 else g
 
 
-def _bisect(f, lo: float, hi: float, tol: float) -> float:
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise BracketError(f"no sign change on bracket ({lo}, {hi})")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+def _bisect_all(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
+    """Bisect every bracket (lo[i], hi[i]) at once, with one call of f per step.
+
+    f maps an array of points to their residuals, elementwise; lo and hi
+    are narrowed in place.  Each bracket follows the scalar rules: an
+    endpoint with zero residual is the root, an exact zero at a midpoint is
+    the root, otherwise the bracket is halved until it is no wider than tol
+    and its midpoint returned.  Each step evaluates only the midpoints of
+    the brackets still open, so every root is the one a scalar bisection
+    of its bracket alone gives.
+    """
+    count = lo.size
+    ends = f(np.concatenate([lo, hi]))
+    f_lo, f_hi = ends[:count], ends[count:]
+    roots = np.empty(count)
+    found = f_lo == 0.0
+    roots[found] = lo[found]
+    at_hi = ~found & (f_hi == 0.0)
+    roots[at_hi] = hi[at_hi]
+    found |= at_hi
+    no_change = ~found & (f_lo * f_hi > 0.0)
+    if no_change.any():
+        i = int(np.argmax(no_change))
+        raise BracketError(f"no sign change on bracket ({float(lo[i])}, {float(hi[i])})")
+    live = np.flatnonzero(~found & (hi - lo > tol))
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
         f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+        left = f_lo[live] * f_mid < 0.0
+        hi[live[left]] = mid[left]
+        lo[live[~left]] = mid[~left]
+        f_lo[live[~left]] = f_mid[~left]
+        hit = f_mid == 0.0
+        roots[live[hit]] = mid[hit]
+        found[live[hit]] = True
+        live = live[~hit & (hi[live] - lo[live] > tol)]
+    roots[~found] = 0.5 * (lo[~found] + hi[~found])
+    return roots
 
 
 def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLevel]:
-    """All bound states, sorted by index, each located by bisection.
+    """All bound states, sorted by index, located by one bisection over all brackets.
 
     Bracket endpoints are pulled slightly inward to stay clear of the
     cotangent pole at the left end and the square-root branch point at
     beta0; the pull shrinks with the bracket so no root is ever skipped.
+    All brackets are bisected together, each step evaluating the level
+    equation once on the midpoints of the brackets still open.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -109,16 +133,14 @@ def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLeve
     if beta0 == 1.0:
         return [EnergyLevel(n=0, beta_n=1.0, energy=config.energy(1.0),
                             k_n=0.0, marginal=True)]
-    levels = []
-    for n in range(level_count(config)):
-        lo = 2.0 * n + 1.0
-        hi = min(2.0 * n + 2.0, beta0)
-        pull = min(_ENDPOINT_PULL, (hi - lo) * 1e-6)
-        root = _bisect(lambda b: level_equation_residual(b, config),
-                       lo + pull, hi - pull, tol)
-        levels.append(EnergyLevel(n=n, beta_n=root, energy=config.energy(root),
-                                  k_n=config.k_bound(root)))
-    return levels
+    lo = 2.0 * np.arange(level_count(config)) + 1.0
+    hi = np.minimum(lo + 1.0, beta0)
+    pull = np.minimum(_ENDPOINT_PULL, (hi - lo) * 1e-6)
+    roots = _bisect_all(lambda b: level_equation_residual(b, config),
+                        lo + pull, hi - pull, tol)
+    return [EnergyLevel(n=n, beta_n=root, energy=config.energy(root),
+                        k_n=config.k_bound(root))
+            for n, root in enumerate(roots.tolist())]
 
 
 def _norm_over_j2(level: EnergyLevel, config: PotentialConfig,

@@ -23,8 +23,10 @@ from . import contour, scattering
 from .errors import ConvergenceError, DispersionError, DomainError
 from .potential import PotentialConfig
 from .runtime import parallel_map
+from .special import log_gamma
 
 _FRAME_TOL = 1e-6
+_JUNCTION_TOL = 1e-8  # as in spectrum.bound_eigenfunction
 _K_SUPPORT_SIGMAS = 5.0
 _MIN_OVERLAP_SIGMAS = 4.8  # Gaussian tail beyond 4.75 sigma is < 1e-6
 
@@ -164,6 +166,26 @@ def _mode_matrix(spec: WavePacketSpec, ks: np.ndarray, x_grid: np.ndarray,
     return modes / math.sqrt(2.0 * math.pi)
 
 
+def _check_interior_solution(spec: WavePacketSpec) -> None:
+    """Raise ConvergenceError where the contour solution misses J(beta) at y = 0.
+
+    Checked at the centre and both ends of the k-support.  The mismatch
+    F(0) - J(beta) is measured against 2 pi / Gamma((beta+1)/2), the size
+    of J without its factor sin(pi beta / 2), which vanishes at even beta.
+    """
+    offsets = np.array([-_K_SUPPORT_SIGMAS, 0.0, _K_SUPPORT_SIGMAS])
+    betas = spec.config.beta_from_k(spec.k_center + offsets * spec.sigma_k)
+    for beta in betas.tolist():
+        scale = 2.0 * math.pi * math.exp(-log_gamma(0.5 * (beta + 1.0)).real)
+        error = abs(contour.f_epsilon(beta, 0.0) - contour.j_beta(beta))
+        mismatch = error / scale if scale > 0.0 else math.inf
+        if not mismatch <= _JUNCTION_TOL:
+            raise ConvergenceError(
+                f"contour solution for beta={beta!r} misses J(beta) at the junction "
+                f"by {mismatch:.3g} relative to 2 pi / Gamma((beta+1)/2) "
+                f"(tolerance {_JUNCTION_TOL:g})")
+
+
 def _frames_at(spec: WavePacketSpec, ks, ws, x_grid, times, mirror) -> np.ndarray:
     modes = _mode_matrix(spec, ks, x_grid, mirror)
     weights = ws * spec.envelope(ks)
@@ -180,12 +202,18 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False,
     1e-6 relative.  Positions x < 0 request the costly interior
     eigenfunction evaluation; keep the grid non-negative when only the
     reflected motion matters.  ``mirror`` replaces zeta by 1, the
-    delay-free perfect-mirror reference.
+    delay-free perfect-mirror reference.  Before any interior row is
+    assembled, the contour solution is checked against J(beta) at the
+    centre and both ends of the k-support; a mismatch above 1e-8 (the
+    contour quadrature fails for highly excited states) raises
+    ConvergenceError at once.
     """
     x_arr = np.asarray(x_grid, dtype=float)
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(np.diff(x_arr) <= 0):
         raise DomainError("x_grid must be strictly increasing")
+    if not mirror and np.any(x_arr < 0.0):
+        _check_interior_solution(spec)
     previous = None
     n = n_nodes
     for _ in range(max_refinements):

@@ -1,6 +1,7 @@
 """Command-line surface: tables, formats, exit codes, determinism."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -198,6 +199,20 @@ class TestWavepacket:
                        "--sigma-k", "0.7", "--x-start", "3.44")
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
+
+
+    def test_inaccurate_interior_packet_exits_4(self, capsys):
+        # the k-support spans beta 28.2 to 53.9, where the contour solution
+        # misses J(beta): the check before the k-refinement stops it
+        start = time.perf_counter()
+        code = run_cli("wavepacket", "--beta0", "1.5", "--beta-center", "40",
+                       "--include-interior")
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert "beta=28.23" in captured.err
+        assert elapsed < 5.0
 
 
 class TestResonances:

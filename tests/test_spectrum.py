@@ -8,9 +8,9 @@ import pytest
 import scipy.integrate as spi
 import scipy.special as sps
 
-from stepharm import (ConvergenceError, DomainError, PotentialConfig, j_beta,
-                      bound_eigenfunction, level_count,
-                      level_equation_residual, solve_levels)
+from stepharm import (BracketError, ConvergenceError, DomainError, PotentialConfig,
+                      j_beta, bound_eigenfunction, level_count,
+                      level_equation_residual, solve_levels, spectrum)
 from tests.conftest import make_config
 
 # roots of the level equation computed independently at 30-digit precision
@@ -108,6 +108,96 @@ class TestSolveLevels:
     def test_bad_tol_rejected(self):
         with pytest.raises(DomainError):
             solve_levels(make_config(2.0), tol=0.0)
+
+
+def _scalar_bisect(f, lo: float, hi: float, tol: float) -> float:
+    """Reference: plain bisection of one bracket, one residual call per step."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0.0:
+        raise BracketError(f"no sign change on bracket ({lo}, {hi})")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if f_lo * f_mid < 0.0:
+            hi = mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def _bracket(beta0: float, n: int) -> tuple[float, float]:
+    """Bracket of level n with the solver's endpoint pull applied."""
+    lo, hi = 2.0 * n + 1.0, min(2.0 * n + 2.0, beta0)
+    pull = min(1e-9, (hi - lo) * 1e-6)
+    return lo + pull, hi - pull
+
+
+def _reference_roots(beta0: float, tol: float = 1e-12) -> list[float]:
+    """Levels found bracket by bracket, through the module's residual."""
+    if beta0 == 1.0:
+        return [1.0]
+    config = make_config(beta0)
+    return [_scalar_bisect(lambda b: spectrum.level_equation_residual(b, config),
+                           *_bracket(beta0, n), tol)
+            for n in range(level_count(config))]
+
+
+class TestBatchedBisection:
+    # beta0 = 1: marginal; 3.0: exactly odd, no threshold level; 5 + 1e-7:
+    # a last bracket 1e-7 wide, pulled in by 1e-13
+    @pytest.mark.parametrize("beta0,tol", [
+        (0.7, 1e-12), (1.0, 1e-12), (1.2, 1e-12), (2.0, 1e-12), (3.0, 1e-12),
+        (4.5, 1e-12), (5.0 + 1e-7, 1e-12), (9.7, 1e-12), (30.0, 1e-12),
+        (60.0, 1e-12), (200.0, 1e-12), (12.3, 1e-6), (200.0, 0.3),
+    ])
+    def test_bit_identical_to_scalar_bisection(self, beta0, tol):
+        levels = solve_levels(make_config(beta0), tol=tol)
+        assert [level.beta_n for level in levels] == _reference_roots(beta0, tol)
+        assert all(type(level.beta_n) is float for level in levels)
+
+    def test_exact_zeros_at_endpoints_and_midpoints(self, monkeypatch):
+        # linear residuals with roots at the pulled lower end (bracket 0),
+        # the first midpoint (1), the pulled upper end (2) and inside (3)
+        beta0 = 8.5
+        brackets = [_bracket(beta0, n) for n in range(4)]
+        first_mid = 0.5 * (brackets[1][0] + brackets[1][1])
+        roots = np.array([brackets[0][0], first_mid, brackets[2][1], 7.3])
+
+        def residual(beta, config):
+            b = np.asarray(beta, dtype=float)
+            g = roots[np.floor((b - 1.0) / 2.0).astype(int)] - b
+            return float(g) if np.ndim(beta) == 0 else g
+
+        monkeypatch.setattr(spectrum, "level_equation_residual", residual)
+        found = [level.beta_n for level in solve_levels(make_config(beta0))]
+        assert found == _reference_roots(beta0)
+        assert found[:3] == roots[:3].tolist()
+
+    def test_no_sign_change_raises_bracket_error(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "level_equation_residual",
+                            lambda beta, config: np.ones_like(np.asarray(beta, float)))
+        with pytest.raises(BracketError, match=r"no sign change on bracket \(1\.000000001, "):
+            solve_levels(make_config(4.5))
+
+    def test_residual_calls_bounded(self, monkeypatch):
+        # one call on the bracket ends, then one per halving of the widest
+        # bracket: 1 + 40 at tol = 1e-12 whatever the number of levels
+        calls = []
+        original = spectrum.level_equation_residual
+
+        def counted(beta, config):
+            calls.append(np.size(beta))
+            return original(beta, config)
+
+        monkeypatch.setattr(spectrum, "level_equation_residual", counted)
+        assert len(solve_levels(make_config(200.0))) == 100
+        assert len(calls) <= 50
 
 
 def _pbdv_norm(level, config) -> float:
