@@ -12,16 +12,29 @@ gives the numerically usable split
     F(y) = I_beta(y) - 2i e^{-i pi beta} sin(pi beta) *
            integral_r^inf exp(-t^2 + 2ty) t^(-beta) dt,
 
-where I_beta is the circle contribution.  Both pieces are evaluated with
-composite Gauss-Legendre panels and refined by doubling the node counts
-until two successive evaluations agree.  (The circle integrand is periodic
-only when beta is an integer, so a plain periodic trapezoid rule stalls at
-a few times 1e-3 for generic beta; Gauss-Legendre panels converge
-geometrically for both pieces.)
+where I_beta is the circle contribution.
 
-At integer beta = n+1 the cut disappears, the line term vanishes through
-sin(pi*beta), and the circle integral reduces to the residue formula, so
-the same code path reproduces (2 pi i / n!) * H_n(y) exactly.
+The circle is summed in closed form.  The Hermite generating function
+exp(2ty - t^2) = sum_n H_n(y) t^n / n! (DLMF 18.12.15), integrated term by
+term over t = r e^{i theta}, gives the exact series
+
+    I_beta(y) = i r^{1-beta} sum_n h_n(y) 2 pi e^{i pi a_n} sinc(a_n),
+    h_n = H_n(y) r^n / n!,        a_n = n + 1 - beta,
+
+with h_{n+1} = (2ry h_n - 2r^2 h_{n-1}) / (n+1).  Once n+1 exceeds
+2g, g = 2r(max|y| + r), each h_n is below half the larger of the two
+before it, so the tail after h_n is at most 2 max(|h_n|, |h_{n-1}|) times
+the weight bound 2 pi r^{1-beta}; the series stops when that bound,
+doubled, is below target_tol / 100.  At integer beta = m+1 every sinc
+vanishes but the n = m one, and the series is the residue formula
+(2 pi i / m!) H_m(y).  The sum over n is one real contraction.
+
+The cut-edge integral is a composite Gauss-Legendre sum of positive terms,
+refined by doubling its node count until two successive values of F agree
+to target_tol relative to 1 + max|F|.  A target_tol below the round-off
+floor of the two sums (machine epsilon times their absolute sums) cannot
+be confirmed in double precision and raises ConvergenceError at once, as
+do series terms that overflow.  No reduction goes through BLAS.
 """
 
 from __future__ import annotations
@@ -36,21 +49,23 @@ from .special import log_gamma
 
 _TWO_PI = 2.0 * math.pi
 _MAX_REFINEMENTS = 12
+_SERIES_CHUNK = 8  # series terms between two checks of the stop rule
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class ContourSpec:
     """Discretization of the deformed contour.
 
-    ``circle_nodes`` and ``line_nodes`` are the starting node counts of the
-    adaptive refinement; ``line_truncation`` replaces the infinite upper
-    limit of the cut-edge integral (chosen automatically when None so that
-    the discarded tail is below ``target_tol / 100``).
+    ``circle_radius`` is the radius r of the circle arc and of its Hermite
+    series; ``line_nodes`` is the starting node count of the cut-edge
+    refinement; ``line_truncation`` replaces the infinite upper limit of
+    the cut-edge integral (chosen automatically when None so that the
+    discarded tail is below ``target_tol / 100``).
     """
 
     circle_radius: float = 1.0
     line_truncation: float | None = None
-    circle_nodes: int = 80
     line_nodes: int = 120
     target_tol: float = 1e-10
 
@@ -59,8 +74,8 @@ class ContourSpec:
             raise DomainError("circle_radius must be positive")
         if self.line_truncation is not None and self.line_truncation <= self.circle_radius:
             raise DomainError("line_truncation must exceed circle_radius")
-        if self.circle_nodes < 16 or self.line_nodes < 16:
-            raise DomainError("node counts must be >= 16")
+        if self.line_nodes < 16:
+            raise DomainError("line_nodes must be >= 16")
         if self.target_tol <= 0:
             raise DomainError("target_tol must be positive")
 
@@ -86,20 +101,60 @@ def _beta_of(point) -> float:
     return float(getattr(point, "beta", point))
 
 
-def _circle_part(beta: float, y: np.ndarray, radius: float, n_nodes: int) -> np.ndarray:
-    theta, w = _panel_rule(0.0, _TWO_PI, n_nodes)
-    t = radius * np.exp(1j * theta)
-    integrand = np.exp(1j * (1.0 - beta) * theta - t * t + 2.0 * t * y[:, None])
-    return 1j * radius ** (1.0 - beta) * (integrand @ w)
+def _circle_part(beta: float, y: np.ndarray, radius: float, tol: float):
+    """Circle arc I_beta(y) as the Hermite series (see the module docstring).
+
+    Returns the values, the absolute sum of the series terms at each y (its
+    round-off scale) and the number of terms summed.
+    """
+    prefactor = radius ** (1.0 - beta)
+    if not 0.0 < prefactor < math.inf:
+        raise ConvergenceError(
+            f"circle prefactor r^(1-beta)={prefactor} is out of range for "
+            f"r={radius}, beta={beta}")
+    two_g = 4.0 * radius * (float(np.abs(y).max()) + radius)
+    limit = tol / (400.0 * _TWO_PI * prefactor)
+    ry, r2 = 2.0 * radius * y, 2.0 * radius * radius
+    rows = [np.ones_like(y), ry]
+    n = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            for _ in range(_SERIES_CHUNK):
+                rows.append((ry * rows[n] - r2 * rows[n - 1]) / (n + 1))
+                n += 1
+            tail = max(float(np.abs(rows[n]).max()), float(np.abs(rows[n - 1]).max()))
+            if not math.isfinite(tail):
+                raise ConvergenceError(
+                    f"Hermite series of the circle overflows for beta={beta} at "
+                    f"min y={float(y.min())}, max y={float(y.max())} "
+                    f"({n + 1} terms)")
+            if n + 1 > two_g and tail <= limit:
+                break
+    h = np.array(rows)
+    # With beta = k + f, k = round(beta), the weight 2 pi e^{i pi a} sinc(a)
+    # is 2 pi e^{-i pi f} d_n, d_n = -sin(pi f) / (pi a_n), and d_n = 1 at
+    # a_n = 0.  Splitting off the integer k keeps every other d_n exactly
+    # zero at integer beta, so only the residue term is left there.
+    whole = round(beta)
+    frac = beta - whole
+    a = (np.arange(n + 1) + (1.0 - whole)) - frac
+    d = np.divide(-math.sin(math.pi * frac), math.pi * a, out=np.ones_like(a),
+                  where=a != 0.0)
+    scale = _TWO_PI * prefactor
+    value = 1j * scale * np.exp(-1j * math.pi * frac) * np.einsum("n,ny->y", d, h)
+    abs_sum = scale * np.einsum("n,ny->y", np.abs(d), np.abs(h))
+    return value, abs_sum, n + 1
 
 
 def _line_part(beta: float, y: np.ndarray, radius: float, t_max: float,
                n_nodes: int) -> np.ndarray:
     t, w = _panel_rule(radius, t_max, n_nodes)
-    # Single exp of the combined log integrand; keeps t^(-beta) * e^{2ty}
-    # from pairing overflow with underflow when |y| is large.
-    log_f = -t * t + 2.0 * t * y[:, None] - beta * np.log(t)
-    return np.exp(log_f) @ w
+    # Single exp of the combined log integrand, weights included; keeps
+    # t^(-beta) * e^{2ty} from pairing overflow with underflow when |y| is
+    # large.  Every term is positive.
+    log_f = np.multiply.outer(y, 2.0 * t)
+    log_f += np.log(w) - t * t - beta * np.log(t)
+    return np.exp(log_f, out=log_f).sum(axis=1)
 
 
 def _auto_truncation(beta: float, y_max: float, radius: float, tol: float) -> float:
@@ -120,39 +175,56 @@ def f_epsilon(point, y, contour: ContourSpec = DEFAULT_CONTOUR):
     y : float or array
         Dimensionless position(s) alpha*x.
     contour : ContourSpec
-        Quadrature discretization; node counts are doubled until two
-        successive evaluations agree to ``target_tol``.
+        Discretization; the circle series is truncated below
+        ``target_tol / 100`` and the cut-edge node count is doubled until
+        two successive values agree to ``target_tol`` relative to
+        1 + max|F|.
 
     Returns
     -------
     complex or complex ndarray matching the shape of ``y``.
+
+    Raises
+    ------
+    ConvergenceError
+        If the series overflows, if ``target_tol`` is below the round-off
+        floor of the sums, or if the refinement stalls.
     """
     beta = _beta_of(point)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
     if not np.all(np.isfinite(y_arr)):
         raise DomainError("y must be finite")
     radius = contour.circle_radius
+    tol = contour.target_tol
     t_max = contour.line_truncation
     if t_max is None:
-        t_max = _auto_truncation(beta, float(y_arr.max(initial=0.0)), radius,
-                                 contour.target_tol)
+        t_max = _auto_truncation(beta, float(y_arr.max(initial=0.0)), radius, tol)
     line_factor = -2j * np.exp(-1j * math.pi * beta) * math.sin(math.pi * beta)
 
-    n_c, n_l = contour.circle_nodes, contour.line_nodes
-    previous = None
+    circle, circle_abs, n_terms = _circle_part(beta, y_arr, radius, tol)
+    n_l = contour.line_nodes
+    previous, change = None, math.inf
     for _ in range(_MAX_REFINEMENTS):
-        value = _circle_part(beta, y_arr, radius, n_c)
-        value = value + line_factor * _line_part(beta, y_arr, radius, t_max, n_l)
-        if previous is not None:
-            scale = 1.0 + float(np.abs(value).max())
-            if float(np.abs(value - previous).max()) < contour.target_tol * scale:
+        line = _line_part(beta, y_arr, radius, t_max, n_l)
+        value = circle + line_factor * line
+        allowed = tol * (1.0 + float(np.abs(value).max()))
+        if previous is None:
+            floor = _EPS * float((circle_abs + abs(line_factor) * line).max())
+            if not allowed > floor:
+                raise ConvergenceError(
+                    f"contour for beta={beta}: target_tol*scale={allowed:.3g} is "
+                    f"below the round-off floor {floor:.3g} of the sums "
+                    f"({n_terms} series terms, {n_l} line nodes)")
+        else:
+            change = float(np.abs(value - previous).max())
+            if change < allowed:
                 return value[0] if np.ndim(y) == 0 else value.reshape(np.shape(y))
         previous = value
-        n_c *= 2
         n_l *= 2
     raise ConvergenceError(
-        f"contour quadrature for beta={beta} stalled before reaching "
-        f"target_tol={contour.target_tol}")
+        f"contour for beta={beta} stalled: last change {change:.3g} "
+        f"against target_tol*scale={allowed:.3g} ({n_terms} series terms, "
+        f"{n_l // 2} line nodes)")
 
 
 def f_epsilon_derivative(point, y, contour: ContourSpec = DEFAULT_CONTOUR):

@@ -85,7 +85,9 @@ def _bisect_all(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     are narrowed in place.  Each bracket follows the scalar rules: an
     endpoint with zero residual is the root, an exact zero at a midpoint is
     the root, otherwise the bracket is halved until it is no wider than tol
-    and its midpoint returned.  Each step evaluates only the midpoints of
+    and its midpoint returned.  A bracket whose midpoint rounds to one of
+    its ends can shrink no further and is closed there, so a tol below the
+    float spacing still ends.  Each step evaluates only the midpoints of
     the brackets still open, so every root is the one a scalar bisection
     of its bracket alone gives.
     """
@@ -104,7 +106,9 @@ def _bisect_all(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
         raise BracketError(f"no sign change on bracket ({float(lo[i])}, {float(hi[i])})")
     live = np.flatnonzero(~found & (hi - lo > tol))
     while live.size:
-        mid = 0.5 * (lo[live] + hi[live])
+        lo_live, hi_live = lo[live], hi[live]
+        mid = 0.5 * (lo_live + hi_live)
+        stuck = (mid == lo_live) | (mid == hi_live)
         f_mid = f(mid)
         left = f_lo[live] * f_mid < 0.0
         hi[live[left]] = mid[left]
@@ -113,7 +117,7 @@ def _bisect_all(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
         hit = f_mid == 0.0
         roots[live[hit]] = mid[hit]
         found[live[hit]] = True
-        live = live[~hit & (hi[live] - lo[live] > tol)]
+        live = live[~hit & ~stuck & (hi[live] - lo[live] > tol)]
     roots[~found] = 0.5 * (lo[~found] + hi[~found])
     return roots
 
@@ -171,7 +175,7 @@ def bound_eigenfunction(level: EnergyLevel, config: PotentialConfig, xs,
     J(beta_n) exp(-k_n x) for x >= 0; both branches equal J(beta_n) at the
     junction.  Before sampling, the contour value F(0) is checked against
     the closed-form J(beta_n): a relative mismatch above 1e-8 (the contour
-    quadrature fails for highly excited states) raises ConvergenceError
+    solution fails for highly excited states) raises ConvergenceError
     instead of returning wrong samples.
 
     When ``normalized`` the result carries unit L2 norm, in closed form.

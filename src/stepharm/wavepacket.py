@@ -205,7 +205,7 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False,
     delay-free perfect-mirror reference.  Before any interior row is
     assembled, the contour solution is checked against J(beta) at the
     centre and both ends of the k-support; a mismatch above 1e-8 (the
-    contour quadrature fails for highly excited states) raises
+    contour solution fails for highly excited states) raises
     ConvergenceError at once.
     """
     x_arr = np.asarray(x_grid, dtype=float)

@@ -2,13 +2,16 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.special as sps
 
 from stepharm import (ContourSpec, ConvergenceError, DomainError, asymptotic_f2,
-                      f_epsilon, f_epsilon_derivative, hermite_poly, j_beta)
+                      contour, f_epsilon, f_epsilon_derivative, hermite_poly, j_beta)
 from stepharm.contour import DEFAULT_CONTOUR
+
+EPS = np.finfo(float).eps
 
 GAMMA_QUARTER = 3.6256099082219083
 
@@ -108,6 +111,73 @@ class TestFEpsilon:
         with pytest.raises(ConvergenceError):
             f_epsilon(1.3, -2.0, spec)
 
+    @pytest.mark.parametrize("beta", [1.3, 2.6, 3.7, 5.2, 7.9, 11.4])
+    def test_against_pbdv_route(self, beta):
+        # F(y) = J(beta) D_{beta-1}(-sqrt(2) y) / D_{beta-1}(0) e^{y^2/2}
+        # (DLMF 12.5), over the y range of normalised bound states
+        ys = np.linspace(-8.0, 3.0, 89)
+        order = beta - 1.0
+        reference = (j_beta(beta) * sps.pbdv(order, -math.sqrt(2.0) * ys)[0]
+                     / sps.pbdv(order, 0.0)[0] * np.exp(0.5 * ys * ys))
+        values = f_epsilon(beta, ys)
+        assert np.all(np.abs(values - reference) <= 1e-9 * (1.0 + np.abs(reference)))
+
+    @pytest.mark.parametrize("y", [-400.0, [-400.0, 0.0]])
+    def test_overflowing_series_raises(self, y):
+        with pytest.raises(ConvergenceError, match="overflows"):
+            f_epsilon(2.6, y)
+
+    @pytest.mark.parametrize("beta,y", [(1.3, -2.0), (1.3, 0.5), (4.0, -1.0), (7.3, 2.0)])
+    def test_tolerance_below_round_off_floor_raises(self, beta, y):
+        # decided from the absolute sums before any refinement, so it does
+        # not hang on two rounds agreeing by chance
+        with pytest.raises(ConvergenceError, match="round-off floor"):
+            f_epsilon(beta, y, ContourSpec(target_tol=1e-18))
+
+    def test_stall_names_last_change_and_budget(self, monkeypatch):
+        # a cut-edge sum that moves with every doubling never settles
+        monkeypatch.setattr(contour, "_line_part",
+                            lambda beta, y, radius, t_max, n_nodes: np.full(y.shape, n_nodes))
+        with pytest.raises(ConvergenceError,
+                           match=r"last change \S+ against target_tol\*scale=\S+ "
+                                 r"\(\d+ series terms, 245760 line nodes\)"):
+            f_epsilon(1.3, -1.0)
+
+
+def _circle_mpmath(beta: float, y: float, radius: float) -> complex:
+    """Circle arc i r^{1-b} int_0^{2pi} e^{i(1-b)th - t^2 + 2ty} dth, t = r e^{ith}."""
+    with mp.workdps(20):
+        def integrand(theta):
+            t = radius * mp.expj(theta)
+            return mp.exp(1j * (1.0 - beta) * theta - t * t + 2.0 * t * y)
+        value = mp.quad(integrand, [0, 2 * mp.pi], method="gauss-legendre")
+        return complex(1j * mp.mpf(radius) ** (1.0 - beta) * value)
+
+
+class TestCircleSeries:
+    YS = np.array([-8.0, -3.5, 0.7, 3.0])
+
+    @pytest.mark.parametrize("radius", [0.6, 1.0, 1.4, 2.0])
+    @pytest.mark.parametrize("beta", [1.3, 2.6, 3.0, 7.3, 11.9, 20.5])
+    def test_matches_mpmath_quadrature(self, beta, radius):
+        values, abs_sum, terms = contour._circle_part(beta, self.YS, radius, 1e-12)
+        reference = np.array([_circle_mpmath(beta, float(y), radius) for y in self.YS])
+        error = np.abs(values - reference)
+        # truncation below 1e-14, plus the rounding of `terms` recurrence
+        # steps and products on the absolute sum (cancellation at y < 0)
+        assert np.all(error <= 1e-14 + terms * EPS * abs_sum)
+        # without cancellation the series is exact to rounding
+        assert np.all(error[2:] <= 1e-13 * (1.0 + np.abs(reference[2:])))
+
+    @pytest.mark.parametrize("radius", [0.6, 1.0, 1.4, 2.0])
+    def test_integer_beta_is_the_residue(self, radius):
+        # every weight but n = m vanishes: I = 2 pi i H_m(y) / m!
+        ys = np.linspace(-8.0, 3.0, 23)
+        for m in range(9):
+            values = contour._circle_part(m + 1.0, ys, radius, 1e-10)[0]
+            reference = 2j * np.pi * hermite_poly(m, ys) / math.factorial(m)
+            assert np.all(np.abs(values - reference) <= 1e-13 * (1.0 + np.abs(reference)))
+
 
 class TestFEpsilonDerivative:
     def test_boundary_recurrence(self):
@@ -175,7 +245,6 @@ class TestContourSpec:
     @pytest.mark.parametrize("kwargs", [
         {"circle_radius": 0.0},
         {"line_truncation": 0.5},
-        {"circle_nodes": 8},
         {"line_nodes": 4},
         {"target_tol": 0.0},
     ])

@@ -10,6 +10,7 @@ from stepharm import (DomainError, PotentialConfig, delay_time, delta_prime,
                       find_resonances, phase_shift, pi_coefficient, zeta,
                       j_beta)
 from stepharm.scattering import sample
+from stepharm.special import digamma, gamma_half_ratio
 from stepharm.verification import phase_derivative_residual
 from tests.conftest import make_config
 
@@ -27,6 +28,18 @@ DELTA_PRIME_THRESHOLD = {
     3.0: 2506.61397738425,
 }
 ZETA_KNOWN = -0.70005475364018919 + 0.71408916943598439j  # beta=3.7, beta0=1.5
+
+
+def delta_prime_two_digamma_calls(b, beta0):
+    """delta' with one digamma call per argument, as a bit-level reference."""
+    x = b - beta0
+    ratio = gamma_half_ratio(b / 2.0)
+    num = 0.5 * np.sqrt(x) * (
+        np.sin(np.pi * b) * (1.0 / x + digamma(b / 2.0) - digamma((b + 1.0) / 2.0))
+        + 2.0 * np.pi)
+    den = (x / (ratio * math.sqrt(2.0)) * np.sin(np.pi * b / 2.0) ** 2
+           + ratio * math.sqrt(2.0) * np.cos(np.pi * b / 2.0) ** 2)
+    return num / den
 
 
 def zeta_literal(beta, beta0):
@@ -132,6 +145,20 @@ class TestDeltaPrime:
     def test_domain(self, cfg15):
         with pytest.raises(DomainError):
             delta_prime(1.4, cfg15)
+
+    @pytest.mark.parametrize("beta0", [1.5, 4.5, 60.0])
+    def test_bit_identical_to_two_digamma_calls(self, beta0):
+        # the reference any regrouping of the digamma calls (one call on
+        # the joined arguments, say) must reproduce bit for bit
+        config = make_config(beta0)
+        rng = np.random.default_rng(11)
+        beta = beta0 + np.concatenate([np.geomspace(1e-6, 1e3, 5_000),
+                                       rng.uniform(1e-3, 200.0, 5_000)])
+        assert np.array_equal(delta_prime(beta, config),
+                              delta_prime_two_digamma_calls(beta, beta0))
+        for b in beta[::500]:
+            assert delta_prime(float(b), config) == float(
+                delta_prime_two_digamma_calls(np.float64(b), beta0))
 
 
 class TestDelayTime:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -185,6 +186,22 @@ class TestBatchedBisection:
         with pytest.raises(BracketError, match=r"no sign change on bracket \(1\.000000001, "):
             solve_levels(make_config(4.5))
 
+    def test_tol_below_float_spacing_returns(self, cfg45):
+        # the midpoint of two adjacent floats is one of them, so the bracket
+        # stops shrinking above tol; it must be closed there, not bisected on
+        result = []
+        worker = threading.Thread(
+            target=lambda: result.append(solve_levels(cfg45, tol=1e-20)), daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert result, "solve_levels(tol=1e-20) did not return within 10 s"
+        roots = [level.beta_n for level in result[0]]
+        assert roots == pytest.approx(KNOWN_ROOTS[4.5], abs=1e-13)
+        for root in roots:
+            # the residual changes sign between the root's float neighbours
+            neighbours = np.array([np.nextafter(root, 0.0), np.nextafter(root, 9.0)])
+            assert np.prod(np.sign(level_equation_residual(neighbours, cfg45))) < 0
+
     def test_residual_calls_bounded(self, monkeypatch):
         # one call on the bracket ends, then one per halving of the widest
         # bracket: 1 + 40 at tol = 1e-12 whatever the number of levels
@@ -262,7 +279,7 @@ class TestBoundEigenfunction:
             assert _closed_form_error(level, config) < 1e-10
 
     def test_contour_fault_raises_before_sampling(self):
-        # beta_n ~ 31.5: the contour quadrature misses J(beta_n) by ~2e-3
+        # beta_n ~ 31.5: the contour solution misses J(beta_n) by ~1e-4
         config = make_config(60.0)
         state = solve_levels(config)[15]
         with pytest.raises(ConvergenceError, match="beta_n=31.48"):
