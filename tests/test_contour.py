@@ -245,6 +245,7 @@ class TestContourSpec:
     @pytest.mark.parametrize("kwargs", [
         {"circle_radius": 0.0},
         {"line_truncation": 0.5},
+        {"line_truncation": 1.0},
         {"line_nodes": 4},
         {"target_tol": 0.0},
     ])
