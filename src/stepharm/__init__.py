@@ -10,12 +10,12 @@ independent brute-force oracle.
 
 __version__ = "0.1.0"
 
-from .contour import (ContourSpec, asymptotic_f2, f_epsilon,
-                      f_epsilon_derivative, hermite_poly, j_beta)
+from .contour import (asymptotic_f2, f_epsilon, f_epsilon_derivative,
+                      hermite_poly, j_beta)
 from .errors import (BracketError, ConvergenceError, DispersionError,
                      DomainError, GammaPoleError, SingularityError,
                      StepharmError)
-from .potential import BetaPoint, PotentialConfig
+from .potential import PotentialConfig
 from .scattering import (PhaseShiftSample, Resonance, delay_time, delta_prime,
                          find_resonances, phase_shift, pi_coefficient, sample,
                          zeta)
@@ -26,7 +26,7 @@ from .wavepacket import (FrameSet, WavePacketSpec, evolve,
 
 __all__ = [
     "__version__",
-    "BetaPoint", "ContourSpec", "PotentialConfig",
+    "PotentialConfig",
     "EnergyLevel", "PhaseShiftSample", "Resonance",
     "WavePacketSpec", "FrameSet",
     "StepharmError", "DomainError", "GammaPoleError", "ConvergenceError",

@@ -12,7 +12,10 @@ gives the numerically usable split
     F(y) = I_beta(y) - 2i e^{-i pi beta} sin(pi beta) *
            integral_r^inf exp(-t^2 + 2ty) t^(-beta) dt,
 
-where I_beta is the circle contribution.
+where I_beta is the circle contribution.  By Cauchy's theorem any radius
+gives the same F; the module fixes r = _CIRCLE_RADIUS = 1 and the
+tolerance _TARGET_TOL = 1e-10 below, and passes r to the helpers as an
+argument so that it can become a function of beta in one place.
 
 The circle is summed in closed form.  The Hermite generating function
 exp(2ty - t^2) = sum_n H_n(y) t^n / n! (DLMF 18.12.15), integrated term by
@@ -25,22 +28,22 @@ with h_{n+1} = (2ry h_n - 2r^2 h_{n-1}) / (n+1).  Once n+1 exceeds
 2g, g = 2r(max|y| + r), each h_n is below half the larger of the two
 before it, so the tail after h_n is at most 2 max(|h_n|, |h_{n-1}|) times
 the weight bound 2 pi r^{1-beta}; the series stops when that bound,
-doubled, is below target_tol / 100.  At integer beta = m+1 every sinc
+doubled, is below _TARGET_TOL / 100.  At integer beta = m+1 every sinc
 vanishes but the n = m one, and the series is the residue formula
 (2 pi i / m!) H_m(y).  The sum over n is one real contraction.
 
-The cut-edge integral is a composite Gauss-Legendre sum of positive terms,
-refined by doubling its node count until two successive values of F agree
-to target_tol relative to 1 + max|F|.  A target_tol below the round-off
-floor of the two sums (machine epsilon times their absolute sums) cannot
-be confirmed in double precision and raises ConvergenceError at once, as
-do series terms that overflow.  No reduction goes through BLAS.
+The cut-edge integral is a composite Gauss-Legendre sum of positive terms
+up to the point where the integrand drops below _TARGET_TOL / 100.  It
+starts from _LINE_NODES nodes and doubles them until two successive values
+of F agree to _TARGET_TOL relative to 1 + max|F|.  A tolerance below the
+round-off floor of the two sums (machine epsilon times their absolute
+sums) cannot be confirmed in double precision and raises ConvergenceError
+at once, as do series terms that overflow.  No reduction goes through BLAS.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,39 +51,14 @@ from .errors import ConvergenceError, DomainError
 from .special import log_gamma
 
 _TWO_PI = 2.0 * math.pi
+_CIRCLE_RADIUS = 1.0
+_LINE_NODES = 120  # first node count of the cut-edge refinement
+_TARGET_TOL = 1e-10
+_JUNCTION_TOL = 1e-8  # relative F(0) - J(beta) that the junction checks allow
 _MAX_REFINEMENTS = 12
 _SERIES_CHUNK = 8  # series terms between two checks of the stop rule
 _EPS = float(np.finfo(float).eps)
 
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Discretization of the deformed contour.
-
-    ``circle_radius`` is the radius r of the circle arc and of its Hermite
-    series; ``line_nodes`` is the starting node count of the cut-edge
-    refinement; ``line_truncation`` replaces the infinite upper limit of
-    the cut-edge integral (chosen automatically when None so that the
-    discarded tail is below ``target_tol / 100``).
-    """
-
-    circle_radius: float = 1.0
-    line_truncation: float | None = None
-    line_nodes: int = 120
-    target_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.circle_radius <= 0:
-            raise DomainError("circle_radius must be positive")
-        if self.line_truncation is not None and self.line_truncation <= self.circle_radius:
-            raise DomainError("line_truncation must exceed circle_radius")
-        if self.line_nodes < 16:
-            raise DomainError("line_nodes must be >= 16")
-        if self.target_tol <= 0:
-            raise DomainError("target_tol must be positive")
-
-
-DEFAULT_CONTOUR = ContourSpec()
 
 _NODES_PER_PANEL = 20
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
@@ -94,11 +72,6 @@ def _panel_rule(a: float, b: float, n_nodes: int):
     half = 0.5 * (edges[1:] - edges[:-1])[:, None]
     return ((mid + half * _GL_NODES[None, :]).ravel(),
             (half * _GL_WEIGHTS[None, :]).ravel())
-
-
-def _beta_of(point) -> float:
-    """Accept a BetaPoint or a bare float beta."""
-    return float(getattr(point, "beta", point))
 
 
 def _circle_part(beta: float, y: np.ndarray, radius: float, tol: float):
@@ -165,20 +138,21 @@ def _auto_truncation(beta: float, y_max: float, radius: float, tol: float) -> fl
     return t
 
 
-def f_epsilon(point, y, contour: ContourSpec = DEFAULT_CONTOUR):
+def f_epsilon(beta: float, y):
     """Evaluate the loop solution F(y) of the Hermite equation.
+
+    The contour is fixed: the circle of radius ``_CIRCLE_RADIUS`` is summed
+    as its Hermite series down to ``_TARGET_TOL / 100``, and the cut-edge
+    sum, cut off where its integrand falls below ``_TARGET_TOL / 100``,
+    starts from ``_LINE_NODES`` nodes and doubles them until two successive
+    values of F agree to ``_TARGET_TOL`` relative to 1 + max|F|.
 
     Parameters
     ----------
-    point : BetaPoint or float
-        Spectral point; only its beta is needed.
+    beta : float
+        Spectral coordinate (epsilon + 1) / 2.
     y : float or array
         Dimensionless position(s) alpha*x.
-    contour : ContourSpec
-        Discretization; the circle series is truncated below
-        ``target_tol / 100`` and the cut-edge node count is doubled until
-        two successive values agree to ``target_tol`` relative to
-        1 + max|F|.
 
     Returns
     -------
@@ -187,22 +161,19 @@ def f_epsilon(point, y, contour: ContourSpec = DEFAULT_CONTOUR):
     Raises
     ------
     ConvergenceError
-        If the series overflows, if ``target_tol`` is below the round-off
+        If the series overflows, if the tolerance is below the round-off
         floor of the sums, or if the refinement stalls.
     """
-    beta = _beta_of(point)
+    beta = float(beta)
     y_arr = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
     if not np.all(np.isfinite(y_arr)):
         raise DomainError("y must be finite")
-    radius = contour.circle_radius
-    tol = contour.target_tol
-    t_max = contour.line_truncation
-    if t_max is None:
-        t_max = _auto_truncation(beta, float(y_arr.max(initial=0.0)), radius, tol)
+    radius, tol = _CIRCLE_RADIUS, _TARGET_TOL
+    t_max = _auto_truncation(beta, float(y_arr.max(initial=0.0)), radius, tol)
     line_factor = -2j * np.exp(-1j * math.pi * beta) * math.sin(math.pi * beta)
 
     circle, circle_abs, n_terms = _circle_part(beta, y_arr, radius, tol)
-    n_l = contour.line_nodes
+    n_l = _LINE_NODES
     previous, change = None, math.inf
     for _ in range(_MAX_REFINEMENTS):
         line = _line_part(beta, y_arr, radius, t_max, n_l)
@@ -227,14 +198,13 @@ def f_epsilon(point, y, contour: ContourSpec = DEFAULT_CONTOUR):
         f"{n_l // 2} line nodes)")
 
 
-def f_epsilon_derivative(point, y, contour: ContourSpec = DEFAULT_CONTOUR):
+def f_epsilon_derivative(beta: float, y):
     """dF/dy, via the recurrence F'(y) = 2 F_{beta-1}(y).
 
     Differentiating under the integral sign lowers beta by one and doubles
     the integrand, so no finite differencing is needed.
     """
-    beta = _beta_of(point)
-    return 2.0 * f_epsilon(beta - 1.0, y, contour)
+    return 2.0 * f_epsilon(float(beta) - 1.0, y)
 
 
 def j_beta(beta: float) -> complex:
@@ -274,7 +244,7 @@ def hermite_poly(n: int, y):
     return float(h) if y_arr.ndim == 0 else h
 
 
-def asymptotic_f2(point, y):
+def asymptotic_f2(beta: float, y):
     """Large-y reference -2i e^{-i pi beta} sqrt(pi) sin(pi beta) e^{y^2} / y^beta.
 
     Only meaningful for y > 0 and non-degenerate beta: at integer beta the
@@ -282,7 +252,7 @@ def asymptotic_f2(point, y):
     expression (identically zero there) does not describe it, so those
     arguments are rejected.
     """
-    beta = _beta_of(point)
+    beta = float(beta)
     if beta >= 1.0 and beta == math.floor(beta):
         raise DomainError("asymptotic form is invalid at Hermite-degenerate integer beta")
     y_arr = np.asarray(y, dtype=float)

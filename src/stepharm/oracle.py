@@ -19,6 +19,7 @@ from .potential import PotentialConfig
 
 _SHOOT_START_Y = -8.0  # exp(-32) suppresses growing-solution contamination
 _ENDPOINT_PULL = 1e-9
+_ORDER_BETA, _ORDER_Y = 1.3, -3.0  # the run whose RK4 order is measured
 
 
 @dataclass(frozen=True)
@@ -218,10 +219,14 @@ def contour_quadrature_j(beta: float) -> complex:
     raise ConvergenceError(f"direct loop quadrature stalled at beta={beta}")
 
 
-def rk4_convergence_order(beta: float = 1.3, y_target: float = -3.0) -> float:
-    """Measured convergence order of the RK4 marcher (should be close to 4)."""
+def rk4_convergence_order() -> float:
+    """Measured convergence order of the RK4 marcher (should be close to 4).
+
+    The Hermite equation at beta = 1.3 is marched from y = 0 to y = -3.
+    """
     from .contour import j_beta
 
+    beta, y_target = _ORDER_BETA, _ORDER_Y
     f0 = j_beta(beta)
     f0p = 2.0 * j_beta(beta - 1.0)
     reference, _ = _propagate_hermite(beta, 0.0, y_target, f0, f0p, 8192)

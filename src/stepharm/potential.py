@@ -101,26 +101,3 @@ class PotentialConfig:
         """Continuum beta for a given exterior wavenumber."""
         return self.beta0 + 0.5 * (k / self.alpha) ** 2
 
-
-@dataclass(frozen=True)
-class BetaPoint:
-    """One spectral point: beta, epsilon, absolute energy and wavenumber.
-
-    ``k`` is the exterior wavenumber for continuum points and the exterior
-    decay constant for bound points.
-    """
-
-    beta: float
-    epsilon: float
-    energy: float
-    k: float
-
-    @classmethod
-    def continuum(cls, config: PotentialConfig, beta: float) -> "BetaPoint":
-        return cls(beta=beta, epsilon=2.0 * beta - 1.0,
-                   energy=config.energy(beta), k=config.k_continuum(beta))
-
-    @classmethod
-    def bound(cls, config: PotentialConfig, beta: float) -> "BetaPoint":
-        return cls(beta=beta, epsilon=2.0 * beta - 1.0,
-                   energy=config.energy(beta), k=config.k_bound(beta))

@@ -19,12 +19,14 @@ import numpy as np
 from . import contour
 from .errors import DomainError, SingularityError
 from .potential import PotentialConfig
-from .special import digamma, gamma_half_ratio
 from .runtime import parallel_map
+from .special import digamma, gamma_half_ratio
+from .spectrum import _bisect_all
 
 _SQRT2 = math.sqrt(2.0)
 _RESONANCE_SCAN_STEP = 0.01
 _RESONANCE_MIN_HEIGHT = 1.05  # in units of the classical limit pi/omega
+_RESONANCE_TOL = 1e-10  # bracket width where the peak and half-height searches stop
 
 
 @dataclass(frozen=True)
@@ -140,14 +142,14 @@ def sample(beta: float, config: PotentialConfig) -> PhaseShiftSample:
                             delta_prime=dp, tau=dp / config.omega)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     """Golden-section search for the maximizer of f on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > tol:
+    while b - a > _RESONANCE_TOL:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -159,20 +161,6 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
     return 0.5 * (a + b)
 
 
-def _half_crossing(f, inside: float, outside: float, level: float,
-                   tol: float = 1e-10) -> float:
-    """Bisect f(beta) = level between a point above and a point below it."""
-    lo, hi = inside, outside
-    f_lo = f(lo) - level
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if (f(mid) - level) * f_lo > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def find_resonances(config: PotentialConfig, beta_max: float) -> list[Resonance]:
     """Locate delay-curve maxima: coarse scan, golden-section refinement, FWHM.
 
@@ -181,7 +169,8 @@ def find_resonances(config: PotentialConfig, beta_max: float) -> list[Resonance]
     peak and the classical baseline pi/omega (the raw half-maximum can lie
     below the baseline and would never be crossed).  The monotone descent
     from a threshold divergence is not a local maximum and is therefore
-    never reported.
+    never reported.  The half-height crossings of all peaks are bisected
+    together, one ``delay_time`` call per step.
     """
     beta0 = config.beta0
     if beta_max <= beta0 + 1.0:
@@ -192,23 +181,39 @@ def find_resonances(config: PotentialConfig, beta_max: float) -> list[Resonance]
     interior = np.flatnonzero((taus[1:-1] > taus[:-2]) & (taus[1:-1] >= taus[2:])) + 1
     candidates = [i for i in interior if taus[i] > _RESONANCE_MIN_HEIGHT * baseline]
 
-    def refine(i: int) -> Resonance:
-        tau_of = lambda b: delay_time(float(b), config)
-        peak = _golden_max(tau_of, grid[i - 1], grid[i + 1])
-        tau_peak = tau_of(peak)
-        half = baseline + 0.5 * (tau_peak - baseline)
-        # walk outward on the coarse grid until tau drops through the half level
+    tau_of = lambda b: delay_time(float(b), config)
+
+    def peak(i: int) -> tuple[float, float]:
+        beta_peak = _golden_max(tau_of, grid[i - 1], grid[i + 1])
+        return beta_peak, tau_of(beta_peak)
+
+    peaks = parallel_map(peak, candidates)
+    halves = [baseline + 0.5 * (tau_peak - baseline) for _, tau_peak in peaks]
+    # Walk outward on the coarse grid until tau drops through the half
+    # level.  A side that reaches the end of the grid first ends there;
+    # every other side brackets its crossing between two grid neighbours.
+    outer = []
+    for i, half in zip(candidates, halves):
         left = i
         while left > 0 and taus[left] > half:
             left -= 1
         right = i
         while right < len(grid) - 1 and taus[right] > half:
             right += 1
-        b_left = (_half_crossing(tau_of, grid[left + 1], grid[left], half)
-                  if taus[left] <= half else grid[left])
-        b_right = (_half_crossing(tau_of, grid[right - 1], grid[right], half)
-                   if taus[right] <= half else grid[right])
-        return Resonance(beta_peak=float(peak), tau_peak=float(tau_peak),
-                         width=float(b_right - b_left))
-
-    return sorted(parallel_map(refine, candidates), key=lambda r: r.beta_peak)
+        outer += [left, right]
+    outer = np.array(outer, dtype=int)
+    levels = np.repeat(halves, 2)
+    crossed = taus[outer] <= levels
+    ends = grid[outer]
+    if crossed.any():
+        # lower end of each bracket: the walk's end on a left side, the point
+        # before it on a right side
+        low = (outer - np.tile([0, 1], len(candidates)))[crossed]
+        crossed_levels = levels[crossed]
+        ends[crossed] = _bisect_all(
+            lambda b, k: delay_time(b, config) - crossed_levels[k],
+            grid[low], grid[low + 1], _RESONANCE_TOL)
+    return [Resonance(beta_peak=float(beta_peak), tau_peak=float(tau_peak),
+                      width=float(b_right - b_left))
+            for (beta_peak, tau_peak), b_left, b_right
+            in zip(peaks, ends[0::2], ends[1::2])]

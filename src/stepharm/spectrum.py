@@ -22,12 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contour
+from .contour import _JUNCTION_TOL
 from .errors import BracketError, ConvergenceError, DomainError
 from .potential import PotentialConfig
 from .special import digamma, gamma_half_ratio
 
 _ENDPOINT_PULL = 1e-9
-_JUNCTION_TOL = 1e-8  # relative F(0) - J(beta_n), as in the verify junction checks
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,10 @@ def level_equation_residual(beta, config: PotentialConfig):
 def _bisect_all(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     """Bisect every bracket (lo[i], hi[i]) at once, with one call of f per step.
 
-    f maps an array of points to their residuals, elementwise; lo and hi
-    are narrowed in place.  Each bracket follows the scalar rules: an
+    f(points, brackets) maps an array of points to their residuals,
+    elementwise; ``brackets`` holds the index of the bracket each point
+    belongs to, so each bracket can have its own residual.  lo and hi are
+    narrowed in place.  Each bracket follows the scalar rules: an
     endpoint with zero residual is the root, an exact zero at a midpoint is
     the root, otherwise the bracket is halved until it is no wider than tol
     and its midpoint returned.  A bracket whose midpoint rounds to one of
@@ -92,7 +94,8 @@ def _bisect_all(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     of its bracket alone gives.
     """
     count = lo.size
-    ends = f(np.concatenate([lo, hi]))
+    every = np.arange(count)
+    ends = f(np.concatenate([lo, hi]), np.concatenate([every, every]))
     f_lo, f_hi = ends[:count], ends[count:]
     roots = np.empty(count)
     found = f_lo == 0.0
@@ -109,7 +112,7 @@ def _bisect_all(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
         lo_live, hi_live = lo[live], hi[live]
         mid = 0.5 * (lo_live + hi_live)
         stuck = (mid == lo_live) | (mid == hi_live)
-        f_mid = f(mid)
+        f_mid = f(mid, live)
         left = f_lo[live] * f_mid < 0.0
         hi[live[left]] = mid[left]
         lo[live[~left]] = mid[~left]
@@ -140,7 +143,7 @@ def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLeve
     lo = 2.0 * np.arange(level_count(config)) + 1.0
     hi = np.minimum(lo + 1.0, beta0)
     pull = np.minimum(_ENDPOINT_PULL, (hi - lo) * 1e-6)
-    roots = _bisect_all(lambda b: level_equation_residual(b, config),
+    roots = _bisect_all(lambda b, _: level_equation_residual(b, config),
                         lo + pull, hi - pull, tol)
     return [EnergyLevel(n=n, beta_n=root, energy=config.energy(root),
                         k_n=config.k_bound(root))
@@ -167,7 +170,6 @@ def _norm_over_j2(level: EnergyLevel, config: PotentialConfig,
 
 
 def bound_eigenfunction(level: EnergyLevel, config: PotentialConfig, xs,
-                        contour_spec: contour.ContourSpec = contour.DEFAULT_CONTOUR,
                         normalized: bool = True):
     """Sample the bound-state wavefunction u_n on the given positions.
 
@@ -201,7 +203,7 @@ def bound_eigenfunction(level: EnergyLevel, config: PotentialConfig, xs,
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
     beta_n = level.beta_n
     j_val = contour.j_beta(beta_n)
-    mismatch = abs(contour.f_epsilon(beta_n, 0.0, contour_spec) - j_val) / abs(j_val)
+    mismatch = abs(contour.f_epsilon(beta_n, 0.0) - j_val) / abs(j_val)
     if not mismatch <= _JUNCTION_TOL:
         raise ConvergenceError(
             f"contour solution for beta_n={beta_n!r} misses J(beta_n) at the "
@@ -211,7 +213,7 @@ def bound_eigenfunction(level: EnergyLevel, config: PotentialConfig, xs,
     neg = xs_arr < 0.0
     if neg.any():
         y = config.alpha * xs_arr[neg]
-        values[neg] = contour.f_epsilon(beta_n, y, contour_spec) * np.exp(-0.5 * y * y)
+        values[neg] = contour.f_epsilon(beta_n, y) * np.exp(-0.5 * y * y)
     values[~neg] = j_val * np.exp(-level.k_n * xs_arr[~neg])
     if normalized:
         values /= abs(j_val) * math.sqrt(_norm_over_j2(level, config, xs_arr))

@@ -16,6 +16,9 @@ from . import contour, oracle, scattering, spectrum, wavepacket
 from .potential import PotentialConfig
 from .special import digamma, gamma, gamma_half_ratio
 
+_PHASE_SPAN = 20.0  # width of the beta window of phase_derivative_residual
+_PHASE_STEP = 1e-3  # its finite-difference step
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -122,17 +125,17 @@ def check_unitarity() -> CheckResult:
     return _check("zeta_unitarity", worst, 1e-10)
 
 
-def phase_derivative_residual(config: PotentialConfig, span: float = 20.0,
-                              step: float = 1e-3) -> float:
+def phase_derivative_residual(config: PotentialConfig) -> float:
     """Scaled mismatch between closed-form delta' and a finite difference.
 
     The unwrapped principal phase is differentiated with the fourth-order
-    central stencil on a step-1e-3 grid; the comparison is scaled by
-    (1 + |delta'|) because delta' has isolated zeros inside the window
-    where a pointwise relative error is ill-posed.  Points within 0.05 of
-    a resonance peak are excluded.
+    central stencil on a step-1e-3 grid over beta0 + 0.1 to beta0 + 20;
+    the comparison is scaled by (1 + |delta'|) because delta' has isolated
+    zeros inside the window where a pointwise relative error is ill-posed.
+    Points within 0.05 of a resonance peak are excluded.
     """
     beta0 = config.beta0
+    span, step = _PHASE_SPAN, _PHASE_STEP
     betas = np.arange(beta0 + 0.1 - 2.0 * step, beta0 + span + 2.5 * step, step)
     delta = np.unwrap(scattering.phase_shift(betas, config))
     fd = (-delta[4:] + 8.0 * delta[3:-1] - 8.0 * delta[1:-3] + delta[:-4]) / (12.0 * step)

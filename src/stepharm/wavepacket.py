@@ -20,13 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contour, scattering
+from .contour import _JUNCTION_TOL
 from .errors import ConvergenceError, DispersionError, DomainError
 from .potential import PotentialConfig
 from .runtime import parallel_map
 from .special import log_gamma
 
 _FRAME_TOL = 1e-6
-_JUNCTION_TOL = 1e-8  # as in spectrum.bound_eigenfunction
+_FRAME_NODES = 128  # first k-node count of evolve; doubled up to _FRAME_ROUNDS times
+_FRAME_ROUNDS = 6
+_DELAY_NODES = 256  # first k-node count of measure_delay
+_REL_WIDTH = 1.0 / 30.0  # sigma_k / k_center of WavePacketSpec.for_beta
+_START_WIDTHS = 6.0  # x_start of WavePacketSpec.for_beta, in initial widths sigma_x
 _K_SUPPORT_SIGMAS = 5.0
 _MIN_OVERLAP_SIGMAS = 4.8  # Gaussian tail beyond 4.75 sigma is < 1e-6
 
@@ -51,16 +56,16 @@ class WavePacketSpec:
                               "exceeds 1e-6")
 
     @classmethod
-    def for_beta(cls, config: PotentialConfig, beta: float,
-                 rel_width: float = 1.0 / 30.0,
-                 x_start: float | None = None) -> "WavePacketSpec":
-        """Packet centered on the continuum point beta with sigma_k = k * rel_width."""
+    def for_beta(cls, config: PotentialConfig, beta: float) -> "WavePacketSpec":
+        """Packet centered on the continuum point beta.
+
+        sigma_k = k_center / 30, and the packet starts six initial widths
+        sigma_x = 1 / (2 sigma_k) out, at x_start = 3 / sigma_k.
+        """
         k_center = config.k_continuum(beta)
-        sigma_k = k_center * rel_width
-        if x_start is None:
-            x_start = 6.0 / (2.0 * sigma_k)
-        return cls(k_center=k_center, sigma_k=sigma_k, x_start=x_start,
-                   config=config)
+        sigma_k = k_center * _REL_WIDTH
+        return cls(k_center=k_center, sigma_k=sigma_k,
+                   x_start=_START_WIDTHS / (2.0 * sigma_k), config=config)
 
     @property
     def sigma_x(self) -> float:
@@ -106,8 +111,7 @@ class FrameSet:
                 / np.trapezoid(rho, self.x_grid, axis=1))
 
 
-def improper_eigenfunction(beta, config: PotentialConfig, x,
-                           contour_spec: contour.ContourSpec = contour.DEFAULT_CONTOUR):
+def improper_eigenfunction(beta, config: PotentialConfig, x):
     """Continuum eigenfunction, k-normalized with the 1/sqrt(2 pi) prefactor.
 
     Pi(beta) F(alpha x) e^{-(alpha x)^2/2} on the harmonic side and
@@ -121,8 +125,7 @@ def improper_eigenfunction(beta, config: PotentialConfig, x,
     if neg.any():
         y = config.alpha * x_arr[neg]
         pi_coeff = scattering.pi_coefficient(beta, config)
-        out[neg] = (pi_coeff * contour.f_epsilon(beta, y, contour_spec)
-                    * np.exp(-0.5 * y * y))
+        out[neg] = pi_coeff * contour.f_epsilon(beta, y) * np.exp(-0.5 * y * y)
     if (~neg).any():
         xp = x_arr[~neg]
         out[~neg] = (np.exp(-1j * k * xp)
@@ -137,19 +140,25 @@ def _k_rule(spec: WavePacketSpec, n_nodes: int):
     return contour._panel_rule(lo, hi, n_nodes)
 
 
+def _outgoing(spec: WavePacketSpec, ks: np.ndarray, xs: np.ndarray,
+              mirror: bool) -> np.ndarray:
+    """Reflected plane waves zeta(k) e^{ikx}, with zeta = 1 for the mirror."""
+    cfg = spec.config
+    refl = (np.ones_like(ks, dtype=complex) if mirror
+            else scattering.zeta(cfg.beta_from_k(ks), cfg))
+    return refl[:, None] * np.exp(1j * np.outer(ks, xs))
+
+
 def _mode_matrix(spec: WavePacketSpec, ks: np.ndarray, x_grid: np.ndarray,
                  mirror: bool) -> np.ndarray:
     """Rows u_k(x) of the improper eigenfunctions on the grid."""
     cfg = spec.config
-    betas = cfg.beta_from_k(ks)
     modes = np.empty((len(ks), len(x_grid)), dtype=complex)
     neg = x_grid < 0.0
     pos = ~neg
     if pos.any():
         xp = x_grid[pos]
-        refl = np.ones_like(ks, dtype=complex) if mirror else scattering.zeta(betas, cfg)
-        modes[:, pos] = (np.exp(-1j * np.outer(ks, xp))
-                         + refl[:, None] * np.exp(1j * np.outer(ks, xp)))
+        modes[:, pos] = np.exp(-1j * np.outer(ks, xp)) + _outgoing(spec, ks, xp, mirror)
     if neg.any():
         if mirror:
             modes[:, neg] = 0.0
@@ -161,7 +170,7 @@ def _mode_matrix(spec: WavePacketSpec, ks: np.ndarray, x_grid: np.ndarray,
                 return (scattering.pi_coefficient(beta, cfg)
                         * contour.f_epsilon(beta, y) * envelope)
 
-            rows = parallel_map(interior_row, betas)
+            rows = parallel_map(interior_row, cfg.beta_from_k(ks))
             modes[:, neg] = np.vstack(rows)
     return modes / math.sqrt(2.0 * math.pi)
 
@@ -186,20 +195,19 @@ def _check_interior_solution(spec: WavePacketSpec) -> None:
                 f"(tolerance {_JUNCTION_TOL:g})")
 
 
-def _frames_at(spec: WavePacketSpec, ks, ws, x_grid, times, mirror) -> np.ndarray:
-    modes = _mode_matrix(spec, ks, x_grid, mirror)
+def _frames_at(spec: WavePacketSpec, ks, ws, modes, times) -> np.ndarray:
+    """Packet frames psi[t, x] = sum_k w_k c(k) e^{-i Omega(k) t} modes[k, x]."""
     weights = ws * spec.envelope(ks)
     phases = np.exp(-1j * np.outer(np.asarray(times, float), spec.omega_of(ks)))
     return (phases * weights) @ modes
 
 
-def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False,
-           n_nodes: int = 128, max_refinements: int = 6) -> FrameSet:
+def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSet:
     """Propagate the packet and return frames on the given grids.
 
-    The k-quadrature (Gauss-Legendre over k_center +/- 5 sigma_k) is
-    refined by doubling node counts until the frames change by less than
-    1e-6 relative.  Positions x < 0 request the costly interior
+    The k-quadrature (Gauss-Legendre over k_center +/- 5 sigma_k) starts
+    from 128 nodes and doubles them, at most six times in all, until the
+    frames change by less than 1e-6 relative.  Positions x < 0 request the costly interior
     eigenfunction evaluation; keep the grid non-negative when only the
     reflected motion matters.  ``mirror`` replaces zeta by 1, the
     delay-free perfect-mirror reference.  Before any interior row is
@@ -215,10 +223,10 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False,
     if not mirror and np.any(x_arr < 0.0):
         _check_interior_solution(spec)
     previous = None
-    n = n_nodes
-    for _ in range(max_refinements):
+    n = _FRAME_NODES
+    for _ in range(_FRAME_ROUNDS):
         ks, ws = _k_rule(spec, n)
-        psi = _frames_at(spec, ks, ws, x_arr, t_arr, mirror)
+        psi = _frames_at(spec, ks, ws, _mode_matrix(spec, ks, x_arr, mirror), t_arr)
         if previous is not None:
             scale = 1.0 + float(np.abs(psi).max())
             if float(np.abs(psi - previous).max()) < _FRAME_TOL * scale:
@@ -226,17 +234,6 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False,
         previous = psi
         n *= 2
     raise ConvergenceError("k-quadrature did not converge while assembling frames")
-
-
-def _reflected_frames(spec: WavePacketSpec, ks, ws, xs, times, mirror) -> np.ndarray:
-    """Frames of the reflected component alone (outgoing plane waves only)."""
-    cfg = spec.config
-    betas = cfg.beta_from_k(ks)
-    refl = np.ones_like(ks, dtype=complex) if mirror else scattering.zeta(betas, cfg)
-    modes = refl[:, None] * np.exp(1j * np.outer(ks, xs)) / math.sqrt(2.0 * math.pi)
-    weights = ws * spec.envelope(ks)
-    phases = np.exp(-1j * np.outer(np.asarray(times, float), spec.omega_of(ks)))
-    return (phases * weights) @ modes
 
 
 def _crossing_time(times: np.ndarray, centroids: np.ndarray, target: float):
@@ -249,8 +246,7 @@ def _crossing_time(times: np.ndarray, centroids: np.ndarray, target: float):
     return t0 + (target - c0) * (t1 - t0) / (c1 - c0)
 
 
-def measure_delay(spec: WavePacketSpec, mirror: bool = False,
-                  n_nodes: int = 256) -> float:
+def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
     """Reflection delay from the centroid of the reflected packet.
 
     The centroid of |psi_ref|^2 moves ballistically at the mean group
@@ -273,7 +269,8 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False,
 
     def centroid_delay(n: int):
         ks, ws = _k_rule(spec, n)
-        psi = _reflected_frames(spec, ks, ws, xs, times, mirror)
+        modes = _outgoing(spec, ks, xs, mirror) / math.sqrt(2.0 * math.pi)
+        psi = _frames_at(spec, ks, ws, modes, times)
         rho = np.abs(psi) ** 2
         mass = np.trapezoid(rho, xs, axis=1)
         cent = np.trapezoid(xs * rho, xs, axis=1) / mass
@@ -288,7 +285,7 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False,
 
     previous = None
     last_change = math.inf
-    for n in (n_nodes, 2 * n_nodes, 4 * n_nodes):
+    for n in (_DELAY_NODES, 2 * _DELAY_NODES, 4 * _DELAY_NODES):
         delay, width = centroid_delay(n)
         if previous is not None:
             last_change = abs(delay - previous)

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from stepharm import (ContourSpec, ConvergenceError, DomainError, asymptotic_f2,
-                      contour, f_epsilon, f_epsilon_derivative, hermite_poly, j_beta)
-from stepharm.contour import DEFAULT_CONTOUR
+from stepharm import (ConvergenceError, DomainError, asymptotic_f2, contour,
+                      f_epsilon, f_epsilon_derivative, hermite_poly, j_beta)
 
 EPS = np.finfo(float).eps
 
@@ -93,23 +92,17 @@ class TestFEpsilon:
             u3 = abs(f_epsilon(beta, -3.0)) * math.exp(-4.5)
             assert u6 / u3 < 1e-3
 
-    def test_radius_invariance(self):
+    def test_radius_invariance(self, monkeypatch):
         # the loop may be realized on any radius; values must not move
         reference = f_epsilon(1.7, -1.3)
         for radius in (0.6, 1.4):
-            spec = ContourSpec(circle_radius=radius)
-            assert f_epsilon(1.7, -1.3, spec) == pytest.approx(reference, rel=1e-9)
+            monkeypatch.setattr(contour, "_CIRCLE_RADIUS", radius)
+            assert f_epsilon(1.7, -1.3) == pytest.approx(reference, rel=1e-9)
 
-    def test_accepts_beta_point(self, cfg15):
-        from stepharm import BetaPoint
-
-        point = BetaPoint.continuum(cfg15, 2.3)
-        assert f_epsilon(point, -1.0) == pytest.approx(f_epsilon(2.3, -1.0), rel=1e-12)
-
-    def test_unreachable_tolerance_raises(self):
-        spec = ContourSpec(target_tol=1e-18)
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(contour, "_TARGET_TOL", 1e-18)
         with pytest.raises(ConvergenceError):
-            f_epsilon(1.3, -2.0, spec)
+            f_epsilon(1.3, -2.0)
 
     @pytest.mark.parametrize("beta", [1.3, 2.6, 3.7, 5.2, 7.9, 11.4])
     def test_against_pbdv_route(self, beta):
@@ -128,11 +121,12 @@ class TestFEpsilon:
             f_epsilon(2.6, y)
 
     @pytest.mark.parametrize("beta,y", [(1.3, -2.0), (1.3, 0.5), (4.0, -1.0), (7.3, 2.0)])
-    def test_tolerance_below_round_off_floor_raises(self, beta, y):
+    def test_tolerance_below_round_off_floor_raises(self, beta, y, monkeypatch):
         # decided from the absolute sums before any refinement, so it does
         # not hang on two rounds agreeing by chance
+        monkeypatch.setattr(contour, "_TARGET_TOL", 1e-18)
         with pytest.raises(ConvergenceError, match="round-off floor"):
-            f_epsilon(beta, y, ContourSpec(target_tol=1e-18))
+            f_epsilon(beta, y)
 
     def test_stall_names_last_change_and_budget(self, monkeypatch):
         # a cut-edge sum that moves with every doubling never settles
@@ -237,18 +231,3 @@ class TestAsymptoticForm:
         with pytest.raises(DomainError):
             asymptotic_f2(1.5, -1.0)
 
-
-class TestContourSpec:
-    def test_defaults_valid(self):
-        assert DEFAULT_CONTOUR.circle_radius == 1.0
-
-    @pytest.mark.parametrize("kwargs", [
-        {"circle_radius": 0.0},
-        {"line_truncation": 0.5},
-        {"line_truncation": 1.0},
-        {"line_nodes": 4},
-        {"target_tol": 0.0},
-    ])
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            ContourSpec(**kwargs)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from stepharm import BetaPoint, DomainError, PotentialConfig
+from stepharm import DomainError, PotentialConfig
 
 
 class TestPotentialConfig:
@@ -54,25 +54,3 @@ class TestPotentialConfig:
         for beta in (0.7, 1.0, 5.5):
             assert config.beta_from_energy(config.energy(beta)) == pytest.approx(beta)
 
-
-class TestBetaPoint:
-    def test_continuum_invariants(self):
-        config = PotentialConfig.from_beta0(1.5)
-        point = BetaPoint.continuum(config, 4.0)
-        assert point.epsilon == 2.0 * point.beta - 1.0
-        assert point.energy == pytest.approx(
-            0.5 * config.hbar * config.omega * point.epsilon)
-        assert point.k > 0
-
-    def test_bound_invariants(self):
-        config = PotentialConfig.from_beta0(4.5)
-        point = BetaPoint.bound(config, 1.6)
-        assert point.epsilon == pytest.approx(2.2)
-        assert point.k == pytest.approx(config.k_bound(1.6))
-
-    def test_wrong_side_rejected(self):
-        config = PotentialConfig.from_beta0(2.5)
-        with pytest.raises(DomainError):
-            BetaPoint.continuum(config, 1.0)
-        with pytest.raises(DomainError):
-            BetaPoint.bound(config, 4.0)

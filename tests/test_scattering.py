@@ -9,7 +9,9 @@ import scipy.special as sps
 from stepharm import (DomainError, PotentialConfig, delay_time, delta_prime,
                       find_resonances, phase_shift, pi_coefficient, zeta,
                       j_beta)
+from stepharm import scattering
 from stepharm.scattering import sample
+from stepharm.spectrum import _bisect_all
 from stepharm.special import digamma, gamma_half_ratio
 from stepharm.verification import phase_derivative_residual
 from tests.conftest import make_config
@@ -238,3 +240,63 @@ class TestResonances:
     def test_domain(self, cfg15):
         with pytest.raises(DomainError):
             find_resonances(cfg15, beta_max=2.4)
+
+
+def scalar_half_crossing(f, inside: float, outside: float, level: float,
+                         tol: float = 1e-10) -> float:
+    """Bisect f(beta) = level between a point above and a point below it, one call at a time."""
+    lo, hi = inside, outside
+    f_lo = f(lo) - level
+    while abs(hi - lo) > tol:
+        mid = 0.5 * (lo + hi)
+        if (f(mid) - level) * f_lo > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestHalfCrossings:
+    """The half-height crossings of all peaks come from one batched bisection."""
+
+    @pytest.mark.parametrize("beta0", [1.5, 2.5, 4.5])
+    def test_widths_match_scalar_bisection(self, beta0):
+        # the reference walks the coarse scan outward from each local maximum
+        # and bisects each crossing on its own, one scalar call per step
+        config = make_config(beta0)
+        baseline = math.pi / config.omega
+        grid = np.arange(beta0 + scattering._RESONANCE_SCAN_STEP, 100.0,
+                         scattering._RESONANCE_SCAN_STEP)
+        taus = delay_time(grid, config)
+        tau_of = lambda b: delay_time(float(b), config)
+        found = find_resonances(config, beta_max=100.0)
+        maxima = [i for i in range(1, len(grid) - 1)
+                  if taus[i - 1] < taus[i] >= taus[i + 1] and taus[i] > 1.05 * baseline]
+        assert len(found) == len(maxima) >= 5
+        for i, res in zip(maxima, found):
+            half = baseline + 0.5 * (res.tau_peak - baseline)
+            left = i
+            while left > 0 and taus[left] > half:
+                left -= 1
+            right = i
+            while right < len(grid) - 1 and taus[right] > half:
+                right += 1
+            b_left = (scalar_half_crossing(tau_of, grid[left + 1], grid[left], half)
+                      if taus[left] <= half else grid[left])
+            b_right = (scalar_half_crossing(tau_of, grid[right - 1], grid[right], half)
+                       if taus[right] <= half else grid[right])
+            assert res.width == float(b_right - b_left)
+
+    def test_bisect_all_takes_a_level_per_bracket(self):
+        # brackets that share their ends but not their levels
+        levels = np.array([2.0, 3.0, 5.0, 7.0])
+        calls = []
+
+        def residual(b, brackets):
+            calls.append(brackets.tolist())
+            return b * b - levels[brackets]
+
+        roots = _bisect_all(residual, np.array([1.0, 1.0, 2.0, 2.0]),
+                            np.array([2.0, 2.0, 3.0, 3.0]), 1e-12)
+        assert np.abs(roots - np.sqrt(levels)).max() <= 1e-12
+        assert calls[0] == [0, 1, 2, 3, 0, 1, 2, 3]
