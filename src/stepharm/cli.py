@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -92,13 +93,35 @@ def _emit(args, manifest: RunManifest, header: list[str], rows: list[tuple],
                 handle.write(text)
 
 
+def _finite(text: str) -> float:
+    """Argument type of every float option: a finite number."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _count(text: str) -> int:
+    """Argument type of the sample-count options: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--beta0", type=float, default=None,
+    parser.add_argument("--beta0", type=_finite, default=None,
                         help="dimensionless step height (hbar=m=kappa=1 units)")
-    parser.add_argument("--hbar", type=float, default=None)
-    parser.add_argument("--mass", type=float, default=None)
-    parser.add_argument("--kappa", type=float, default=None)
-    parser.add_argument("--u0", type=float, default=None,
+    parser.add_argument("--hbar", type=_finite, default=None)
+    parser.add_argument("--mass", type=_finite, default=None)
+    parser.add_argument("--kappa", type=_finite, default=None)
+    parser.add_argument("--u0", type=_finite, default=None,
                         help="step height in absolute units")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--output", "-o", default=None,
@@ -260,29 +283,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("delay", help="delay-time curve tau(beta)")
     _add_common(p)
-    p.add_argument("--beta-min", type=float, required=True)
-    p.add_argument("--beta-max", type=float, required=True)
+    p.add_argument("--beta-min", type=_finite, required=True)
+    p.add_argument("--beta-max", type=_finite, required=True)
     p.add_argument("--steps", type=int, default=500)
     p.set_defaults(func=cmd_delay)
 
     p = sub.add_parser("eigenfunction", help="sampled bound-state wavefunction")
     _add_common(p)
     p.add_argument("--n", type=int, required=True, help="level index")
-    p.add_argument("--x-min", type=float, default=-6.0)
-    p.add_argument("--x-max", type=float, default=4.0)
-    p.add_argument("--points", type=int, default=400)
+    p.add_argument("--x-min", type=_finite, default=-6.0)
+    p.add_argument("--x-max", type=_finite, default=4.0)
+    p.add_argument("--points", type=_count, default=400)
     p.set_defaults(func=cmd_eigenfunction)
 
     p = sub.add_parser("wavepacket", help="reflect a wave packet and measure its delay")
     _add_common(p)
-    p.add_argument("--k-center", type=float, default=None)
-    p.add_argument("--beta-center", type=float, default=None,
+    p.add_argument("--k-center", type=_finite, default=None)
+    p.add_argument("--beta-center", type=_finite, default=None,
                    help="alternative to --k-center: continuum beta of the peak")
-    p.add_argument("--sigma-k", type=float, default=None)
-    p.add_argument("--x-start", type=float, default=None)
-    p.add_argument("--t-max", type=float, default=40.0)
-    p.add_argument("--frames", type=int, default=9)
-    p.add_argument("--x-points", type=int, default=400)
+    p.add_argument("--sigma-k", type=_finite, default=None)
+    p.add_argument("--x-start", type=_finite, default=None)
+    p.add_argument("--t-max", type=_finite, default=40.0)
+    p.add_argument("--frames", type=_count, default=9)
+    p.add_argument("--x-points", type=_count, default=400)
     p.add_argument("--include-interior", action="store_true",
                    help="also sample x < 0 (costly eigenfunction evaluations)")
     p.add_argument("--mirror", action="store_true",
@@ -291,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("resonances", help="delay-curve maxima")
     _add_common(p)
-    p.add_argument("--beta-max", type=float, required=True)
+    p.add_argument("--beta-max", type=_finite, required=True)
     p.set_defaults(func=cmd_resonances)
 
     p = sub.add_parser("verify", help="run the oracle cross-check suite")

@@ -170,7 +170,7 @@ def find_resonances(config: PotentialConfig, beta_max: float) -> list[Resonance]
     below the baseline and would never be crossed).  The monotone descent
     from a threshold divergence is not a local maximum and is therefore
     never reported.  The half-height crossings of all peaks are bisected
-    together, one ``delay_time`` call per step.
+    together, one ``delay_time`` call per four bisection levels.
     """
     beta0 = config.beta0
     if beta_max <= beta0 + 1.0:

@@ -1,10 +1,12 @@
 """Gamma-family special functions used by every closed-form expression.
 
 Everything here is self-contained double-precision code: a Lanczos
-approximation for the complex log-Gamma, a recurrence-plus-asymptotic-series
-digamma for positive real arguments, and the ratio Gamma(z+1/2)/Gamma(z)
-evaluated in log space, or by its asymptotic series for large z, so that it
-stays finite and accurate for very large z.
+approximation for the complex log-Gamma, a digamma for positive real
+arguments that shifts each small argument by its own count of unit steps
+and then sums the asymptotic series, and the ratio Gamma(z+1/2)/Gamma(z),
+evaluated in log space from the same Lanczos series in real arithmetic, or
+by its asymptotic series for large z, so that it stays finite and accurate
+for very large z.
 
 All functions accept scalars or numpy arrays and are pure, so they are safe
 to call concurrently.
@@ -57,6 +59,19 @@ def _lanczos_log_gamma(z):
     return _LOG_SQRT_TWO_PI + (zz + 0.5) * np.log(t) - t + np.log(acc)
 
 
+def _reflected_log_gamma(z):
+    """log Gamma of a 1-d array free of poles, reflected below Re(z) = 0.5.
+
+    The Lanczos series for Re(z) >= 0.5, log(pi / sin(pi z)) - log Gamma(1 - z)
+    below.  Real arguments are evaluated in real arithmetic, complex ones in
+    complex.
+    """
+    reflect = z.real < 0.5
+    out = _lanczos_log_gamma(np.where(reflect, 1.0 - z, z))
+    out[reflect] = np.log(np.pi) - np.log(np.sin(np.pi * z[reflect])) - out[reflect]
+    return out
+
+
 def log_gamma(z):
     """Logarithm of the Gamma function for complex argument.
 
@@ -73,15 +88,7 @@ def log_gamma(z):
     poles = (arr.imag == 0) & (arr.real <= 0) & (arr.real == np.floor(arr.real))
     if np.any(poles):
         raise GammaPoleError("log_gamma pole at non-positive integer argument")
-    work = np.atleast_1d(arr)
-    reflect = work.real < 0.5
-    principal = np.where(reflect, 1.0 - work, work)
-    out = _lanczos_log_gamma(principal)
-    if np.any(reflect):
-        refl = np.log(np.pi) - np.log(np.sin(np.pi * work[reflect])) - out[reflect]
-        out = out.copy()
-        out[reflect] = refl
-    out = out.reshape(arr.shape)
+    out = _reflected_log_gamma(np.atleast_1d(arr)).reshape(arr.shape)
     return complex(out) if arr.ndim == 0 else out
 
 
@@ -93,10 +100,10 @@ def gamma(z):
 def digamma(x):
     """Digamma function for positive real argument.
 
-    Small arguments are shifted upward with Psi(x) = Psi(x+1) - 1/x until
-    x >= 12, where the asymptotic series
-    ``log x - 1/(2x) - sum B_2k / (2k x^{2k})`` is accurate to well below
-    1e-12 absolute.
+    An argument x below 12 is moved above 12 in one step, by its own count
+    m = ceil(12 - x) of unit shifts: Psi(x) = Psi(x+m) - sum_{k<m} 1/(x+k).
+    There the asymptotic series ``log x - 1/(2x) - sum B_2k / (2k x^{2k})``
+    is accurate to well below 1e-12 absolute.
 
     Raises
     ------
@@ -108,13 +115,15 @@ def digamma(x):
         raise DomainError("digamma requires a strictly positive argument")
     work = np.atleast_1d(arr).copy()
     acc = np.zeros_like(work)
-    # At most 12 unit shifts are needed to push any positive x above 12.
-    for _ in range(int(_DIGAMMA_SHIFT)):
-        small = work < _DIGAMMA_SHIFT
-        if not small.any():
-            break
-        acc[small] -= 1.0 / work[small]
-        work[small] += 1.0
+    small = work < _DIGAMMA_SHIFT
+    x = work[small]
+    shifts = np.ceil(_DIGAMMA_SHIFT - x)
+    steps = np.arange(_DIGAMMA_SHIFT)
+    # one row of reciprocals per argument, summed row by row, so that a value
+    # does not depend on the other arguments of the call
+    acc[small] = -np.where(steps < shifts[:, None], 1.0 / (x[:, None] + steps),
+                           0.0).sum(axis=1)
+    work[small] = x + shifts
     inv2 = 1.0 / (work * work)
     series = np.zeros_like(work)
     power = inv2.copy()
@@ -129,10 +138,11 @@ def digamma(x):
 def gamma_half_ratio(z):
     """Ratio Gamma(z + 1/2) / Gamma(z) for z > 0.
 
-    Below z = 1e3 it is ``exp(log_gamma(z + 1/2) - log_gamma(z))``, which
-    never overflows; both logarithms come from one ``log_gamma`` call on
-    the joined arguments.  Above, that difference of large logarithms loses
-    digits (2e-10 relative at z = 1e5), so the asymptotic series
+    Below z = 1e3 it is ``exp(log Gamma(z + 1/2) - log Gamma(z))``, which
+    never overflows; both logarithms come from one evaluation of the
+    Lanczos series on the joined arguments, reflected below 1/2 as in
+    ``log_gamma`` but in real arithmetic.  Above, that difference of large
+    logarithms loses digits (2e-10 relative at z = 1e5), so the asymptotic series
     sqrt(z) (1 - 1/(8z) + 1/(128z^2) + 5/(1024z^3) - 21/(32768z^4)) is
     used instead; its truncation error is about 1e-18 at z = 1e3.
 
@@ -154,7 +164,7 @@ def gamma_half_ratio(z):
         result[large] = np.sqrt(work[large]) * series
     if not large.all():
         small = work[~large]
-        logs = np.real(log_gamma(np.concatenate([small + 0.5, small])))
+        logs = _reflected_log_gamma(np.concatenate([small + 0.5, small]))
         result[~large] = np.exp(logs[:small.size] - logs[small.size:])
     result = result.reshape(arr.shape)
     return float(result) if arr.ndim == 0 else result

@@ -9,9 +9,11 @@ from the junction conditions gives the level equation
 
 whose zeros on (0, beta0) are the levels.  The cotangent confines each root
 to an interval (2n+1, 2n+2), one root per interval, which makes bracketed
-bisection a guaranteed solver.  All brackets are bisected at once: each
-step evaluates g once, on the midpoints of the brackets still open, so a
-table costs about 40 array evaluations however many levels it has.
+bisection a guaranteed solver.  All brackets are bisected at once: after
+one evaluation of g on the bracket ends, each evaluation covers the next
+four bisection levels of every bracket still open (its 15 nested
+midpoints), so a table costs 11 array evaluations at the default
+tol = 1e-12 however many levels it has.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from .potential import PotentialConfig
 from .special import digamma, gamma_half_ratio
 
 _ENDPOINT_PULL = 1e-9
+_TREE_DEPTH = 4  # bisection levels evaluated per residual call
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ def level_equation_residual(beta, config: PotentialConfig):
 
 
 def _bisect_all(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    """Bisect every bracket (lo[i], hi[i]) at once, with one call of f per step.
+    """Bisect every bracket (lo[i], hi[i]) at once, _TREE_DEPTH levels per call of f.
 
     f(points, brackets) maps an array of points to their residuals,
     elementwise; ``brackets`` holds the index of the bracket each point
@@ -89,9 +92,15 @@ def _bisect_all(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     the root, otherwise the bracket is halved until it is no wider than tol
     and its midpoint returned.  A bracket whose midpoint rounds to one of
     its ends can shrink no further and is closed there, so a tol below the
-    float spacing still ends.  Each step evaluates only the midpoints of
-    the brackets still open, so every root is the one a scalar bisection
-    of its bracket alone gives.
+    float spacing still ends.
+
+    After one call on the bracket ends, each call evaluates the whole
+    bisection tree of every open bracket down to _TREE_DEPTH levels, every
+    node formed as 0.5*(a+b) from its parent's ends exactly as a scalar
+    bisection forms its midpoints.  The levels are then walked one by one
+    under the rules above, so every root is the one a scalar bisection of
+    its bracket alone gives; the nodes below a bracket's last step are
+    evaluated and unused.
     """
     count = lo.size
     every = np.arange(count)
@@ -108,19 +117,37 @@ def _bisect_all(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
         i = int(np.argmax(no_change))
         raise BracketError(f"no sign change on bracket ({float(lo[i])}, {float(hi[i])})")
     live = np.flatnonzero(~found & (hi - lo > tol))
+    span = 2 ** _TREE_DEPTH
     while live.size:
-        lo_live, hi_live = lo[live], hi[live]
-        mid = 0.5 * (lo_live + hi_live)
-        stuck = (mid == lo_live) | (mid == hi_live)
-        f_mid = f(mid, live)
-        left = f_lo[live] * f_mid < 0.0
-        hi[live[left]] = mid[left]
-        lo[live[~left]] = mid[~left]
-        f_lo[live[~left]] = f_mid[~left]
-        hit = f_mid == 0.0
-        roots[live[hit]] = mid[hit]
-        found[live[hit]] = True
-        live = live[~hit & ~stuck & (hi[live] - lo[live] > tol)]
+        # grid[:, j] is the node at j/span of the way from lo to hi, filled
+        # coarse to fine: step s fills the midpoints of the nodes s apart
+        grid = np.empty((live.size, span + 1))
+        grid[:, 0], grid[:, span] = lo[live], hi[live]
+        step = span
+        while step > 1:
+            grid[:, step // 2::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
+            step //= 2
+        values = f(grid[:, 1:-1].ravel(), np.repeat(live, span - 1))
+        values = values.reshape(live.size, span - 1)
+        rows = np.arange(live.size)
+        start = np.zeros(live.size, dtype=int)  # grid index of each bracket's lo
+        step = span
+        while step > 1 and live.size:
+            step //= 2
+            node = start + step
+            lo_live, hi_live = lo[live], hi[live]
+            mid, f_mid = grid[rows, node], values[rows, node - 1]
+            stuck = (mid == lo_live) | (mid == hi_live)
+            left = f_lo[live] * f_mid < 0.0
+            hi[live[left]] = mid[left]
+            lo[live[~left]] = mid[~left]
+            f_lo[live[~left]] = f_mid[~left]
+            hit = f_mid == 0.0
+            roots[live[hit]] = mid[hit]
+            found[live[hit]] = True
+            keep = ~hit & ~stuck & (hi[live] - lo[live] > tol)
+            start = np.where(left, start, node)[keep]
+            rows, live = rows[keep], live[keep]
     roots[~found] = 0.5 * (lo[~found] + hi[~found])
     return roots
 
@@ -131,8 +158,9 @@ def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLeve
     Bracket endpoints are pulled slightly inward to stay clear of the
     cotangent pole at the left end and the square-root branch point at
     beta0; the pull shrinks with the bracket so no root is ever skipped.
-    All brackets are bisected together, each step evaluating the level
-    equation once on the midpoints of the brackets still open.
+    All brackets are bisected together, each evaluation of the level
+    equation covering the next four bisection levels of the brackets still
+    open; the roots are those of a scalar bisection of each bracket.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")

@@ -65,6 +65,13 @@ class TestLevels:
             run_cli("levels")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("beta0", ["nan", "inf"])
+    def test_non_finite_height_exits_2(self, beta0, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("levels", "--beta0", beta0)
+        assert exc.value.code == 2
+        assert "finite" in capsys.readouterr().err
+
     def test_deterministic_data_section(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
@@ -110,6 +117,14 @@ class TestDelay:
                     "--beta-max", "5", "--steps", "10")
         assert exc.value.code == 2
 
+    def test_infinite_window_exits_2(self, capsys):
+        # linspace to inf would write NaN rows
+        with pytest.raises(SystemExit) as exc:
+            run_cli("delay", "--beta0", "1.5", "--beta-min", "1.6",
+                    "--beta-max", "inf", "--steps", "3")
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
     def test_curve_shows_resonance_peaks(self, capsys):
         assert run_cli("delay", "--beta0", "1.5", "--beta-min", "1.6",
                        "--beta-max", "8.0", "--steps", "321") == 0
@@ -126,6 +141,11 @@ class TestDelay:
 class TestEigenfunction:
     def test_missing_level_exits_3(self, capsys):
         assert run_cli("eigenfunction", "--beta0", "1.5", "--n", "3") == 3
+
+    def test_negative_point_count_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("eigenfunction", "--beta0", "4.5", "--n", "0", "--points", "-3")
+        assert exc.value.code == 2
 
     def test_inaccurate_excited_state_exits_4(self, capsys):
         # beta_n ~ 37.4: the contour solution misses J(beta_n) at the junction
@@ -186,6 +206,12 @@ class TestWavepacket:
             run_cli("wavepacket", "--beta0", "1.5")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("option", ["--frames", "--x-points"])
+    def test_zero_sample_count_exits_2(self, option):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("wavepacket", "--beta0", "1.5", "--k-center", "3.0", option, "0")
+        assert exc.value.code == 2
+
     def test_unlaunchable_packet_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("wavepacket", "--beta0", "1.5", "--k-center", "3.0",
@@ -222,6 +248,11 @@ class TestResonances:
         peaks = [float(r[0]) for r in rows]
         assert all(abs(p - 3.0) > 0.2 for p in peaks)
         assert any(abs(p - 5.0) < 0.2 for p in peaks)
+
+    def test_nan_beta_max_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("resonances", "--beta0", "1.5", "--beta-max", "nan")
+        assert exc.value.code == 2
 
 
 class TestVerify:

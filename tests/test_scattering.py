@@ -287,6 +287,22 @@ class TestHalfCrossings:
                        if taus[right] <= half else grid[right])
             assert res.width == float(b_right - b_left)
 
+    def test_half_crossings_take_few_delay_calls(self, monkeypatch, cfg15):
+        # after the scan (one array call) and the scalar golden sections, the
+        # crossings of 0.01-wide brackets to tol 1e-10 (27 halvings) take one
+        # call on the ends and seven of four levels each
+        calls = []
+        original = scattering.delay_time
+
+        def counted(beta, config):
+            calls.append(np.ndim(beta))
+            return original(beta, config)
+
+        monkeypatch.setattr(scattering, "delay_time", counted)
+        assert len(find_resonances(cfg15, beta_max=100.0)) >= 5
+        assert calls[0] == 1
+        assert calls[1:].count(1) == 8
+
     def test_bisect_all_takes_a_level_per_bracket(self):
         # brackets that share their ends but not their levels
         levels = np.array([2.0, 3.0, 5.0, 7.0])

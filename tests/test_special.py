@@ -95,6 +95,18 @@ class TestDigamma:
         with pytest.raises(DomainError):
             digamma(x)
 
+    @pytest.mark.parametrize("x", [1e-8, 0.5, 11.999999, 12.0, 12.000001, 40.0])
+    def test_against_mpmath_around_the_shift(self, x):
+        # below 12 the argument is shifted by its own count, at 12 and above not at all
+        with mpmath.workdps(40):
+            exact = float(mpmath.digamma(mpmath.mpf(x)))
+        assert abs(digamma(x) - exact) <= 2e-15 * max(1.0, abs(exact))
+
+    def test_array_matches_scalars(self):
+        xs = np.concatenate([np.geomspace(1e-8, 30.0, 400),
+                             np.linspace(11.999, 12.001, 101)])
+        assert np.array_equal(digamma(xs), [digamma(float(x)) for x in xs])
+
 
 class TestGammaHalfRatio:
     def test_at_one(self):
@@ -125,6 +137,19 @@ class TestGammaHalfRatio:
         with mpmath.workdps(40):
             exact = float(mpmath.gamma(mpmath.mpf(z) + 0.5) / mpmath.gamma(mpmath.mpf(z)))
         assert abs(gamma_half_ratio(z) / exact - 1.0) < 1e-14
+
+    def test_against_mpmath_below_series(self):
+        # the real-arithmetic Lanczos route, reflected below z = 1/2
+        zs = np.concatenate([np.geomspace(1e-6, 0.5, 50, endpoint=False),
+                             np.linspace(0.5, 6.0, 50, endpoint=False),
+                             np.geomspace(6.0, 999.0, 100)])
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.gamma(mpmath.mpf(z) + 0.5)
+                                    / mpmath.gamma(mpmath.mpf(z))) for z in zs])
+        error = np.abs(gamma_half_ratio(zs) / exact - 1.0)
+        assert error[zs < 6.0].max() <= 1e-14
+        assert error.max() <= 2e-12
+        assert np.array_equal(gamma_half_ratio(zs), [gamma_half_ratio(float(z)) for z in zs])
 
     def test_continuous_across_series_crossover(self):
         below = gamma_half_ratio(np.nextafter(1e3, 0.0))

@@ -132,6 +132,14 @@ def _scalar_bisect(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _tree_node(lo: float, hi: float, path: str) -> float:
+    """Midpoint a bisection of (lo, hi) forms after the halvings in path ("L" keeps the left half)."""
+    for side in path:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if side == "L" else (mid, hi)
+    return 0.5 * (lo + hi)
+
+
 def _bracket(beta0: float, n: int) -> tuple[float, float]:
     """Bracket of level n with the solver's endpoint pull applied."""
     lo, hi = 2.0 * n + 1.0, min(2.0 * n + 2.0, beta0)
@@ -180,6 +188,65 @@ class TestBatchedBisection:
         assert found == _reference_roots(beta0)
         assert found[:3] == roots[:3].tolist()
 
+    def test_exact_zeros_at_deeper_tree_nodes(self, monkeypatch):
+        # linear residuals with roots at a second-, third- and fourth-level
+        # node of the first call's trees, and at the first level of the next
+        beta0 = 8.5
+        paths = ["L", "RL", "LRR", "RRLR"]
+        roots = np.array([_tree_node(*_bracket(beta0, n), path)
+                          for n, path in enumerate(paths)])
+        calls = []
+
+        def residual(beta, config):
+            calls.append(np.size(beta))
+            b = np.asarray(beta, dtype=float)
+            g = roots[np.floor((b - 1.0) / 2.0).astype(int)] - b
+            return float(g) if np.ndim(beta) == 0 else g
+
+        monkeypatch.setattr(spectrum, "level_equation_residual", residual)
+        found = [level.beta_n for level in solve_levels(make_config(beta0))]
+        assert found == roots.tolist()
+        # the ends, one tree of every bracket, then one tree of the last
+        assert calls == [8, 4 * 15, 15]
+        assert found == _reference_roots(beta0)
+
+    def test_brackets_finish_at_different_depths_in_one_call(self):
+        # widths 1.5 * 2^k from 0 with tol = 1 need k + 1 halvings: the first
+        # four brackets close at levels 1 to 4 of one call, the last needs a second
+        widths = 1.5 * 2.0 ** np.arange(5)
+        targets = widths * (math.sqrt(2.0) - 1.0)
+        calls = []
+
+        def residual(b, brackets):
+            calls.append(brackets.size)
+            return targets[brackets] - b
+
+        lo, hi = np.zeros(5), widths.copy()
+        roots = spectrum._bisect_all(residual, lo, hi, 1.0)
+        assert calls == [10, 5 * 15, 15]
+        assert roots.tolist() == [
+            _scalar_bisect(lambda b, t=t: t - b, 0.0, w, 1.0)
+            for t, w in zip(targets.tolist(), widths.tolist())]
+
+    def test_bracket_stuck_inside_a_call_closes(self):
+        # on (1, 1 + 4 eps) the third midpoint, 1 + 1.5 eps, rounds to the
+        # upper end: the bracket is closed at the third level of the first call
+        eps = np.finfo(float).eps
+        calls = []
+
+        def residual(b, brackets):
+            calls.append(b.size)
+            return (b - 1.0) * 2.0 ** 52 - 1.5
+
+        result = []
+        worker = threading.Thread(target=lambda: result.append(spectrum._bisect_all(
+            residual, np.array([1.0]), np.array([1.0 + 4.0 * eps]), 1e-20)), daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert result, "_bisect_all(tol=1e-20) did not return within 10 s"
+        assert result[0].tolist() == [1.0 + 2.0 * eps]
+        assert calls == [2, 15]
+
     def test_no_sign_change_raises_bracket_error(self, monkeypatch):
         monkeypatch.setattr(spectrum, "level_equation_residual",
                             lambda beta, config: np.ones_like(np.asarray(beta, float)))
@@ -203,8 +270,8 @@ class TestBatchedBisection:
             assert np.prod(np.sign(level_equation_residual(neighbours, cfg45))) < 0
 
     def test_residual_calls_bounded(self, monkeypatch):
-        # one call on the bracket ends, then one per halving of the widest
-        # bracket: 1 + 40 at tol = 1e-12 whatever the number of levels
+        # one call on the bracket ends, then one per four halvings of the
+        # widest bracket: 1 + 10 at tol = 1e-12 whatever the number of levels
         calls = []
         original = spectrum.level_equation_residual
 
@@ -214,7 +281,7 @@ class TestBatchedBisection:
 
         monkeypatch.setattr(spectrum, "level_equation_residual", counted)
         assert len(solve_levels(make_config(200.0))) == 100
-        assert len(calls) <= 50
+        assert len(calls) <= 12
 
 
 def _pbdv_norm(level, config) -> float:
