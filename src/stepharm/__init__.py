@@ -16,9 +16,8 @@ from .errors import (BracketError, ConvergenceError, DispersionError,
                      DomainError, GammaPoleError, SingularityError,
                      StepharmError)
 from .potential import PotentialConfig
-from .scattering import (PhaseShiftSample, Resonance, delay_time, delta_prime,
-                         find_resonances, phase_shift, pi_coefficient, sample,
-                         zeta)
+from .scattering import (Resonance, delay_time, delta_prime, find_resonances,
+                         phase_shift, pi_coefficient, zeta)
 from .spectrum import (EnergyLevel, bound_eigenfunction, level_count,
                        level_equation_residual, solve_levels)
 from .wavepacket import (FrameSet, WavePacketSpec, evolve,
@@ -27,7 +26,7 @@ from .wavepacket import (FrameSet, WavePacketSpec, evolve,
 __all__ = [
     "__version__",
     "PotentialConfig",
-    "EnergyLevel", "PhaseShiftSample", "Resonance",
+    "EnergyLevel", "Resonance",
     "WavePacketSpec", "FrameSet",
     "StepharmError", "DomainError", "GammaPoleError", "ConvergenceError",
     "BracketError", "SingularityError", "DispersionError",
@@ -36,6 +35,6 @@ __all__ = [
     "level_count", "level_equation_residual", "solve_levels",
     "bound_eigenfunction",
     "zeta", "phase_shift", "delta_prime", "delay_time", "pi_coefficient",
-    "sample", "find_resonances",
+    "find_resonances",
     "improper_eigenfunction", "evolve", "measure_delay",
 ]

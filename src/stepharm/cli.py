@@ -17,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
@@ -35,25 +34,6 @@ _EXIT_NUMERICAL = 4
 _PHYSICAL_FLAGS = ("hbar", "mass", "kappa", "u0")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    command: str
-    parameters: dict
-    tool_version: str
-    timestamp: str
-
-    @classmethod
-    def for_command(cls, command: str, parameters: dict) -> "RunManifest":
-        return cls(command=command,
-                   parameters={k: parameters[k] for k in sorted(parameters)},
-                   tool_version=__version__,
-                   timestamp=datetime.now(timezone.utc).isoformat())
-
-    def as_dict(self) -> dict:
-        return {"command": self.command, "parameters": self.parameters,
-                "tool_version": self.tool_version, "timestamp": self.timestamp}
-
-
 def _fmt(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
@@ -67,16 +47,25 @@ def _csv_text(header: list[str], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, manifest: RunManifest, header: list[str], rows: list[tuple],
-          extra: dict | None = None) -> None:
-    """Write the rows with the manifest and ``extra`` as JSON or CSV.
+def _manifest(args) -> dict:
+    """Run manifest: subcommand, set options by name, version, UTC timestamp."""
+    parameters = {k: v for k, v in sorted(vars(args).items())
+                  if k not in ("func", "output", "format")
+                  and not k.startswith("_") and v is not None}
+    return {"command": args.command, "parameters": parameters,
+            "tool_version": __version__,
+            "timestamp": datetime.now(timezone.utc).isoformat()}
+
+
+def _emit(args, header: list[str], rows: list[tuple], extra: dict | None = None) -> None:
+    """Write the rows with the run manifest and ``extra`` as JSON or CSV.
 
     JSON is one document.  CSV keeps the manifest out of the data section:
     it goes to a ``<file>.manifest.json`` sidecar, or as one line to stderr
     when the rows go to stdout.
     """
     as_json = args.format == "json"
-    record = {"manifest": manifest.as_dict()}
+    record = {"manifest": _manifest(args)}
     if as_json:
         record["data"] = [dict(zip(header, row)) for row in rows]
     record.update(extra or {})
@@ -147,11 +136,6 @@ def _resolve_config(args, parser: argparse.ArgumentParser) -> PotentialConfig:
                            u0=physical["u0"])
 
 
-def _manifest_params(args, skip=("func", "output", "format")) -> dict:
-    return {k: v for k, v in vars(args).items()
-            if k not in skip and not k.startswith("_") and v is not None}
-
-
 def cmd_levels(args, parser) -> int:
     config = _resolve_config(args, parser)
     levels = spectrum.solve_levels(config)
@@ -159,8 +143,7 @@ def cmd_levels(args, parser) -> int:
     scale = config.hbar * config.omega
     rows = [(lv.n, lv.beta_n, lv.energy / scale, lv.k_n, lv.marginal)
             for lv in levels]
-    _emit(args, RunManifest.for_command("levels", _manifest_params(args)),
-          header, rows)
+    _emit(args, header, rows)
     return _EXIT_OK
 
 
@@ -174,8 +157,7 @@ def cmd_delay(args, parser) -> int:
     taus = scattering.delay_time(betas, config)
     half_period = np.pi / config.omega
     rows = list(zip(betas, taus / half_period))
-    _emit(args, RunManifest.for_command("delay", _manifest_params(args)),
-          ["beta", "tau_over_half_period"], rows)
+    _emit(args, ["beta", "tau_over_half_period"], rows)
     return _EXIT_OK
 
 
@@ -193,23 +175,21 @@ def cmd_eigenfunction(args, parser) -> int:
     rows = [(x, v.real, v.imag, abs(v) ** 2) for x, v in zip(xs, values)]
     extra = {"level": {"n": level.n, "beta_n": level.beta_n,
                        "marginal": level.marginal}}
-    _emit(args, RunManifest.for_command("eigenfunction", _manifest_params(args)),
-          ["x", "re_u", "im_u", "abs2_u"], rows, extra=extra)
+    _emit(args, ["x", "re_u", "im_u", "abs2_u"], rows, extra=extra)
     return _EXIT_OK
 
 
 def cmd_wavepacket(args, parser) -> int:
     config = _resolve_config(args, parser)
     try:
-        if args.k_center is not None:
-            sigma_k = args.sigma_k if args.sigma_k is not None else args.k_center / 30.0
-            x_start = args.x_start if args.x_start is not None else 3.0 / sigma_k
-            spec = wavepacket.WavePacketSpec(k_center=args.k_center, sigma_k=sigma_k,
-                                             x_start=x_start, config=config)
-        elif args.beta_center is not None:
-            spec = wavepacket.WavePacketSpec.for_beta(config, args.beta_center)
-        else:
-            parser.error("provide --k-center or --beta-center")
+        k_center = (args.k_center if args.k_center is not None
+                    else config.k_continuum(args.beta_center))
+        sigma_k = (args.sigma_k if args.sigma_k is not None
+                   else k_center * wavepacket._REL_WIDTH)
+        x_start = (args.x_start if args.x_start is not None
+                   else wavepacket._START_WIDTHS / (2.0 * sigma_k))
+        spec = wavepacket.WavePacketSpec(k_center=k_center, sigma_k=sigma_k,
+                                         x_start=x_start, config=config)
     except DomainError as exc:
         parser.error(str(exc))
 
@@ -231,8 +211,7 @@ def cmd_wavepacket(args, parser) -> int:
     rows = [(t, x, psi.real, psi.imag, abs(psi) ** 2)
             for t, frame in zip(frames.times, frames.psi)
             for x, psi in zip(frames.x_grid, frame)]
-    _emit(args, RunManifest.for_command("wavepacket", _manifest_params(args)),
-          ["t", "x", "re_psi", "im_psi", "abs2_psi"], rows,
+    _emit(args, ["t", "x", "re_psi", "im_psi", "abs2_psi"], rows,
           extra={"summary": summary})
     return _EXIT_OK
 
@@ -244,8 +223,7 @@ def cmd_resonances(args, parser) -> int:
     found = scattering.find_resonances(config, args.beta_max)
     half_period = np.pi / config.omega
     rows = [(r.beta_peak, r.tau_peak / half_period, r.width) for r in found]
-    _emit(args, RunManifest.for_command("resonances", _manifest_params(args)),
-          ["beta_peak", "tau_peak_over_half_period", "width"], rows)
+    _emit(args, ["beta_peak", "tau_peak_over_half_period", "width"], rows)
     return _EXIT_OK
 
 
@@ -259,8 +237,7 @@ def cmd_verify(args, parser) -> int:
     ok = all(res.passed for res in results)
     print(f"{'all checks passed' if ok else 'SOME CHECKS FAILED'} "
           f"({sum(r.passed for r in results)}/{len(results)})")
-    manifest = RunManifest.for_command("verify", _manifest_params(args))
-    report = {"manifest": manifest.as_dict(),
+    report = {"manifest": _manifest(args),
               "data": [res.as_dict() for res in results]}
     path = args.json_output or "verify_report.json"
     with open(path, "w", newline="\n") as handle:
@@ -298,9 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("wavepacket", help="reflect a wave packet and measure its delay")
     _add_common(p)
-    p.add_argument("--k-center", type=_finite, default=None)
-    p.add_argument("--beta-center", type=_finite, default=None,
-                   help="alternative to --k-center: continuum beta of the peak")
+    center = p.add_mutually_exclusive_group(required=True)
+    center.add_argument("--k-center", type=_finite, default=None)
+    center.add_argument("--beta-center", type=_finite, default=None,
+                        help="alternative to --k-center: continuum beta of the peak")
     p.add_argument("--sigma-k", type=_finite, default=None)
     p.add_argument("--x-start", type=_finite, default=None)
     p.add_argument("--t-max", type=_finite, default=40.0)

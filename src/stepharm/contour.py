@@ -207,8 +207,8 @@ def f_epsilon_derivative(beta: float, y):
     return 2.0 * f_epsilon(float(beta) - 1.0, y)
 
 
-def j_beta(beta: float) -> complex:
-    """Boundary value J(beta) = F(0) of the loop solution.
+def j_beta(beta):
+    """Boundary value J(beta) = F(0) of the loop solution, for scalars or arrays.
 
     Evaluated in the pole-free closed form
 
@@ -217,17 +217,19 @@ def j_beta(beta: float) -> complex:
     equivalent to sin(pi beta) Gamma((1-beta)/2) / (i e^{i pi beta}) by the
     reflection formula but free of the 0 * inf cancellations of the latter
     at odd integer beta.  J is entire; where 1/Gamma vanishes the value is
-    exactly zero.
+    exactly zero.  1/Gamma is real, so only the real part of the complex
+    exponential is kept: each element then gets the same bits whatever the
+    shape of the call.  A scalar argument returns a complex.
     """
-    beta = float(beta)
-    if not math.isfinite(beta):
+    b = np.asarray(beta, dtype=float)
+    if not np.all(np.isfinite(b)):
         raise DomainError("beta must be finite")
-    half = 0.5 * (beta + 1.0)
-    if half <= 0 and half == math.floor(half):
-        return 0.0 + 0.0j  # zero of 1/Gamma
-    inv_gamma = np.exp(-log_gamma(half))
-    return complex(_TWO_PI * math.sin(math.pi * beta / 2.0)
-                   * np.exp(-1j * math.pi * beta) * inv_gamma / 1j)
+    half = 0.5 * (b + 1.0)
+    zero = (half <= 0) & (half == np.floor(half))  # zeros of 1/Gamma
+    inv_gamma = np.exp(-log_gamma(np.where(zero, 1.0, half))).real
+    value = np.where(zero, 0j, _TWO_PI * np.sin(np.pi * b / 2.0)
+                     * np.exp(-1j * np.pi * b) * inv_gamma / 1j)
+    return complex(value) if b.ndim == 0 else value
 
 
 def hermite_poly(n: int, y):

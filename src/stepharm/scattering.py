@@ -30,17 +30,6 @@ _RESONANCE_TOL = 1e-10  # bracket width where the peak and half-height searches 
 
 
 @dataclass(frozen=True)
-class PhaseShiftSample:
-    """Reflection data at one continuum energy."""
-
-    beta: float
-    zeta: complex
-    delta: float
-    delta_prime: float
-    tau: float
-
-
-@dataclass(frozen=True)
 class Resonance:
     """A local maximum of the delay curve: position, height and FWHM in beta."""
 
@@ -118,28 +107,28 @@ def delay_time(beta, config: PotentialConfig):
 
 
 def pi_coefficient(beta, config: PotentialConfig):
-    """Interior amplitude Pi(beta) = 2 / [J(beta) + i sqrt(2/(beta-beta0)) J(beta-1)]."""
+    """Interior amplitude Pi(beta) = 2 / [J(beta) + i sqrt(2/(beta-beta0)) J(beta-1)].
+
+    The quotient follows Smith's algorithm as Python's complex division does,
+    so the values equal a per-point loop in Python complex arithmetic bit
+    for bit; numpy's division multiplies by a reciprocal and can differ by
+    an ulp.
+    """
     beta0 = config.beta0
     _require_continuum(beta, beta0)
-
-    def one(b: float) -> complex:
-        den = (contour.j_beta(b)
-               + 1j * math.sqrt(2.0 / (b - beta0)) * contour.j_beta(b - 1.0))
-        if abs(den) < 1e-300:
-            raise SingularityError(f"Pi denominator vanished at beta={b}")
-        return 2.0 / den
-
-    if np.ndim(beta) == 0:
-        return one(float(beta))
-    return np.array([one(float(b)) for b in np.asarray(beta, dtype=float)])
-
-
-def sample(beta: float, config: PotentialConfig) -> PhaseShiftSample:
-    """Bundle zeta, delta, delta' and tau at one continuum beta."""
-    z = zeta(beta, config)
-    dp = delta_prime(beta, config)
-    return PhaseShiftSample(beta=float(beta), zeta=z, delta=float(np.angle(z)),
-                            delta_prime=dp, tau=dp / config.omega)
+    b = np.asarray(beta, dtype=float)
+    den = contour.j_beta(b) + 1j * np.sqrt(2.0 / (b - beta0)) * contour.j_beta(b - 1.0)
+    vanished = np.abs(den) < 1e-300
+    if vanished.any():
+        raise SingularityError(
+            f"Pi denominator vanished at beta={float(b[vanished][0])}")
+    re, im = den.real, den.imag
+    big = np.abs(re) >= np.abs(im)
+    ratio = np.where(big, im, re) / np.where(big, re, im)
+    scale = np.where(big, re + im * ratio, re * ratio + im)
+    value = (np.where(big, 2.0, 2.0 * ratio) / scale
+             - 1j * (np.where(big, 2.0 * ratio, 2.0) / scale))
+    return complex(value) if b.ndim == 0 else value
 
 
 def _golden_max(f, lo: float, hi: float) -> float:

@@ -23,7 +23,6 @@ from . import contour, scattering
 from .contour import _JUNCTION_TOL
 from .errors import ConvergenceError, DispersionError, DomainError
 from .potential import PotentialConfig
-from .runtime import parallel_map
 from .special import log_gamma
 
 _FRAME_TOL = 1e-6
@@ -116,21 +115,15 @@ def improper_eigenfunction(beta, config: PotentialConfig, x):
 
     Pi(beta) F(alpha x) e^{-(alpha x)^2/2} on the harmonic side and
     e^{-ikx} + zeta(beta) e^{ikx} on the step side; the junction is smooth
-    by construction of Pi and zeta.
+    by construction of Pi and zeta.  This is the packet's mode row at
+    k = k(beta).  Positions x < 0 first check the contour solution against
+    J(beta) as ``evolve`` does, and raise ConvergenceError on a mismatch.
     """
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    k = config.k_continuum(beta)
-    out = np.empty(x_arr.shape, dtype=complex)
-    neg = x_arr < 0.0
-    if neg.any():
-        y = config.alpha * x_arr[neg]
-        pi_coeff = scattering.pi_coefficient(beta, config)
-        out[neg] = pi_coeff * contour.f_epsilon(beta, y) * np.exp(-0.5 * y * y)
-    if (~neg).any():
-        xp = x_arr[~neg]
-        out[~neg] = (np.exp(-1j * k * xp)
-                     + scattering.zeta(beta, config) * np.exp(1j * k * xp))
-    out = out / math.sqrt(2.0 * math.pi)
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    if np.any(x_arr < 0.0):
+        _check_interior_solution(np.array([beta], dtype=float))
+    ks = np.array([config.k_continuum(beta)])
+    out = _mode_matrix(config, ks, x_arr, mirror=False)[0]
     return out[0] if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
@@ -140,53 +133,50 @@ def _k_rule(spec: WavePacketSpec, n_nodes: int):
     return contour._panel_rule(lo, hi, n_nodes)
 
 
-def _outgoing(spec: WavePacketSpec, ks: np.ndarray, xs: np.ndarray,
+def _outgoing(config: PotentialConfig, ks: np.ndarray, xs: np.ndarray,
               mirror: bool) -> np.ndarray:
     """Reflected plane waves zeta(k) e^{ikx}, with zeta = 1 for the mirror."""
-    cfg = spec.config
     refl = (np.ones_like(ks, dtype=complex) if mirror
-            else scattering.zeta(cfg.beta_from_k(ks), cfg))
+            else scattering.zeta(config.beta_from_k(ks), config))
     return refl[:, None] * np.exp(1j * np.outer(ks, xs))
 
 
-def _mode_matrix(spec: WavePacketSpec, ks: np.ndarray, x_grid: np.ndarray,
+def _mode_matrix(config: PotentialConfig, ks: np.ndarray, x_grid: np.ndarray,
                  mirror: bool) -> np.ndarray:
-    """Rows u_k(x) of the improper eigenfunctions on the grid."""
-    cfg = spec.config
+    """Rows u_k(x) of the improper eigenfunctions on the grid.
+
+    The one place where continuum modes are formed: ``evolve`` sums them
+    into packets and ``improper_eigenfunction`` returns a single row.
+    """
     modes = np.empty((len(ks), len(x_grid)), dtype=complex)
     neg = x_grid < 0.0
     pos = ~neg
     if pos.any():
         xp = x_grid[pos]
-        modes[:, pos] = np.exp(-1j * np.outer(ks, xp)) + _outgoing(spec, ks, xp, mirror)
+        modes[:, pos] = np.exp(-1j * np.outer(ks, xp)) + _outgoing(config, ks, xp, mirror)
     if neg.any():
         if mirror:
             modes[:, neg] = 0.0
         else:
-            y = cfg.alpha * x_grid[neg]
-            envelope = np.exp(-0.5 * y * y)
-
-            def interior_row(beta: float) -> np.ndarray:
-                return (scattering.pi_coefficient(beta, cfg)
-                        * contour.f_epsilon(beta, y) * envelope)
-
-            rows = parallel_map(interior_row, cfg.beta_from_k(ks))
-            modes[:, neg] = np.vstack(rows)
+            betas = config.beta_from_k(ks)
+            y = config.alpha * x_grid[neg]
+            solutions = np.vstack([contour.f_epsilon(beta, y) for beta in betas.tolist()])
+            modes[:, neg] = (scattering.pi_coefficient(betas, config)[:, None]
+                             * solutions * np.exp(-0.5 * y * y))
     return modes / math.sqrt(2.0 * math.pi)
 
 
-def _check_interior_solution(spec: WavePacketSpec) -> None:
+def _check_interior_solution(betas: np.ndarray) -> None:
     """Raise ConvergenceError where the contour solution misses J(beta) at y = 0.
 
-    Checked at the centre and both ends of the k-support.  The mismatch
-    F(0) - J(beta) is measured against 2 pi / Gamma((beta+1)/2), the size
-    of J without its factor sin(pi beta / 2), which vanishes at even beta.
+    The mismatch F(0) - J(beta) is measured against 2 pi / Gamma((beta+1)/2),
+    the size of J without its factor sin(pi beta / 2), which vanishes at
+    even beta.  The betas are checked in order, and the first failure raises.
     """
-    offsets = np.array([-_K_SUPPORT_SIGMAS, 0.0, _K_SUPPORT_SIGMAS])
-    betas = spec.config.beta_from_k(spec.k_center + offsets * spec.sigma_k)
-    for beta in betas.tolist():
-        scale = 2.0 * math.pi * math.exp(-log_gamma(0.5 * (beta + 1.0)).real)
-        error = abs(contour.f_epsilon(beta, 0.0) - contour.j_beta(beta))
+    scales = 2.0 * math.pi * np.exp(-log_gamma(0.5 * (betas + 1.0)).real)
+    for beta, scale, j in zip(betas.tolist(), scales.tolist(),
+                              contour.j_beta(betas).tolist()):
+        error = abs(contour.f_epsilon(beta, 0.0) - j)
         mismatch = error / scale if scale > 0.0 else math.inf
         if not mismatch <= _JUNCTION_TOL:
             raise ConvergenceError(
@@ -221,12 +211,14 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
     if np.any(np.diff(x_arr) <= 0):
         raise DomainError("x_grid must be strictly increasing")
     if not mirror and np.any(x_arr < 0.0):
-        _check_interior_solution(spec)
+        offsets = np.array([-_K_SUPPORT_SIGMAS, 0.0, _K_SUPPORT_SIGMAS])
+        _check_interior_solution(
+            spec.config.beta_from_k(spec.k_center + offsets * spec.sigma_k))
     previous = None
     n = _FRAME_NODES
     for _ in range(_FRAME_ROUNDS):
         ks, ws = _k_rule(spec, n)
-        psi = _frames_at(spec, ks, ws, _mode_matrix(spec, ks, x_arr, mirror), t_arr)
+        psi = _frames_at(spec, ks, ws, _mode_matrix(spec.config, ks, x_arr, mirror), t_arr)
         if previous is not None:
             scale = 1.0 + float(np.abs(psi).max())
             if float(np.abs(psi - previous).max()) < _FRAME_TOL * scale:
@@ -269,7 +261,7 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
 
     def centroid_delay(n: int):
         ks, ws = _k_rule(spec, n)
-        modes = _outgoing(spec, ks, xs, mirror) / math.sqrt(2.0 * math.pi)
+        modes = _outgoing(cfg, ks, xs, mirror) / math.sqrt(2.0 * math.pi)
         psi = _frames_at(spec, ks, ws, modes, times)
         rho = np.abs(psi) ** 2
         mass = np.trapezoid(rho, xs, axis=1)

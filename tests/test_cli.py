@@ -206,6 +206,23 @@ class TestWavepacket:
             run_cli("wavepacket", "--beta0", "1.5")
         assert exc.value.code == 2
 
+    def test_both_centers_exit_2(self):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("wavepacket", "--beta0", "1.5", "--beta-center", "6",
+                    "--k-center", "2.0")
+        assert exc.value.code == 2
+
+    def test_beta_center_takes_width_and_start(self, capsys):
+        # sigma_x = 1 / (2 sigma_k) = 10, so the grid ends at 80 + 12 * 10
+        assert run_cli("wavepacket", "--beta0", "1.5", "--beta-center", "6",
+                       "--sigma-k", "0.05", "--x-start", "80", "--t-max", "1.0",
+                       "--frames", "2", "--x-points", "5", "--format", "json") == 0
+        document = json.loads(capsys.readouterr().out)
+        assert document["data"][-1]["x"] == pytest.approx(200.0, rel=1e-12)
+        assert document["summary"]["beta_center"] == pytest.approx(6.0, rel=1e-12)
+        parameters = document["manifest"]["parameters"]
+        assert (parameters["sigma_k"], parameters["x_start"]) == (0.05, 80.0)
+
     @pytest.mark.parametrize("option", ["--frames", "--x-points"])
     def test_zero_sample_count_exits_2(self, option):
         with pytest.raises(SystemExit) as exc:

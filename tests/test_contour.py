@@ -41,6 +41,20 @@ class TestJBeta:
         # from integers before it is trusted anywhere else
         assert j_beta(beta) == pytest.approx(j_literal(beta), rel=1e-12)
 
+    def test_array_matches_scalar_calls_bit_for_bit(self):
+        # negative odd integers are the exact zeros of 1/Gamma, even
+        # integers the zeros of sin(pi beta / 2)
+        betas = np.concatenate([np.linspace(-7.3, 60.0, 1347), np.arange(-6.0, 41.0)])
+        values = j_beta(betas)
+        scalars = np.array([j_beta(float(beta)) for beta in betas])
+        assert values.shape == betas.shape
+        assert np.array_equal(values.view(np.uint64), scalars.view(np.uint64))
+        assert np.all(values[np.isin(betas, [-1.0, -3.0, -5.0])] == 0.0)
+
+    def test_scalar_returns_python_complex(self):
+        assert type(j_beta(2.5)) is complex
+        assert type(j_beta(-3.0)) is complex
+
 
 class TestFEpsilon:
     def test_boundary_value_is_j(self):

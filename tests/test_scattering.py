@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from stepharm import (DomainError, PotentialConfig, delay_time, delta_prime,
-                      find_resonances, phase_shift, pi_coefficient, zeta,
-                      j_beta)
-from stepharm import scattering
-from stepharm.scattering import sample
+from stepharm import (DomainError, PotentialConfig, SingularityError,
+                      delay_time, delta_prime, find_resonances, phase_shift,
+                      pi_coefficient, zeta, j_beta)
+from stepharm import contour, scattering
 from stepharm.spectrum import _bisect_all
 from stepharm.special import digamma, gamma_half_ratio
 from stepharm.verification import phase_derivative_residual
@@ -178,14 +177,30 @@ class TestDelayTime:
         config = make_config(2.0)
         assert abs(delay_time(2.0 + 1e-6, config) * config.omega) < 0.1
 
-    def test_sample_record_consistent(self, cfg15):
-        record = sample(4.2, cfg15)
-        assert record.tau == pytest.approx(record.delta_prime / cfg15.omega)
-        assert abs(record.zeta) == pytest.approx(1.0, abs=1e-12)
-        assert record.delta == pytest.approx(np.angle(record.zeta))
+
+def pi_per_point(beta: float, beta0: float) -> complex:
+    """Pi(beta) at one point, in Python complex arithmetic."""
+    den = j_beta(beta) + 1j * math.sqrt(2.0 / (beta - beta0)) * j_beta(beta - 1.0)
+    return 2.0 / den
 
 
 class TestPiCoefficient:
+    @pytest.mark.parametrize("beta0", [0.7, 1.5, 4.5])
+    def test_array_matches_per_point_reference(self, beta0):
+        config = make_config(beta0)
+        betas = np.linspace(beta0 + 1e-3, 60.0, 3000)
+        values = pi_coefficient(betas, config)
+        reference = np.array([pi_per_point(beta, config.beta0) for beta in betas.tolist()])
+        assert np.array_equal(values, reference)
+        assert pi_coefficient(float(betas[7]), config) == values[7]
+
+    def test_vanishing_denominator_names_first_beta(self, cfg15, monkeypatch):
+        # J(b) = J(b - 1) = 0 from b = 3 on
+        monkeypatch.setattr(contour, "j_beta",
+                            lambda b: np.where(np.asarray(b) >= 2.0, 0j, 1.0 + 0j))
+        with pytest.raises(SingularityError, match=r"beta=3\.5$"):
+            pi_coefficient(np.array([1.7, 2.5, 3.5, 4.5]), cfg15)
+
     def test_reconstructs_zeta(self, cfg15):
         for beta in (1.7, 2.9, 5.3, 11.0):
             pi_c = pi_coefficient(beta, cfg15)

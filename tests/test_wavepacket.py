@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from stepharm import (DispersionError, DomainError, WavePacketSpec, delay_time,
-                      evolve, f_epsilon, f_epsilon_derivative,
-                      improper_eigenfunction, measure_delay, pi_coefficient,
-                      zeta)
+from stepharm import (ConvergenceError, DispersionError, DomainError,
+                      WavePacketSpec, delay_time, evolve, f_epsilon,
+                      f_epsilon_derivative, improper_eigenfunction,
+                      measure_delay, pi_coefficient, wavepacket, zeta)
 
 
 class TestSpecValidation:
@@ -49,6 +49,25 @@ class TestImproperEigenfunction:
         assert density.max() <= ceiling * (1.0 + 1e-9)
         assert density.max() > 0.97 * ceiling
         assert density.min() < 0.03 * ceiling
+
+    def test_is_the_mode_row_at_k_of_beta(self, cfg15):
+        xs = np.linspace(-4.0, 6.0, 41)
+        ks = np.array([cfg15.k_continuum(2.4)])
+        row = wavepacket._mode_matrix(cfg15, ks, xs, mirror=False)[0]
+        assert np.array_equal(improper_eigenfunction(2.4, cfg15, xs), row)
+
+    @pytest.mark.parametrize("beta", [28.2, 40.3])
+    def test_inaccurate_interior_raises(self, cfg15, beta):
+        # the contour solution misses J(beta) there: unchecked, the interior
+        # values jump across x = 0 by 1.3e-5 relative at 28.2, by 282 at 40.3
+        with pytest.raises(ConvergenceError,
+                           match=rf"beta={beta} misses J\(beta\) at the junction by "):
+            improper_eigenfunction(beta, cfg15, np.array([-1e-14, 0.0]))
+
+    @pytest.mark.parametrize("beta", [28.2, 40.3])
+    def test_step_side_needs_no_interior_check(self, cfg15, beta):
+        density = np.abs(improper_eigenfunction(beta, cfg15, np.linspace(0.0, 5.0, 51))) ** 2
+        assert density.max() <= 4.0 / (2.0 * np.pi) * (1.0 + 1e-9)
 
 
 class TestEvolve:
