@@ -184,12 +184,7 @@ def cmd_wavepacket(args, parser) -> int:
     try:
         k_center = (args.k_center if args.k_center is not None
                     else config.k_continuum(args.beta_center))
-        sigma_k = (args.sigma_k if args.sigma_k is not None
-                   else k_center * wavepacket._REL_WIDTH)
-        x_start = (args.x_start if args.x_start is not None
-                   else wavepacket._START_WIDTHS / (2.0 * sigma_k))
-        spec = wavepacket.WavePacketSpec(k_center=k_center, sigma_k=sigma_k,
-                                         x_start=x_start, config=config)
+        spec = wavepacket.WavePacketSpec.for_k(config, k_center, args.sigma_k, args.x_start)
     except DomainError as exc:
         parser.error(str(exc))
 

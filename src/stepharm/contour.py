@@ -168,6 +168,8 @@ def f_epsilon(beta: float, y):
     y_arr = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
     if not np.all(np.isfinite(y_arr)):
         raise DomainError("y must be finite")
+    if y_arr.size == 0:
+        return np.empty(np.shape(y), dtype=complex)
     radius, tol = _CIRCLE_RADIUS, _TARGET_TOL
     t_max = _auto_truncation(beta, float(y_arr.max(initial=0.0)), radius, tol)
     line_factor = -2j * np.exp(-1j * math.pi * beta) * math.sin(math.pi * beta)

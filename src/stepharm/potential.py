@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -37,18 +39,16 @@ class PotentialConfig:
             raise DomainError("step height u0 must be non-negative")
 
     @classmethod
-    def from_beta0(cls, beta0: float, hbar: float = 1.0, mass: float = 1.0,
-                   kappa: float = 1.0) -> "PotentialConfig":
+    def from_beta0(cls, beta0: float) -> "PotentialConfig":
         """Build a configuration with the given dimensionless step height.
 
-        With the default constants (hbar = mass = kappa = 1, hence
-        omega = alpha = 1) this realizes the dimensionless bookkeeping in
-        which all results depend only on beta and beta0.
+        With hbar = mass = kappa = 1, hence omega = alpha = 1, this realizes
+        the dimensionless bookkeeping in which all results depend only on
+        beta and beta0.
         """
         if beta0 < 0.5:
             raise DomainError("beta0 must be >= 1/2 (u0 >= 0)")
-        omega = math.sqrt(kappa / mass)
-        return cls(hbar=hbar, mass=mass, kappa=kappa, u0=hbar * omega * (beta0 - 0.5))
+        return cls(u0=beta0 - 0.5)
 
     @property
     def omega(self) -> float:
@@ -77,27 +77,23 @@ class PotentialConfig:
     def beta_from_energy(self, energy: float) -> float:
         return energy / (self.hbar * self.omega) + 0.5
 
-    def k_continuum(self, beta) -> float:
+    def k_continuum(self, beta) -> float | np.ndarray:
         """Exterior wavenumber, hbar*k = sqrt(2m(E - U0)); requires beta >= beta0."""
-        import numpy as np
-
         b = np.asarray(beta, dtype=float)
         if np.any(b < self.beta0):
             raise DomainError("continuum wavenumber requires beta >= beta0")
         k = self.alpha * np.sqrt(2.0 * (b - self.beta0))
         return float(k) if np.ndim(beta) == 0 else k
 
-    def k_bound(self, beta) -> float:
+    def k_bound(self, beta) -> float | np.ndarray:
         """Exterior decay constant, hbar*k = sqrt(2m(U0 - E)); requires beta <= beta0."""
-        import numpy as np
-
         b = np.asarray(beta, dtype=float)
         if np.any(b > self.beta0):
             raise DomainError("bound decay constant requires beta <= beta0")
         k = self.alpha * np.sqrt(2.0 * (self.beta0 - b))
         return float(k) if np.ndim(beta) == 0 else k
 
-    def beta_from_k(self, k: float) -> float:
+    def beta_from_k(self, k) -> float | np.ndarray:
         """Continuum beta for a given exterior wavenumber."""
         return self.beta0 + 0.5 * (k / self.alpha) ** 2
 

@@ -31,7 +31,12 @@ _RESONANCE_TOL = 1e-10  # bracket width where the peak and half-height searches 
 
 @dataclass(frozen=True)
 class Resonance:
-    """A local maximum of the delay curve: position, height and FWHM in beta."""
+    """A local maximum of the delay curve: position, height and FWHM in beta.
+
+    The maximum is so flat that beta_peak is located only to about 1e-7,
+    although CSV output prints it to 12 digits; tau_peak is far more
+    accurate.
+    """
 
     beta_peak: float
     tau_peak: float

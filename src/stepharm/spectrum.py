@@ -183,7 +183,7 @@ def _norm_over_j2(level: EnergyLevel, config: PotentialConfig,
     """Integral of |u_n|^2 dx in units of |J(beta_n)|^2 (see bound_eigenfunction)."""
     alpha = config.alpha
     if level.marginal:
-        lo, hi = float(xs.min()), float(xs.max())
+        lo, hi = (float(xs.min()), float(xs.max())) if xs.size else (0.0, 0.0)
         if hi <= lo:
             raise DomainError("the marginal state is normalized over the sampled "
                               "range, which must have positive length")
@@ -203,8 +203,9 @@ def bound_eigenfunction(level: EnergyLevel, config: PotentialConfig, xs,
 
     u_n(x) = F(alpha x) exp(-(alpha x)^2 / 2) for x < 0 and
     J(beta_n) exp(-k_n x) for x >= 0; both branches equal J(beta_n) at the
-    junction.  Before sampling, the contour value F(0) is checked against
-    the closed-form J(beta_n): a relative mismatch above 1e-8 (the contour
+    junction.  Positions x >= 0 need no contour solution.  When xs has
+    entries x < 0, the contour value F(0) is first checked against the
+    closed-form J(beta_n): a relative mismatch above 1e-8 (the contour
     solution fails for highly excited states) raises ConvergenceError
     instead of returning wrong samples.
 
@@ -226,20 +227,20 @@ def bound_eigenfunction(level: EnergyLevel, config: PotentialConfig, xs,
     The samples are divided by |J| sqrt([...]), never by |J|^2, which is
     subnormal near beta = 200.  The marginal beta0 = 1 state, J e^{-y^2/2}
     inside and flat outside, is not square-integrable; it is normalized
-    over the sampled range [min xs, max xs] instead.
+    over the sampled range [min xs, max xs] instead, and a range of zero
+    length (one point, or none) raises DomainError.
     """
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
     beta_n = level.beta_n
     j_val = contour.j_beta(beta_n)
-    mismatch = abs(contour.f_epsilon(beta_n, 0.0) - j_val) / abs(j_val)
-    if not mismatch <= _JUNCTION_TOL:
-        raise ConvergenceError(
-            f"contour solution for beta_n={beta_n!r} misses J(beta_n) at the "
-            f"junction by {mismatch:.3g} relative (tolerance {_JUNCTION_TOL:g})")
-
     values = np.empty(xs_arr.shape, dtype=complex)
     neg = xs_arr < 0.0
     if neg.any():
+        mismatch = abs(contour.f_epsilon(beta_n, 0.0) - j_val) / abs(j_val)
+        if not mismatch <= _JUNCTION_TOL:
+            raise ConvergenceError(
+                f"contour solution for beta_n={beta_n!r} misses J(beta_n) at the "
+                f"junction by {mismatch:.3g} relative (tolerance {_JUNCTION_TOL:g})")
         y = config.alpha * xs_arr[neg]
         values[neg] = contour.f_epsilon(beta_n, y) * np.exp(-0.5 * y * y)
     values[~neg] = j_val * np.exp(-level.k_n * xs_arr[~neg])

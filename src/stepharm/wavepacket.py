@@ -29,8 +29,8 @@ _FRAME_TOL = 1e-6
 _FRAME_NODES = 128  # first k-node count of evolve; doubled up to _FRAME_ROUNDS times
 _FRAME_ROUNDS = 6
 _DELAY_NODES = 256  # first k-node count of measure_delay
-_REL_WIDTH = 1.0 / 30.0  # sigma_k / k_center of WavePacketSpec.for_beta
-_START_WIDTHS = 6.0  # x_start of WavePacketSpec.for_beta, in initial widths sigma_x
+_REL_WIDTH = 1.0 / 30.0  # default sigma_k / k_center of WavePacketSpec.for_k
+_START_WIDTHS = 6.0  # default x_start of WavePacketSpec.for_k, in initial widths sigma_x
 _K_SUPPORT_SIGMAS = 5.0
 _MIN_OVERLAP_SIGMAS = 4.8  # Gaussian tail beyond 4.75 sigma is < 1e-6
 
@@ -55,16 +55,23 @@ class WavePacketSpec:
                               "exceeds 1e-6")
 
     @classmethod
-    def for_beta(cls, config: PotentialConfig, beta: float) -> "WavePacketSpec":
-        """Packet centered on the continuum point beta.
+    def for_k(cls, config: PotentialConfig, k_center: float, sigma_k: float | None = None,
+              x_start: float | None = None) -> "WavePacketSpec":
+        """Packet centered on k_center, with the default shape where not given.
 
-        sigma_k = k_center / 30, and the packet starts six initial widths
-        sigma_x = 1 / (2 sigma_k) out, at x_start = 3 / sigma_k.
+        The default sigma_k is k_center / 30, and the default launch point is
+        six initial widths sigma_x = 1 / (2 sigma_k) out, x_start = 3 / sigma_k.
         """
-        k_center = config.k_continuum(beta)
-        sigma_k = k_center * _REL_WIDTH
-        return cls(k_center=k_center, sigma_k=sigma_k,
-                   x_start=_START_WIDTHS / (2.0 * sigma_k), config=config)
+        if sigma_k is None:
+            sigma_k = k_center * _REL_WIDTH
+        if x_start is None:
+            x_start = _START_WIDTHS / (2.0 * sigma_k)
+        return cls(k_center=k_center, sigma_k=sigma_k, x_start=x_start, config=config)
+
+    @classmethod
+    def for_beta(cls, config: PotentialConfig, beta: float) -> "WavePacketSpec":
+        """Packet of the default shape (see ``for_k``) centered on the continuum point beta."""
+        return cls.for_k(config, config.k_continuum(beta))
 
     @property
     def sigma_x(self) -> float:
@@ -116,12 +123,10 @@ def improper_eigenfunction(beta, config: PotentialConfig, x):
     Pi(beta) F(alpha x) e^{-(alpha x)^2/2} on the harmonic side and
     e^{-ikx} + zeta(beta) e^{ikx} on the step side; the junction is smooth
     by construction of Pi and zeta.  This is the packet's mode row at
-    k = k(beta).  Positions x < 0 first check the contour solution against
-    J(beta) as ``evolve`` does, and raise ConvergenceError on a mismatch.
+    k = k(beta), so positions x < 0 get the row's junction check and raise
+    ConvergenceError where the contour solution misses J(beta).
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    if np.any(x_arr < 0.0):
-        _check_interior_solution(np.array([beta], dtype=float))
     ks = np.array([config.k_continuum(beta)])
     out = _mode_matrix(config, ks, x_arr, mirror=False)[0]
     return out[0] if np.ndim(x) == 0 else out.reshape(np.shape(x))
@@ -146,7 +151,11 @@ def _mode_matrix(config: PotentialConfig, ks: np.ndarray, x_grid: np.ndarray,
     """Rows u_k(x) of the improper eigenfunctions on the grid.
 
     The one place where continuum modes are formed: ``evolve`` sums them
-    into packets and ``improper_eigenfunction`` returns a single row.
+    into packets and ``improper_eigenfunction`` returns a single row.  Each
+    interior row is also evaluated at y = 0, and the first row whose F(0)
+    misses J(beta) by more than 1e-8 of 2 pi / Gamma((beta+1)/2) (J without
+    its factor sin(pi beta / 2), which vanishes at even beta) raises
+    ConvergenceError.
     """
     modes = np.empty((len(ks), len(x_grid)), dtype=complex)
     neg = x_grid < 0.0
@@ -160,29 +169,22 @@ def _mode_matrix(config: PotentialConfig, ks: np.ndarray, x_grid: np.ndarray,
         else:
             betas = config.beta_from_k(ks)
             y = config.alpha * x_grid[neg]
-            solutions = np.vstack([contour.f_epsilon(beta, y) for beta in betas.tolist()])
+            y_and_junction = np.append(y, 0.0)
+            scales = 2.0 * math.pi * np.exp(-log_gamma(0.5 * (betas + 1.0)).real)
+            solutions = np.empty((len(ks), len(y)), dtype=complex)
+            for i, (beta, scale, j) in enumerate(zip(betas.tolist(), scales.tolist(),
+                                                     contour.j_beta(betas).tolist())):
+                row = contour.f_epsilon(beta, y_and_junction)
+                mismatch = abs(row[-1] - j) / scale if scale > 0.0 else math.inf
+                if not mismatch <= _JUNCTION_TOL:
+                    raise ConvergenceError(
+                        f"contour solution for beta={beta:.12g} misses J(beta) at the "
+                        f"junction by {mismatch:.3g} relative to 2 pi / Gamma((beta+1)/2) "
+                        f"(tolerance {_JUNCTION_TOL:g})")
+                solutions[i] = row[:-1]
             modes[:, neg] = (scattering.pi_coefficient(betas, config)[:, None]
                              * solutions * np.exp(-0.5 * y * y))
     return modes / math.sqrt(2.0 * math.pi)
-
-
-def _check_interior_solution(betas: np.ndarray) -> None:
-    """Raise ConvergenceError where the contour solution misses J(beta) at y = 0.
-
-    The mismatch F(0) - J(beta) is measured against 2 pi / Gamma((beta+1)/2),
-    the size of J without its factor sin(pi beta / 2), which vanishes at
-    even beta.  The betas are checked in order, and the first failure raises.
-    """
-    scales = 2.0 * math.pi * np.exp(-log_gamma(0.5 * (betas + 1.0)).real)
-    for beta, scale, j in zip(betas.tolist(), scales.tolist(),
-                              contour.j_beta(betas).tolist()):
-        error = abs(contour.f_epsilon(beta, 0.0) - j)
-        mismatch = error / scale if scale > 0.0 else math.inf
-        if not mismatch <= _JUNCTION_TOL:
-            raise ConvergenceError(
-                f"contour solution for beta={beta!r} misses J(beta) at the junction "
-                f"by {mismatch:.3g} relative to 2 pi / Gamma((beta+1)/2) "
-                f"(tolerance {_JUNCTION_TOL:g})")
 
 
 def _frames_at(spec: WavePacketSpec, ks, ws, modes, times) -> np.ndarray:
@@ -200,20 +202,15 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
     frames change by less than 1e-6 relative.  Positions x < 0 request the costly interior
     eigenfunction evaluation; keep the grid non-negative when only the
     reflected motion matters.  ``mirror`` replaces zeta by 1, the
-    delay-free perfect-mirror reference.  Before any interior row is
-    assembled, the contour solution is checked against J(beta) at the
-    centre and both ends of the k-support; a mismatch above 1e-8 (the
-    contour solution fails for highly excited states) raises
-    ConvergenceError at once.
+    delay-free perfect-mirror reference.  Every interior row is checked
+    against J(beta) at the junction as it is built; a mismatch above 1e-8
+    (the contour solution fails for highly excited states) raises
+    ConvergenceError naming the first failing row's beta.
     """
     x_arr = np.asarray(x_grid, dtype=float)
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(np.diff(x_arr) <= 0):
         raise DomainError("x_grid must be strictly increasing")
-    if not mirror and np.any(x_arr < 0.0):
-        offsets = np.array([-_K_SUPPORT_SIGMAS, 0.0, _K_SUPPORT_SIGMAS])
-        _check_interior_solution(
-            spec.config.beta_from_k(spec.k_center + offsets * spec.sigma_k))
     previous = None
     n = _FRAME_NODES
     for _ in range(_FRAME_ROUNDS):

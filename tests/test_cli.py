@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from stepharm import cli
+from stepharm import PotentialConfig, WavePacketSpec, cli, measure_delay
 from stepharm.special import _LANCZOS_COEFFS
 
 
@@ -212,6 +212,15 @@ class TestWavepacket:
                     "--k-center", "2.0")
         assert exc.value.code == 2
 
+    def test_beta_center_is_the_library_packet(self, capsys):
+        assert run_cli("wavepacket", "--beta0", "1.5", "--beta-center", "6",
+                       "--t-max", "1.0", "--frames", "2", "--x-points", "20",
+                       "--format", "json") == 0
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        config = PotentialConfig.from_beta0(1.5)
+        expected = measure_delay(WavePacketSpec.for_beta(config, 6.0))
+        assert summary["measured_delay"] == expected
+
     def test_beta_center_takes_width_and_start(self, capsys):
         # sigma_x = 1 / (2 sigma_k) = 10, so the grid ends at 80 + 12 * 10
         assert run_cli("wavepacket", "--beta0", "1.5", "--beta-center", "6",
@@ -246,7 +255,7 @@ class TestWavepacket:
 
     def test_inaccurate_interior_packet_exits_4(self, capsys):
         # the k-support spans beta 28.2 to 53.9, where the contour solution
-        # misses J(beta): the check before the k-refinement stops it
+        # misses J(beta): the junction check of the first k node's row stops it
         start = time.perf_counter()
         code = run_cli("wavepacket", "--beta0", "1.5", "--beta-center", "40",
                        "--include-interior")
@@ -254,7 +263,7 @@ class TestWavepacket:
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert "beta=28.23" in captured.err
+        assert "beta=28.2466101151" in captured.err
         assert elapsed < 5.0
 
 

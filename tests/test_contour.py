@@ -106,6 +106,12 @@ class TestFEpsilon:
             u3 = abs(f_epsilon(beta, -3.0)) * math.exp(-4.5)
             assert u6 / u3 < 1e-3
 
+    @pytest.mark.parametrize("shape", [(0,), (2, 0)])
+    def test_empty_y_gives_empty_values(self, shape):
+        values = f_epsilon(2.5, np.empty(shape))
+        assert values.shape == shape
+        assert values.dtype == complex
+
     def test_radius_invariance(self, monkeypatch):
         # the loop may be realized on any radius; values must not move
         reference = f_epsilon(1.7, -1.3)

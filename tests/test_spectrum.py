@@ -10,7 +10,7 @@ import scipy.integrate as spi
 import scipy.special as sps
 
 from stepharm import (BracketError, ConvergenceError, DomainError, PotentialConfig,
-                      j_beta, bound_eigenfunction, level_count,
+                      contour, j_beta, bound_eigenfunction, level_count,
                       level_equation_residual, solve_levels, spectrum)
 from tests.conftest import make_config
 
@@ -360,6 +360,28 @@ class TestBoundEigenfunction:
         scale = np.max(np.abs(values))
         signs = np.sign(values[np.abs(values) > 1e-6 * scale])
         assert int(np.count_nonzero(np.diff(signs))) == n
+
+    def test_step_side_needs_no_contour_solution(self, monkeypatch):
+        # beta_n ~ 31.5, where the contour solution misses J(beta_n); the
+        # step side is J e^{-k_n x} and is returned without it
+        config = make_config(60.0)
+        level = solve_levels(config)[15]
+
+        def unused(beta, y):
+            raise AssertionError("contour solution evaluated")
+
+        monkeypatch.setattr(contour, "f_epsilon", unused)
+        xs = np.linspace(0.0, 3.0, 31)
+        expected = j_beta(level.beta_n) * np.exp(-level.k_n * xs) / math.sqrt(
+            _pbdv_norm(level, config))
+        values = bound_eigenfunction(level, config, xs)
+        assert np.all(np.abs(values - expected) <= 1e-9 * np.abs(expected))
+
+    def test_marginal_state_on_empty_positions_raises(self):
+        config = make_config(1.0)
+        level = solve_levels(config)[0]
+        with pytest.raises(DomainError, match="positive length"):
+            bound_eigenfunction(level, config, np.array([]))
 
     def test_marginal_state_gaussian_and_flat(self):
         config = make_config(1.0)

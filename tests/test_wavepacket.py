@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from stepharm import (ConvergenceError, DispersionError, DomainError,
-                      WavePacketSpec, delay_time, evolve, f_epsilon,
+                      WavePacketSpec, contour, delay_time, evolve, f_epsilon,
                       f_epsilon_derivative, improper_eigenfunction,
                       measure_delay, pi_coefficient, wavepacket, zeta)
 
@@ -103,6 +103,27 @@ class TestEvolve:
         xs = np.linspace(-4.0, 60.0, 400)
         frames = evolve(spec, xs, [spec.x_start / spec.group_speed], mirror=True)
         assert np.all(frames.psi[:, frames.x_grid < 0] == 0.0)
+
+    def test_every_interior_row_is_checked(self, cfg15, monkeypatch):
+        # F(0) is spoiled only strictly inside the upper half of the
+        # k-support, away from its centre and ends: the rows there must raise
+        spec = WavePacketSpec.for_beta(cfg15, 6.0)
+        centre = spec.beta_center
+        upper = cfg15.beta_from_k(spec.k_center + 5.0 * spec.sigma_k)
+        exact = contour.f_epsilon
+
+        def spoiled(beta, y):
+            value = exact(beta, y)
+            if centre < beta < upper:
+                value = value + 1e-4 * (np.asarray(y) == 0.0)
+            return value
+
+        monkeypatch.setattr(contour, "f_epsilon", spoiled)
+        with pytest.raises(ConvergenceError,
+                           match=r"misses J\(beta\) at the junction") as info:
+            evolve(spec, np.linspace(-2.0, 40.0, 60), [0.0])
+        named = float(info.value.args[0].split("beta=")[1].split()[0])
+        assert centre < named < upper
 
     def test_grid_must_increase(self, cfg15):
         spec = WavePacketSpec.for_beta(cfg15, 6.0)
