@@ -39,6 +39,9 @@ of F agree to _TARGET_TOL relative to 1 + max|F|.  A tolerance below the
 round-off floor of the two sums (machine epsilon times their absolute
 sums) cannot be confirmed in double precision and raises ConvergenceError
 at once, as do series terms that overflow.  No reduction goes through BLAS.
+
+interior_rows gives every interior sample of the package: rows of F, each
+checked against the closed form J(beta) = F(0) by its own F(0).
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ _TWO_PI = 2.0 * math.pi
 _CIRCLE_RADIUS = 1.0
 _LINE_NODES = 120  # first node count of the cut-edge refinement
 _TARGET_TOL = 1e-10
-_JUNCTION_TOL = 1e-8  # relative F(0) - J(beta) that the junction checks allow
+_JUNCTION_TOL = 1e-8  # relative F(0) - J(beta) that interior_rows allows
 _MAX_REFINEMENTS = 12
 _SERIES_CHUNK = 8  # series terms between two checks of the stop rule
 _EPS = float(np.finfo(float).eps)
@@ -232,6 +235,34 @@ def j_beta(beta):
     value = np.where(zero, 0j, _TWO_PI * np.sin(np.pi * b / 2.0)
                      * np.exp(-1j * np.pi * b) * inv_gamma / 1j)
     return complex(value) if b.ndim == 0 else value
+
+
+def interior_rows(betas, y: np.ndarray) -> np.ndarray:
+    """Rows F(beta_i, y), each one f_epsilon call on y plus y = 0.
+
+    A row whose own F(0) misses J(beta_i) by more than _JUNCTION_TOL of
+    2 pi / Gamma((beta_i+1)/2) (J without its factor sin(pi beta / 2), zero
+    at even beta) raises ConvergenceError naming its beta.  The first beta
+    is checked on F(0) alone before any row, so a highly excited bound state
+    fails after one scalar evaluation, not a whole row.
+    """
+    betas = np.asarray(betas, dtype=float)
+    scales = _TWO_PI * np.exp(-log_gamma(0.5 * (betas + 1.0)).real)
+    checks = list(zip(betas.tolist(), scales.tolist(), j_beta(betas).tolist()))
+
+    def checked_row(beta, scale, j, y_and_junction):
+        row = f_epsilon(beta, y_and_junction)
+        mismatch = abs(row[-1] - j) / scale if scale > 0.0 else math.inf
+        if not mismatch <= _JUNCTION_TOL:
+            raise ConvergenceError(
+                f"contour solution for beta={beta:.12g} misses J(beta) at the "
+                f"junction by {mismatch:.3g} relative to 2 pi / Gamma((beta+1)/2) "
+                f"(tolerance {_JUNCTION_TOL:g})")
+        return row[:-1]
+
+    checked_row(*checks[0], np.zeros(1))
+    y_and_junction = np.append(y, 0.0)
+    return np.array([checked_row(*check, y_and_junction) for check in checks])
 
 
 def hermite_poly(n: int, y):

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contour
-from .contour import _JUNCTION_TOL
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import BracketError, DomainError
 from .potential import PotentialConfig
 from .special import digamma, gamma_half_ratio
 
@@ -203,11 +202,9 @@ def bound_eigenfunction(level: EnergyLevel, config: PotentialConfig, xs,
 
     u_n(x) = F(alpha x) exp(-(alpha x)^2 / 2) for x < 0 and
     J(beta_n) exp(-k_n x) for x >= 0; both branches equal J(beta_n) at the
-    junction.  Positions x >= 0 need no contour solution.  When xs has
-    entries x < 0, the contour value F(0) is first checked against the
-    closed-form J(beta_n): a relative mismatch above 1e-8 (the contour
-    solution fails for highly excited states) raises ConvergenceError
-    instead of returning wrong samples.
+    junction.  Positions x >= 0 need no contour solution.  Positions x < 0
+    are one row of ``contour.interior_rows``, which raises ConvergenceError
+    where the row's own F(0) misses J(beta_n) instead of returning wrong samples.
 
     When ``normalized`` the result carries unit L2 norm, in closed form.
     With y = alpha x and eps = 2 beta - 1 the interior obeys
@@ -231,18 +228,12 @@ def bound_eigenfunction(level: EnergyLevel, config: PotentialConfig, xs,
     length (one point, or none) raises DomainError.
     """
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    beta_n = level.beta_n
-    j_val = contour.j_beta(beta_n)
+    j_val = contour.j_beta(level.beta_n)
     values = np.empty(xs_arr.shape, dtype=complex)
     neg = xs_arr < 0.0
     if neg.any():
-        mismatch = abs(contour.f_epsilon(beta_n, 0.0) - j_val) / abs(j_val)
-        if not mismatch <= _JUNCTION_TOL:
-            raise ConvergenceError(
-                f"contour solution for beta_n={beta_n!r} misses J(beta_n) at the "
-                f"junction by {mismatch:.3g} relative (tolerance {_JUNCTION_TOL:g})")
         y = config.alpha * xs_arr[neg]
-        values[neg] = contour.f_epsilon(beta_n, y) * np.exp(-0.5 * y * y)
+        values[neg] = contour.interior_rows([level.beta_n], y)[0] * np.exp(-0.5 * y * y)
     values[~neg] = j_val * np.exp(-level.k_n * xs_arr[~neg])
     if normalized:
         values /= abs(j_val) * math.sqrt(_norm_over_j2(level, config, xs_arr))

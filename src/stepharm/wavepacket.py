@@ -20,10 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contour, scattering
-from .contour import _JUNCTION_TOL
 from .errors import ConvergenceError, DispersionError, DomainError
 from .potential import PotentialConfig
-from .special import log_gamma
 
 _FRAME_TOL = 1e-6
 _FRAME_NODES = 128  # first k-node count of evolve; doubled up to _FRAME_ROUNDS times
@@ -123,8 +121,8 @@ def improper_eigenfunction(beta, config: PotentialConfig, x):
     Pi(beta) F(alpha x) e^{-(alpha x)^2/2} on the harmonic side and
     e^{-ikx} + zeta(beta) e^{ikx} on the step side; the junction is smooth
     by construction of Pi and zeta.  This is the packet's mode row at
-    k = k(beta), so positions x < 0 get the row's junction check and raise
-    ConvergenceError where the contour solution misses J(beta).
+    k = k(beta): positions x < 0 raise ConvergenceError where the row of
+    ``contour.interior_rows`` misses J(beta), and x >= 0 need no contour solution.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     ks = np.array([config.k_continuum(beta)])
@@ -151,39 +149,20 @@ def _mode_matrix(config: PotentialConfig, ks: np.ndarray, x_grid: np.ndarray,
     """Rows u_k(x) of the improper eigenfunctions on the grid.
 
     The one place where continuum modes are formed: ``evolve`` sums them
-    into packets and ``improper_eigenfunction`` returns a single row.  Each
-    interior row is also evaluated at y = 0, and the first row whose F(0)
-    misses J(beta) by more than 1e-8 of 2 pi / Gamma((beta+1)/2) (J without
-    its factor sin(pi beta / 2), which vanishes at even beta) raises
-    ConvergenceError.
+    into packets and ``improper_eigenfunction`` returns a single row.  The
+    interior is Pi(beta) times the checked rows of ``contour.interior_rows``.
     """
-    modes = np.empty((len(ks), len(x_grid)), dtype=complex)
+    modes = np.zeros((len(ks), len(x_grid)), dtype=complex)
     neg = x_grid < 0.0
     pos = ~neg
     if pos.any():
         xp = x_grid[pos]
         modes[:, pos] = np.exp(-1j * np.outer(ks, xp)) + _outgoing(config, ks, xp, mirror)
-    if neg.any():
-        if mirror:
-            modes[:, neg] = 0.0
-        else:
-            betas = config.beta_from_k(ks)
-            y = config.alpha * x_grid[neg]
-            y_and_junction = np.append(y, 0.0)
-            scales = 2.0 * math.pi * np.exp(-log_gamma(0.5 * (betas + 1.0)).real)
-            solutions = np.empty((len(ks), len(y)), dtype=complex)
-            for i, (beta, scale, j) in enumerate(zip(betas.tolist(), scales.tolist(),
-                                                     contour.j_beta(betas).tolist())):
-                row = contour.f_epsilon(beta, y_and_junction)
-                mismatch = abs(row[-1] - j) / scale if scale > 0.0 else math.inf
-                if not mismatch <= _JUNCTION_TOL:
-                    raise ConvergenceError(
-                        f"contour solution for beta={beta:.12g} misses J(beta) at the "
-                        f"junction by {mismatch:.3g} relative to 2 pi / Gamma((beta+1)/2) "
-                        f"(tolerance {_JUNCTION_TOL:g})")
-                solutions[i] = row[:-1]
-            modes[:, neg] = (scattering.pi_coefficient(betas, config)[:, None]
-                             * solutions * np.exp(-0.5 * y * y))
+    if neg.any() and not mirror:  # the mirror's interior stays zero
+        betas = config.beta_from_k(ks)
+        y = config.alpha * x_grid[neg]
+        modes[:, neg] = (scattering.pi_coefficient(betas, config)[:, None]
+                         * contour.interior_rows(betas, y) * np.exp(-0.5 * y * y))
     return modes / math.sqrt(2.0 * math.pi)
 
 
@@ -199,15 +178,14 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
 
     The k-quadrature (Gauss-Legendre over k_center +/- 5 sigma_k) starts
     from 128 nodes and doubles them, at most six times in all, until the
-    frames change by less than 1e-6 relative.  Positions x < 0 request the costly interior
-    eigenfunction evaluation; keep the grid non-negative when only the
-    reflected motion matters.  ``mirror`` replaces zeta by 1, the
-    delay-free perfect-mirror reference.  Every interior row is checked
-    against J(beta) at the junction as it is built; a mismatch above 1e-8
-    (the contour solution fails for highly excited states) raises
-    ConvergenceError naming the first failing row's beta.
+    frames change by less than 1e-6 relative.  A scalar ``x_grid`` or
+    ``times`` is one point; an empty one gives empty frames.  Positions x < 0
+    request the costly rows of ``contour.interior_rows``, which raise
+    ConvergenceError naming the first beta whose F(0) misses J(beta); keep the
+    grid non-negative when only the reflected motion matters.  ``mirror``
+    replaces zeta by 1, the delay-free perfect-mirror reference.
     """
-    x_arr = np.asarray(x_grid, dtype=float)
+    x_arr = np.atleast_1d(np.asarray(x_grid, dtype=float))
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(np.diff(x_arr) <= 0):
         raise DomainError("x_grid must be strictly increasing")
@@ -217,8 +195,8 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
         ks, ws = _k_rule(spec, n)
         psi = _frames_at(spec, ks, ws, _mode_matrix(spec.config, ks, x_arr, mirror), t_arr)
         if previous is not None:
-            scale = 1.0 + float(np.abs(psi).max())
-            if float(np.abs(psi - previous).max()) < _FRAME_TOL * scale:
+            scale = 1.0 + float(np.abs(psi).max(initial=0.0))
+            if float(np.abs(psi - previous).max(initial=0.0)) < _FRAME_TOL * scale:
                 return FrameSet(times=t_arr, x_grid=x_arr, psi=psi)
         previous = psi
         n *= 2

@@ -152,7 +152,7 @@ class TestEigenfunction:
         assert run_cli("eigenfunction", "--beta0", "60", "--n", "18") == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "beta_n=37.42" in captured.err
+        assert "beta=37.42" in captured.err
 
     def test_continuity_across_origin(self, capsys):
         assert run_cli("eigenfunction", "--beta0", "4.5", "--n", "1",

@@ -349,7 +349,7 @@ class TestBoundEigenfunction:
         # beta_n ~ 31.5: the contour solution misses J(beta_n) by ~1e-4
         config = make_config(60.0)
         state = solve_levels(config)[15]
-        with pytest.raises(ConvergenceError, match="beta_n=31.48"):
+        with pytest.raises(ConvergenceError, match="beta=31.48"):
             bound_eigenfunction(state, config, np.linspace(-3.0, 3.0, 7))
 
     @pytest.mark.parametrize("n", [0, 1])
@@ -376,6 +376,69 @@ class TestBoundEigenfunction:
             _pbdv_norm(level, config))
         values = bound_eigenfunction(level, config, xs)
         assert np.all(np.abs(values - expected) <= 1e-9 * np.abs(expected))
+
+    def test_interior_row_carries_its_junction_value(self, cfg45, monkeypatch):
+        # a one-point probe at y = 0 first, then the x < 0 samples and their
+        # own junction value F(0) from one call
+        level = solve_levels(cfg45)[1]
+        exact = contour.f_epsilon
+        sizes = []
+
+        def counted(beta, y):
+            sizes.append(np.size(y))
+            return exact(beta, y)
+
+        monkeypatch.setattr(contour, "f_epsilon", counted)
+        bound_eigenfunction(level, cfg45, np.linspace(-3.0, 3.0, 61))
+        assert sizes == [1, 30 + 1]
+
+    def test_faulty_state_fails_before_its_row(self, monkeypatch):
+        # beta_n ~ 31.5 misses J(beta_n): the one-point probe refuses it
+        # before the 1,120-point row is evaluated
+        config = make_config(60.0)
+        level = solve_levels(config)[15]
+        exact = contour.f_epsilon
+        sizes = []
+
+        def counted(beta, y):
+            sizes.append(np.size(y))
+            return exact(beta, y)
+
+        monkeypatch.setattr(contour, "f_epsilon", counted)
+        with pytest.raises(ConvergenceError, match="beta=31.48"):
+            bound_eigenfunction(level, config, np.linspace(-14.0, 3.0, 1361))
+        assert sizes == [1]
+
+    def test_junction_value_of_the_sampling_call_is_checked(self, cfg45, monkeypatch):
+        # F(0) is spoiled only in a call that also samples y < 0, so only a
+        # check on the row's own evaluation can see it
+        level = solve_levels(cfg45)[1]
+        exact = contour.f_epsilon
+
+        def spoiled(beta, y):
+            y = np.asarray(y)
+            value = exact(beta, y)
+            if y.size > 1:
+                value = value + 1e-4 * (y == 0.0)
+            return value
+
+        monkeypatch.setattr(contour, "f_epsilon", spoiled)
+        with pytest.raises(ConvergenceError, match=r"misses J\(beta\) at the junction"):
+            bound_eigenfunction(level, cfg45, np.linspace(-3.0, 3.0, 61))
+
+    def test_small_sine_ground_state_matches_pbdv(self):
+        # beta0 = 200, beta_n ~ 1.944: |sin(pi beta_n / 2)| ~ 0.09, so the
+        # junction check's scale 2 pi / Gamma((beta+1)/2) is about 11 |J|
+        config = make_config(200.0)
+        level = solve_levels(config)[0]
+        assert abs(math.sin(math.pi * level.beta_n / 2.0)) < 0.1
+        xs = np.linspace(-4.0, -0.05, 80)
+        values = bound_eigenfunction(level, config, xs, normalized=False)
+        order = level.beta_n - 1.0
+        expected = j_beta(level.beta_n) * np.array(
+            [sps.pbdv(order, -math.sqrt(2.0) * config.alpha * x)[0] for x in xs]
+        ) / sps.pbdv(order, 0.0)[0]
+        assert np.max(np.abs(values - expected)) < 1e-8 * np.max(np.abs(expected))
 
     def test_marginal_state_on_empty_positions_raises(self):
         config = make_config(1.0)

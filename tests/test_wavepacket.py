@@ -64,6 +64,17 @@ class TestImproperEigenfunction:
                            match=rf"beta={beta} misses J\(beta\) at the junction by "):
             improper_eigenfunction(beta, cfg15, np.array([-1e-14, 0.0]))
 
+    @pytest.mark.parametrize("beta", [2.0, 4.0])
+    def test_even_beta_interior_passes_the_junction_check(self, cfg15, beta):
+        # J(beta) = 0 at even beta; the check's scale 2 pi / Gamma((beta+1)/2)
+        # does not vanish there, so the interior row is returned
+        xs = np.linspace(-4.0, 0.0, 41)
+        values = improper_eigenfunction(beta, cfg15, xs)
+        assert np.all(np.isfinite(values))
+        assert np.max(np.abs(values[:-1])) > 0.0
+        left = improper_eigenfunction(beta, cfg15, -1e-14)
+        assert abs(left - values[-1]) < 1e-8 * np.max(np.abs(values))
+
     @pytest.mark.parametrize("beta", [28.2, 40.3])
     def test_step_side_needs_no_interior_check(self, cfg15, beta):
         density = np.abs(improper_eigenfunction(beta, cfg15, np.linspace(0.0, 5.0, 51))) ** 2
@@ -124,6 +135,23 @@ class TestEvolve:
             evolve(spec, np.linspace(-2.0, 40.0, 60), [0.0])
         named = float(info.value.args[0].split("beta=")[1].split()[0])
         assert centre < named < upper
+
+    @pytest.mark.parametrize("x_grid,times,shape", [
+        ([], [0.0, 1.0], (2, 0)),
+        (np.linspace(0.0, 40.0, 7), [], (0, 7)),
+        ([], [], (0, 0)),
+    ])
+    def test_empty_grids_give_empty_frames(self, cfg15, x_grid, times, shape):
+        frames = evolve(WavePacketSpec.for_beta(cfg15, 6.0), x_grid, times)
+        assert frames.psi.shape == shape
+        assert frames.x_grid.shape == (shape[1],)
+        assert frames.times.shape == (shape[0],)
+
+    def test_scalar_position_is_one_point(self, cfg15):
+        spec = WavePacketSpec.for_beta(cfg15, 6.0)
+        frames = evolve(spec, 5.0, [0.0, 10.0])
+        assert frames.psi.shape == (2, 1)
+        assert np.array_equal(frames.psi, evolve(spec, [5.0], [0.0, 10.0]).psi)
 
     def test_grid_must_increase(self, cfg15):
         spec = WavePacketSpec.for_beta(cfg15, 6.0)
