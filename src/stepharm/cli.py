@@ -22,7 +22,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, scattering, spectrum, verification, wavepacket
-from .errors import ConvergenceError, DispersionError, DomainError
+from .errors import (BracketError, ConvergenceError, DispersionError, DomainError,
+                     SingularityError)
 from .potential import PotentialConfig
 
 _EXIT_OK = 0
@@ -304,7 +305,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (ConvergenceError, DispersionError) as exc:
+    except (BracketError, ConvergenceError, DispersionError, SingularityError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL
     except DomainError as exc:

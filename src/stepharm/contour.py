@@ -229,12 +229,18 @@ def j_beta(beta):
     b = np.asarray(beta, dtype=float)
     if not np.all(np.isfinite(b)):
         raise DomainError("beta must be finite")
+    value, _ = _j_and_scale(b)
+    return complex(value) if b.ndim == 0 else value
+
+
+def _j_and_scale(b: np.ndarray):
+    """J(b) and 2 pi / Gamma((b+1)/2), both from one evaluation of 1/Gamma (see j_beta)."""
     half = 0.5 * (b + 1.0)
     zero = (half <= 0) & (half == np.floor(half))  # zeros of 1/Gamma
     inv_gamma = np.exp(-log_gamma(np.where(zero, 1.0, half))).real
     value = np.where(zero, 0j, _TWO_PI * np.sin(np.pi * b / 2.0)
                      * np.exp(-1j * np.pi * b) * inv_gamma / 1j)
-    return complex(value) if b.ndim == 0 else value
+    return value, np.where(zero, 0.0, _TWO_PI * inv_gamma)
 
 
 def interior_rows(betas, y: np.ndarray) -> np.ndarray:
@@ -247,8 +253,8 @@ def interior_rows(betas, y: np.ndarray) -> np.ndarray:
     fails after one scalar evaluation, not a whole row.
     """
     betas = np.asarray(betas, dtype=float)
-    scales = _TWO_PI * np.exp(-log_gamma(0.5 * (betas + 1.0)).real)
-    checks = list(zip(betas.tolist(), scales.tolist(), j_beta(betas).tolist()))
+    js, scales = _j_and_scale(betas)
+    checks = list(zip(betas.tolist(), scales.tolist(), js.tolist()))
 
     def checked_row(beta, scale, j, y_and_junction):
         row = f_epsilon(beta, y_and_junction)

@@ -20,9 +20,10 @@ class ConvergenceError(StepharmError, RuntimeError):
 class BracketError(StepharmError, RuntimeError):
     """A root bracket did not contain a sign change.
 
-    For the level equation this signals an internal inconsistency: every
-    bracket between consecutive odd integers below the step height must
-    contain exactly one root.
+    For the level equation this signals an internal inconsistency: its
+    pole-free phase form is negative at the lower end 2n+1 of every bracket
+    and positive at the upper end min(2n+2, beta0) by construction, so the
+    level solver takes the brackets as they are, with no endpoint pull.
     """
 
 

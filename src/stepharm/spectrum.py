@@ -8,12 +8,19 @@ from the junction conditions gives the level equation
               + sqrt((beta0 - beta)/2) = 0,
 
 whose zeros on (0, beta0) are the levels.  The cotangent confines each root
-to an interval (2n+1, 2n+2), one root per interval, which makes bracketed
-bisection a guaranteed solver.  All brackets are bisected at once: after
-one evaluation of g on the bracket ends, each evaluation covers the next
-four bisection levels of every bracket still open (its 15 nested
-midpoints), so a table costs 11 array evaluations at the default
-tol = 1e-12 however many levels it has.
+to a bracket [2n+1, min(2n+2, beta0)], one root per bracket.  There
+cot(pi beta / 2) = -tan(pi (beta - 2n - 1) / 2), so with
+R = Gamma((beta+1)/2)/Gamma(beta/2) and q = sqrt((beta0 - beta)/2) the
+level equation is equivalent to the pole-free phase form
+
+    G_n(beta) = beta - (2n+1) - (2/pi) atan2(q, R) = 0,
+
+negative at 2n+1 and positive at the upper end, with
+G_n' = 1 + (2/pi) (R/(4q) + q R') / (R^2 + q^2) >= 1.  All levels are
+solved at once by a safeguarded Newton iteration on G_n: one evaluation at
+the ends and midpoints of every bracket, then one per Newton step, about
+four array evaluations per table at the default tol = 1e-12 however many
+levels it has.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ from .errors import BracketError, DomainError
 from .potential import PotentialConfig
 from .special import digamma, gamma_half_ratio
 
-_ENDPOINT_PULL = 1e-9
 _TREE_DEPTH = 4  # bisection levels evaluated per residual call
 
 
@@ -67,8 +73,8 @@ def level_equation_residual(beta, config: PotentialConfig):
     """Residual g(beta) of the level equation; a bound state is a zero.
 
     Defined on 0 < beta <= beta0.  The cotangent poles at even integer
-    beta are mapped to infinities, which the bracketing in
-    :func:`solve_levels` never touches.
+    beta are mapped to infinities; :func:`solve_levels` works on the
+    pole-free phase form instead (see the module docstring).
     """
     beta0 = config.beta0
     b = np.asarray(beta, dtype=float)
@@ -151,15 +157,43 @@ def _bisect_all(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
     return roots
 
 
-def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLevel]:
-    """All bound states, sorted by index, located by one bisection over all brackets.
+def _ratio_and_slope(beta: np.ndarray):
+    """R = Gamma((beta+1)/2) / Gamma(beta/2) and R' = (R/2) [psi((beta+1)/2) - psi(beta/2)].
 
-    Bracket endpoints are pulled slightly inward to stay clear of the
-    cotangent pole at the left end and the square-root branch point at
-    beta0; the pull shrinks with the bracket so no root is ever skipped.
-    All brackets are bisected together, each evaluation of the level
-    equation covering the next four bisection levels of the brackets still
-    open; the roots are those of a scalar bisection of each bracket.
+    One gamma_half_ratio call and one digamma call on the joined arguments;
+    digamma evaluates each argument on its own, so a value does not depend
+    on the other betas of the call.
+    """
+    ratio = gamma_half_ratio(beta / 2.0)
+    psi = digamma(np.concatenate([(beta + 1.0) / 2.0, beta / 2.0]))
+    return ratio, 0.5 * ratio * (psi[:beta.size] - psi[beta.size:])
+
+
+def _level_phase(beta: np.ndarray, odd: np.ndarray, config: PotentialConfig):
+    """G(beta) = beta - odd - (2/pi) atan2(q, R) and G'(beta), q = sqrt((beta0 - beta)/2).
+
+    The pole-free form of the level equation on the bracket of the level
+    whose lower end is ``odd`` (see the module docstring); G' is infinite
+    only at beta = beta0.
+    """
+    ratio, slope = _ratio_and_slope(beta)
+    q = np.sqrt((config.beta0 - beta) / 2.0)
+    with np.errstate(divide="ignore"):
+        d_phase = (ratio / (4.0 * q) + q * slope) / (ratio * ratio + q * q)
+    return beta - odd - (2.0 / np.pi) * np.arctan2(q, ratio), 1.0 + (2.0 / np.pi) * d_phase
+
+
+def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLevel]:
+    """All bound states, sorted by index, by one safeguarded Newton iteration over all brackets.
+
+    Level n is the zero of the pole-free G_n on [2n+1, min(2n+2, beta0)]
+    (module docstring), which needs no endpoint pull.  The first evaluation
+    covers both ends and the midpoint of every bracket; an end with the
+    wrong sign raises BracketError.  Each later evaluation serves one Newton
+    step of every level still open, from its last point; a step that would
+    leave the bracket known to hold the root halves it instead.  A level is
+    done once its last step is no longer than tol, or when its bracket is
+    two adjacent floats, so a tol below the float spacing still ends.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -167,11 +201,35 @@ def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLeve
     if beta0 == 1.0:
         return [EnergyLevel(n=0, beta_n=1.0, energy=config.energy(1.0),
                             k_n=0.0, marginal=True)]
-    lo = 2.0 * np.arange(level_count(config)) + 1.0
-    hi = np.minimum(lo + 1.0, beta0)
-    pull = np.minimum(_ENDPOINT_PULL, (hi - lo) * 1e-6)
-    roots = _bisect_all(lambda b, _: level_equation_residual(b, config),
-                        lo + pull, hi - pull, tol)
+    odd = 2.0 * np.arange(level_count(config)) + 1.0
+    lo, hi = odd.copy(), np.minimum(odd + 1.0, beta0)
+    x = 0.5 * (lo + hi)
+    g, slope = (v.reshape(3, -1) for v in
+                _level_phase(np.concatenate([lo, hi, x]), np.tile(odd, 3), config))
+    wrong = ~((g[0] < 0.0) & (g[1] > 0.0))
+    if wrong.any():
+        i = int(np.argmax(wrong))
+        raise BracketError(f"no sign change on bracket ({float(lo[i])}, {float(hi[i])})")
+    g, slope = g[2], slope[2]
+    roots = np.empty(odd.size)
+    live = np.arange(odd.size)
+    while live.size:
+        below = g < 0.0
+        lo[live[below]] = x[below]
+        hi[live[~below]] = x[~below]
+        a, b = lo[live], hi[live]
+        step_to = x - g / slope
+        mid = 0.5 * (a + b)
+        # x is now an end of its bracket: a Newton point must lie strictly
+        # inside, unless the step rounds to zero, which ends the level
+        newton = np.isfinite(slope) & (((a < step_to) & (step_to < b))
+                                       | (step_to == x))
+        step_to = np.where(newton, step_to, mid)
+        done = (np.abs(step_to - x) <= tol) | (mid == a) | (mid == b)
+        roots[live[done]] = step_to[done]
+        live, x = live[~done], step_to[~done]
+        if live.size:
+            g, slope = _level_phase(x, odd[live], config)
     return [EnergyLevel(n=n, beta_n=root, energy=config.energy(root),
                         k_n=config.k_bound(root))
             for n, root in enumerate(roots.tolist())]
@@ -190,8 +248,7 @@ def _norm_over_j2(level: EnergyLevel, config: PotentialConfig,
         return math.sqrt(math.pi) / (2.0 * alpha) * inside + max(hi, 0.0) - max(lo, 0.0)
     beta = level.beta_n
     sin, cos = math.sin(math.pi * beta / 2.0), math.cos(math.pi * beta / 2.0)
-    ratio = gamma_half_ratio(beta / 2.0)
-    d_ratio = 0.5 * ratio * (digamma((beta + 1.0) / 2.0) - digamma(beta / 2.0))
+    [ratio], [d_ratio] = _ratio_and_slope(np.array([beta]))
     d_slope = 2.0 * (d_ratio * cos / sin - 0.5 * math.pi * ratio / (sin * sin))
     return -d_slope / (2.0 * alpha) + 1.0 / (2.0 * level.k_n)
 

@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from stepharm import PotentialConfig, WavePacketSpec, cli, measure_delay
+from stepharm import (BracketError, PotentialConfig, SingularityError, WavePacketSpec, cli,
+                      measure_delay, scattering)
 from stepharm.special import _LANCZOS_COEFFS
 
 
@@ -28,6 +29,13 @@ class TestLevels:
         assert header == ["n", "beta_n", "energy_over_hbar_omega", "k_n", "marginal"]
         assert len(rows) == 2
         assert float(rows[0][1]) == pytest.approx(1.6321923056, abs=1e-9)
+
+    def test_step_height_just_above_odd_integer(self, capsys):
+        # the second level sits 6e-14 below beta0
+        assert run_cli("levels", "--beta0", "3.0000001") == 0
+        _, rows = read_csv(capsys.readouterr().out)
+        assert len(rows) == 2
+        assert 3.0 < float(rows[1][1]) <= 3.0000001
 
     def test_empty_table_is_valid(self, capsys):
         assert run_cli("levels", "--beta0", "0.7") == 0
@@ -252,6 +260,17 @@ class TestWavepacket:
         assert code == 4
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_singular_interior_amplitude_exits_4(self, capsys, monkeypatch):
+        def vanished(beta, config):
+            raise SingularityError("Pi denominator vanished at beta=6.0")
+
+        monkeypatch.setattr(scattering, "pi_coefficient", vanished)
+        code = run_cli("wavepacket", "--beta0", "1.5", "--beta-center", "6",
+                       "--include-interior", "--frames", "2", "--x-points", "20")
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == "numerical failure: Pi denominator vanished at beta=6.0\n"
 
     def test_inaccurate_interior_packet_exits_4(self, capsys):
         # the k-support spans beta 28.2 to 53.9, where the contour solution
@@ -274,6 +293,17 @@ class TestResonances:
         peaks = [float(r[0]) for r in rows]
         assert all(abs(p - 3.0) > 0.2 for p in peaks)
         assert any(abs(p - 5.0) < 0.2 for p in peaks)
+
+    def test_unbracketed_crossing_exits_4(self, capsys, monkeypatch):
+        def unbracketed(f, lo, hi, tol):
+            raise BracketError(f"no sign change on bracket ({lo[0]}, {hi[0]})")
+
+        monkeypatch.setattr(scattering, "_bisect_all", unbracketed)
+        code = run_cli("resonances", "--beta0", "1.5", "--beta-max", "12")
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: no sign change on bracket (")
 
     def test_nan_beta_max_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import functools
 import math
 import threading
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate as spi
@@ -12,6 +13,7 @@ import scipy.special as sps
 from stepharm import (BracketError, ConvergenceError, DomainError, PotentialConfig,
                       contour, j_beta, bound_eigenfunction, level_count,
                       level_equation_residual, solve_levels, spectrum)
+from stepharm.special import digamma, gamma_half_ratio
 from tests.conftest import make_config
 
 # roots of the level equation computed independently at 30-digit precision
@@ -23,6 +25,33 @@ KNOWN_ROOTS = {
     4.5: [1.6321923056286810, 3.3569850518198874],
     200.0: [1.9444207305182342, 3.9160328428844909, 5.8946187471214127],
 }
+
+
+@functools.cache
+def _mpmath_levels(beta0: float) -> tuple[float, ...]:
+    """Levels as 30-digit zeros of R cot(pi beta / 2) + sqrt((beta0 - beta)/2).
+
+    Bisection of the paper's cotangent form in mpmath, midpoints only: the
+    residual is positive just above 2n+1 and negative at min(2n+2, beta0),
+    so the pole at 2n+2 is never evaluated.
+    """
+    roots = []
+    with mpmath.workdps(30):
+        b0 = mpmath.mpf(beta0)
+        for n in range(level_count(make_config(beta0))):
+            lo, hi = mpmath.mpf(2 * n + 1), min(mpmath.mpf(2 * n + 2), b0)
+            for _ in range(100):
+                mid = (lo + hi) / 2
+                g = (mpmath.gamma((mid + 1) / 2) / mpmath.gamma(mid / 2)
+                     * mpmath.cot(mpmath.pi * mid / 2) + mpmath.sqrt((b0 - mid) / 2))
+                lo, hi = (mid, hi) if g > 0 else (lo, mid)
+            roots.append(float((lo + hi) / 2))
+    return tuple(roots)
+
+
+# step heights just above an odd integer, where the root sits closer to
+# beta0 than a bracket end pulled in by 1e-9 (or 1e-6 of the bracket width)
+NEAR_ODD = [1.0 + 1e-7, 3.0 + 1e-7, 5.0 + 1e-9, 31.0 + 1e-8, 7.0 + 1e-8, 13.0 + 1e-9]
 
 
 class TestLevelCount:
@@ -110,6 +139,73 @@ class TestSolveLevels:
         with pytest.raises(DomainError):
             solve_levels(make_config(2.0), tol=0.0)
 
+    @pytest.mark.parametrize("beta0,tol", [
+        (1.2, 1e-12), (2.0, 1e-12), (3.0, 1e-12), (4.5, 1e-12), (5.0 + 1e-7, 1e-12),
+        (9.7, 1e-12), (30.0, 1e-12), (60.0, 1e-12), (200.0, 1e-12),
+        (4.0 - 1e-9, 1e-12), (4.0 + 1e-9, 1e-12), (12.0, 1e-12),
+        (12.3, 1e-6), (9.7, 1e-6), (200.0, 0.3), (5.0 + 1e-7, 0.3),
+    ])
+    def test_every_level_within_tol_of_mpmath(self, beta0, tol):
+        levels = solve_levels(make_config(beta0), tol=tol)
+        expected = _mpmath_levels(beta0)
+        assert len(levels) == len(expected) == level_count(make_config(beta0))
+        assert all(type(level.beta_n) is float for level in levels)
+        for level, root in zip(levels, expected):
+            assert abs(level.beta_n - root) <= tol
+
+    @pytest.mark.parametrize("beta0", NEAR_ODD)
+    def test_step_height_just_above_odd_integer(self, beta0):
+        # the last root lies closer to beta0 than 1e-6 of its bracket width,
+        # the end pull that shut it out and raised BracketError
+        levels = solve_levels(make_config(beta0))
+        expected = _mpmath_levels(beta0)
+        assert len(levels) == level_count(make_config(beta0)) == len(expected)
+        for level, root in zip(levels, expected):
+            assert abs(level.beta_n - root) <= 1e-12
+            assert level.beta_n <= beta0 and level.k_n >= 0.0
+
+    def test_no_beta0_in_a_scan_raises(self):
+        heights = np.concatenate([
+            np.linspace(0.5, 200.0, 200),
+            [k + e for k in range(1, 41) for e in (-1e-9, 1e-12, 1e-9, 1e-6)],
+            [k + e for k in range(41, 200, 2) for e in (-1e-9, 1e-9)],
+            [1e3, 1e4]])
+        for beta0 in heights.tolist():
+            levels = solve_levels(make_config(beta0))
+            assert len(levels) == level_count(make_config(beta0))
+
+    def test_phase_form_and_its_derivative_against_mpmath(self):
+        # G = beta - odd - (2/pi) atan2(q, R) and G' at points of three brackets
+        beta0 = 6.3
+        betas = np.array([1.01, 1.5, 1.99, 3.2, 3.9, 5.05, 6.0, 6.29])
+        odd = 2.0 * np.floor((betas - 1.0) / 2.0) + 1.0
+        g, slope = spectrum._level_phase(betas, odd, make_config(beta0))
+        with mpmath.workdps(30):
+            def phase(b, o):
+                q = mpmath.sqrt((mpmath.mpf(beta0) - b) / 2)
+                ratio = mpmath.gamma((b + 1) / 2) / mpmath.gamma(b / 2)
+                return b - o - 2 / mpmath.pi * mpmath.atan2(q, ratio)
+            for b, o, value, d_value in zip(betas.tolist(), odd.tolist(), g, slope):
+                assert value == pytest.approx(float(phase(mpmath.mpf(b), o)), abs=1e-14)
+                exact = float(mpmath.diff(lambda t: phase(t, o), mpmath.mpf(b)))
+                assert d_value == pytest.approx(exact, rel=1e-12)
+                assert d_value >= 1.0
+
+    def test_norm_bit_identical_to_two_digamma_calls(self):
+        # _norm_over_j2 takes R and R' from the solver's helper; the values
+        # equal the formula with two scalar digamma calls bit for bit
+        for beta0 in (2.5, 9.7, 60.0, 200.0):
+            config = make_config(beta0)
+            xs = np.linspace(-1.0, 1.0, 5)
+            for level in solve_levels(config):
+                beta = level.beta_n
+                sin, cos = math.sin(math.pi * beta / 2.0), math.cos(math.pi * beta / 2.0)
+                ratio = gamma_half_ratio(beta / 2.0)
+                d_ratio = 0.5 * ratio * (digamma((beta + 1.0) / 2.0) - digamma(beta / 2.0))
+                d_slope = 2.0 * (d_ratio * cos / sin - 0.5 * math.pi * ratio / (sin * sin))
+                expected = -d_slope / (2.0 * config.alpha) + 1.0 / (2.0 * level.k_n)
+                assert spectrum._norm_over_j2(level, config, xs) == expected
+
 
 def _scalar_bisect(f, lo: float, hi: float, tol: float) -> float:
     """Reference: plain bisection of one bracket, one residual call per step."""
@@ -141,7 +237,7 @@ def _tree_node(lo: float, hi: float, path: str) -> float:
 
 
 def _bracket(beta0: float, n: int) -> tuple[float, float]:
-    """Bracket of level n with the solver's endpoint pull applied."""
+    """Bracket of level n pulled in from the cotangent pole and the branch point."""
     lo, hi = 2.0 * n + 1.0, min(2.0 * n + 2.0, beta0)
     pull = min(1e-9, (hi - lo) * 1e-6)
     return lo + pull, hi - pull
@@ -157,7 +253,20 @@ def _reference_roots(beta0: float, tol: float = 1e-12) -> list[float]:
             for n in range(level_count(config))]
 
 
+def _batched_roots(beta0: float, tol: float = 1e-12) -> list[float]:
+    """Levels from one _bisect_all call over every bracket, through the module's residual."""
+    if beta0 == 1.0:
+        return [1.0]
+    config = make_config(beta0)
+    ends = np.array([_bracket(beta0, n) for n in range(level_count(config))]).reshape(-1, 2)
+    return spectrum._bisect_all(lambda b, _: spectrum.level_equation_residual(b, config),
+                                ends[:, 0].copy(), ends[:, 1].copy(), tol).tolist()
+
+
 class TestBatchedBisection:
+    # The two batched bracket solvers: _bisect_all, driven here directly on
+    # the cotangent form of the level equation, and the safeguarded Newton
+    # iteration of solve_levels, which halves a bracket where Newton fails.
     # beta0 = 1: marginal; 3.0: exactly odd, no threshold level; 5 + 1e-7:
     # a last bracket 1e-7 wide, pulled in by 1e-13
     @pytest.mark.parametrize("beta0,tol", [
@@ -166,9 +275,7 @@ class TestBatchedBisection:
         (60.0, 1e-12), (200.0, 1e-12), (12.3, 1e-6), (200.0, 0.3),
     ])
     def test_bit_identical_to_scalar_bisection(self, beta0, tol):
-        levels = solve_levels(make_config(beta0), tol=tol)
-        assert [level.beta_n for level in levels] == _reference_roots(beta0, tol)
-        assert all(type(level.beta_n) is float for level in levels)
+        assert _batched_roots(beta0, tol) == _reference_roots(beta0, tol)
 
     def test_exact_zeros_at_endpoints_and_midpoints(self, monkeypatch):
         # linear residuals with roots at the pulled lower end (bracket 0),
@@ -184,7 +291,7 @@ class TestBatchedBisection:
             return float(g) if np.ndim(beta) == 0 else g
 
         monkeypatch.setattr(spectrum, "level_equation_residual", residual)
-        found = [level.beta_n for level in solve_levels(make_config(beta0))]
+        found = _batched_roots(beta0)
         assert found == _reference_roots(beta0)
         assert found[:3] == roots[:3].tolist()
 
@@ -204,7 +311,7 @@ class TestBatchedBisection:
             return float(g) if np.ndim(beta) == 0 else g
 
         monkeypatch.setattr(spectrum, "level_equation_residual", residual)
-        found = [level.beta_n for level in solve_levels(make_config(beta0))]
+        found = _batched_roots(beta0)
         assert found == roots.tolist()
         # the ends, one tree of every bracket, then one tree of the last
         assert calls == [8, 4 * 15, 15]
@@ -248,40 +355,44 @@ class TestBatchedBisection:
         assert calls == [2, 15]
 
     def test_no_sign_change_raises_bracket_error(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "level_equation_residual",
-                            lambda beta, config: np.ones_like(np.asarray(beta, float)))
-        with pytest.raises(BracketError, match=r"no sign change on bracket \(1\.000000001, "):
+        # the phase form is negative at 2n+1 and positive at the upper end by
+        # construction; a residual without that sign change is refused
+        monkeypatch.setattr(spectrum, "_level_phase",
+                            lambda beta, odd, config: (np.ones_like(beta), np.ones_like(beta)))
+        with pytest.raises(BracketError, match=r"no sign change on bracket \(1\.0, 2\.0\)"):
             solve_levels(make_config(4.5))
 
-    def test_tol_below_float_spacing_returns(self, cfg45):
-        # the midpoint of two adjacent floats is one of them, so the bracket
-        # stops shrinking above tol; it must be closed there, not bisected on
+    def test_tol_below_float_spacing_returns(self):
+        # no step can be shorter than tol = 1e-20 except a zero one; every
+        # level must end, on a zero step or on a bracket of adjacent floats
+        heights = [1.2, 3.0 + 1e-7, 4.5, 5.0 + 1e-7, 9.7, 31.0 + 1e-8, 60.0, 200.0]
         result = []
-        worker = threading.Thread(
-            target=lambda: result.append(solve_levels(cfg45, tol=1e-20)), daemon=True)
+        worker = threading.Thread(target=lambda: result.append(
+            [solve_levels(make_config(beta0), tol=1e-20) for beta0 in heights]), daemon=True)
         worker.start()
         worker.join(timeout=10.0)
         assert result, "solve_levels(tol=1e-20) did not return within 10 s"
-        roots = [level.beta_n for level in result[0]]
-        assert roots == pytest.approx(KNOWN_ROOTS[4.5], abs=1e-13)
-        for root in roots:
-            # the residual changes sign between the root's float neighbours
-            neighbours = np.array([np.nextafter(root, 0.0), np.nextafter(root, 9.0)])
-            assert np.prod(np.sign(level_equation_residual(neighbours, cfg45))) < 0
+        for beta0, levels in zip(heights, result[0]):
+            for level, root in zip(levels, _mpmath_levels(beta0), strict=True):
+                assert abs(level.beta_n - root) <= 2.0 * np.spacing(root)
 
     def test_residual_calls_bounded(self, monkeypatch):
-        # one call on the bracket ends, then one per four halvings of the
-        # widest bracket: 1 + 10 at tol = 1e-12 whatever the number of levels
+        # one call on the ends and midpoints of every bracket, then one per
+        # Newton step of the levels still open, however many levels there are
         calls = []
-        original = spectrum.level_equation_residual
+        original = spectrum._level_phase
 
-        def counted(beta, config):
+        def counted(beta, odd, config):
             calls.append(np.size(beta))
-            return original(beta, config)
+            return original(beta, odd, config)
 
-        monkeypatch.setattr(spectrum, "level_equation_residual", counted)
-        assert len(solve_levels(make_config(200.0))) == 100
-        assert len(calls) <= 12
+        monkeypatch.setattr(spectrum, "_level_phase", counted)
+        for beta0 in (4.5, 12.0, 60.0, 200.0):
+            calls.clear()
+            count = len(solve_levels(make_config(beta0)))
+            assert count == level_count(make_config(beta0))
+            assert calls[0] == 3 * count
+            assert len(calls) <= 6, (beta0, calls)
 
 
 def _pbdv_norm(level, config) -> float:
