@@ -204,9 +204,11 @@ def cmd_wavepacket(args, parser) -> int:
     x_lo = -6.0 / config.alpha if args.include_interior else 0.0
     xs = np.linspace(x_lo, spec.x_start + 12.0 * spec.sigma_x, args.x_points)
     frames = wavepacket.evolve(spec, xs, times, mirror=args.mirror)
-    rows = [(t, x, psi.real, psi.imag, abs(psi) ** 2)
-            for t, frame in zip(frames.times, frames.psi)
-            for x, psi in zip(frames.x_grid, frame)]
+    psi = frames.psi
+    n_times, n_points = psi.shape
+    columns = (np.repeat(frames.times, n_points), np.tile(frames.x_grid, n_times),
+               psi.real.ravel(), psi.imag.ravel(), (np.abs(psi) ** 2).ravel())
+    rows = list(zip(*(column.tolist() for column in columns)))
     _emit(args, ["t", "x", "re_psi", "im_psi", "abs2_psi"], rows,
           extra={"summary": summary})
     return _EXIT_OK

@@ -20,7 +20,8 @@ G_n' = 1 + (2/pi) (R/(4q) + q R') / (R^2 + q^2) >= 1.  All levels are
 solved at once by a safeguarded Newton iteration on G_n: one evaluation at
 the ends and midpoints of every bracket, then one per Newton step, about
 four array evaluations per table at the default tol = 1e-12 however many
-levels it has.
+levels it has.  G_n' grows like 1/q at beta0, where G_n is analytic in q
+instead, so next to beta0 the step is taken in q.
 """
 
 from __future__ import annotations
@@ -190,8 +191,9 @@ def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLeve
     (module docstring), which needs no endpoint pull.  The first evaluation
     covers both ends and the midpoint of every bracket; an end with the
     wrong sign raises BracketError.  Each later evaluation serves one Newton
-    step of every level still open, from its last point; a step that would
-    leave the bracket known to hold the root halves it instead.  A level is
+    step of every level still open, from its last point, taken in
+    q = sqrt((beta0 - beta)/2) next to beta0; a step that would leave the
+    bracket known to hold the root halves it instead.  A level is
     done once its last step is no longer than tol, or when its bracket is
     two adjacent floats, so a tol below the float spacing still ends.
     """
@@ -211,6 +213,7 @@ def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLeve
         i = int(np.argmax(wrong))
         raise BracketError(f"no sign change on bracket ({float(lo[i])}, {float(hi[i])})")
     g, slope = g[2], slope[2]
+    at_branch = odd + 1.0 >= beta0  # the last bracket, when it ends at beta0
     roots = np.empty(odd.size)
     live = np.arange(odd.size)
     while live.size:
@@ -219,6 +222,15 @@ def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLeve
         hi[live[~below]] = x[~below]
         a, b = lo[live], hi[live]
         step_to = x - g / slope
+        # G is analytic in q = sqrt((beta0 - beta)/2) at beta0, not in beta.
+        # Once the branch term carries most of G' (G' > 2), Newton's error
+        # constant is the smaller in q: step in q there, where dG/dq = -4q G'
+        # tends to -(2/pi)/R.  A step past q = 0 halves instead.
+        branch = at_branch[live] & (slope > 2.0)
+        if branch.any():
+            q = np.sqrt((beta0 - x[branch]) / 2.0)
+            q_to = q + g[branch] / (4.0 * q * slope[branch])
+            step_to[branch] = np.where(q_to > 0.0, beta0 - 2.0 * q_to * q_to, np.nan)
         mid = 0.5 * (a + b)
         # x is now an end of its bracket: a Newton point must lie strictly
         # inside, unless the step rounds to zero, which ends the level

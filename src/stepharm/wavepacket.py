@@ -10,12 +10,22 @@ x = x_start at t = 0 moving toward the barrier with speed hbar*k_center/m.
 The reflection delay is measured as the time the reflected packet's
 centroid crosses the detector at x_start, minus the perfect-mirror
 prediction 2*x_start/(hbar*k_center/m).
+
+The k integral is a composite Gauss-Legendre sum.  The plane waves e^{ikx}
+of all its nodes form one table, built from one exponential per panel
+centre and one per shared node offset (``_plane_waves``); the incoming wave
+e^{-ikx} is its complex conjugate.  ``evolve`` sums the modes
+(e^{-ikx} + zeta(k) e^{ikx}) / sqrt(2 pi) on x >= 0 and the interior rows
+on x < 0, all formed in ``_mode_matrix``.  ``measure_delay`` follows the
+reflected packet alone: it sums the bare table, with zeta(k) and
+1/sqrt(2 pi) put on the k weights instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -125,52 +135,91 @@ def improper_eigenfunction(beta, config: PotentialConfig, x):
     ``contour.interior_rows`` misses J(beta), and x >= 0 need no contour solution.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    ks = np.array([config.k_continuum(beta)])
-    out = _mode_matrix(config, ks, x_arr, mirror=False)[0]
+    out = _mode_matrix(config, _KRule.single(config.k_continuum(beta)), x_arr,
+                       mirror=False)[0]
     return out[0] if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
-def _k_rule(spec: WavePacketSpec, n_nodes: int):
+class _KRule(NamedTuple):
+    """Composite Gauss-Legendre k rule in the factors of its plane waves.
+
+    Node p * len(offsets) + q is ks = centres[p] + offsets[q]: equal-width
+    panels share their node offsets from the panel centre.
+    """
+
+    ks: np.ndarray
+    weights: np.ndarray
+    centres: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def single(cls, k: float) -> "_KRule":
+        """The one node k of unit weight: one panel of one node."""
+        return cls(np.array([k]), np.ones(1), np.array([k]), np.zeros(1))
+
+
+def _k_rule(spec: WavePacketSpec, n_nodes: int) -> _KRule:
+    """The ``contour._panel_rule`` over k_center +/- 5 sigma_k, nodes as centre + offset.
+
+    The weights and panels are the panel rule's.  Its nodes are formed here
+    as the sums the plane-wave table factors, each within an ulp of the
+    panel rule's, so that e^{ikx}, c(k), Omega(k) and zeta(k) see one k.
+    """
     lo = spec.k_center - _K_SUPPORT_SIGMAS * spec.sigma_k
     hi = spec.k_center + _K_SUPPORT_SIGMAS * spec.sigma_k
-    return contour._panel_rule(lo, hi, n_nodes)
+    _, weights = contour._panel_rule(lo, hi, n_nodes)
+    n_panels = weights.size // contour._NODES_PER_PANEL
+    edges = np.linspace(lo, hi, n_panels + 1)
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    offsets = (0.5 * (hi - lo) / n_panels) * contour._GL_NODES
+    return _KRule(np.add.outer(centres, offsets).ravel(), weights, centres, offsets)
 
 
-def _outgoing(config: PotentialConfig, ks: np.ndarray, xs: np.ndarray,
-              mirror: bool) -> np.ndarray:
-    """Reflected plane waves zeta(k) e^{ikx}, with zeta = 1 for the mirror."""
-    refl = (np.ones_like(ks, dtype=complex) if mirror
-            else scattering.zeta(config.beta_from_k(ks), config))
-    return refl[:, None] * np.exp(1j * np.outer(ks, xs))
+def _plane_waves(rule: _KRule, x: np.ndarray) -> np.ndarray:
+    """Table e^{ikx}[node, x] of the rule's nodes, from per-panel factors.
+
+    e^{i (c_p + o_q) x} = e^{i c_p x} e^{i o_q x}: one exponential per panel
+    centre and one per shared node offset at each x, then one complex
+    product per entry, in place of one exponential per entry.
+    """
+    centre = np.exp(1j * np.multiply.outer(rule.centres, x))
+    offset = np.exp(1j * np.multiply.outer(rule.offsets, x))
+    return (centre[:, None, :] * offset[None, :, :]).reshape(rule.ks.size, x.size)
 
 
-def _mode_matrix(config: PotentialConfig, ks: np.ndarray, x_grid: np.ndarray,
+def _mode_matrix(config: PotentialConfig, rule: _KRule, x_grid: np.ndarray,
                  mirror: bool) -> np.ndarray:
     """Rows u_k(x) of the improper eigenfunctions on the grid.
 
     The one place where continuum modes are formed: ``evolve`` sums them
     into packets and ``improper_eigenfunction`` returns a single row.  The
-    interior is Pi(beta) times the checked rows of ``contour.interior_rows``.
+    step side is e^{-ikx} + zeta(k) e^{ikx}, the incoming wave the complex
+    conjugate of the plane-wave table; the interior is Pi(beta) times the
+    checked rows of ``contour.interior_rows``.
     """
-    modes = np.zeros((len(ks), len(x_grid)), dtype=complex)
+    betas = config.beta_from_k(rule.ks)
     neg = x_grid < 0.0
-    pos = ~neg
-    if pos.any():
-        xp = x_grid[pos]
-        modes[:, pos] = np.exp(-1j * np.outer(ks, xp)) + _outgoing(config, ks, xp, mirror)
-    if neg.any() and not mirror:  # the mirror's interior stays zero
-        betas = config.beta_from_k(ks)
-        y = config.alpha * x_grid[neg]
-        modes[:, neg] = (scattering.pi_coefficient(betas, config)[:, None]
-                         * contour.interior_rows(betas, y) * np.exp(-0.5 * y * y))
-    return modes / math.sqrt(2.0 * math.pi)
+    waves = _plane_waves(rule, x_grid[~neg])
+    step = np.conj(waves)
+    if not mirror:  # the mirror reflects with zeta = 1
+        np.multiply(scattering.zeta(betas, config)[:, None], waves, out=waves)
+    step += waves
+    modes = step
+    if neg.any():
+        modes = np.zeros((betas.size, x_grid.size), dtype=complex)
+        modes[:, ~neg] = step
+        if not mirror:  # the mirror's interior stays zero
+            y = config.alpha * x_grid[neg]
+            modes[:, neg] = (scattering.pi_coefficient(betas, config)[:, None]
+                             * contour.interior_rows(betas, y) * np.exp(-0.5 * y * y))
+    return np.divide(modes, math.sqrt(2.0 * math.pi), out=modes)
 
 
-def _frames_at(spec: WavePacketSpec, ks, ws, modes, times) -> np.ndarray:
-    """Packet frames psi[t, x] = sum_k w_k c(k) e^{-i Omega(k) t} modes[k, x]."""
-    weights = ws * spec.envelope(ks)
+def _frames_at(spec: WavePacketSpec, ks, weights, modes, times) -> np.ndarray:
+    """Packet frames psi[t, x] = sum_k weights_k c(k) e^{-i Omega(k) t} modes[k, x]."""
+    amplitudes = weights * spec.envelope(ks)
     phases = np.exp(-1j * np.outer(np.asarray(times, float), spec.omega_of(ks)))
-    return (phases * weights) @ modes
+    return (phases * amplitudes) @ modes
 
 
 def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSet:
@@ -192,8 +241,9 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
     previous = None
     n = _FRAME_NODES
     for _ in range(_FRAME_ROUNDS):
-        ks, ws = _k_rule(spec, n)
-        psi = _frames_at(spec, ks, ws, _mode_matrix(spec.config, ks, x_arr, mirror), t_arr)
+        rule = _k_rule(spec, n)
+        psi = _frames_at(spec, rule.ks, rule.weights,
+                         _mode_matrix(spec.config, rule, x_arr, mirror), t_arr)
         if previous is not None:
             scale = 1.0 + float(np.abs(psi).max(initial=0.0))
             if float(np.abs(psi - previous).max(initial=0.0)) < _FRAME_TOL * scale:
@@ -211,6 +261,19 @@ def _crossing_time(times: np.ndarray, centroids: np.ndarray, target: float):
     t0, t1 = times[i - 1], times[i]
     c0, c1 = centroids[i - 1], centroids[i]
     return t0 + (target - c0) * (t1 - t0) / (c1 - c0)
+
+
+def _reflected_frames(spec: WavePacketSpec, rule: _KRule, xs: np.ndarray,
+                      times: np.ndarray, mirror: bool) -> np.ndarray:
+    """Frames of the reflected packet alone: its waves zeta(k) e^{ikx} / sqrt(2 pi).
+
+    zeta (1 for the mirror) and 1/sqrt(2 pi) ride on the k weights, so the
+    (k x x) plane-wave table is used as it is built.
+    """
+    cfg = spec.config
+    refl = 1.0 if mirror else scattering.zeta(cfg.beta_from_k(rule.ks), cfg)
+    weights = rule.weights * refl / math.sqrt(2.0 * math.pi)
+    return _frames_at(spec, rule.ks, weights, _plane_waves(rule, xs), times)
 
 
 def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
@@ -235,9 +298,7 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
     xs = np.linspace(0.0, spec.x_start + 12.0 * spread, 1600)
 
     def centroid_delay(n: int):
-        ks, ws = _k_rule(spec, n)
-        modes = _outgoing(cfg, ks, xs, mirror) / math.sqrt(2.0 * math.pi)
-        psi = _frames_at(spec, ks, ws, modes, times)
+        psi = _reflected_frames(spec, _k_rule(spec, n), xs, times, mirror)
         rho = np.abs(psi) ** 2
         mass = np.trapezoid(rho, xs, axis=1)
         cent = np.trapezoid(xs * rho, xs, axis=1) / mass

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from stepharm import (BracketError, PotentialConfig, SingularityError, WavePacketSpec, cli,
-                      measure_delay, scattering)
+                      evolve, measure_delay, scattering)
 from stepharm.special import _LANCZOS_COEFFS
 
 
@@ -228,6 +228,30 @@ class TestWavepacket:
         config = PotentialConfig.from_beta0(1.5)
         expected = measure_delay(WavePacketSpec.for_beta(config, 6.0))
         assert summary["measured_delay"] == expected
+
+    def test_rows_are_the_frames_time_major(self, capsys):
+        # one row per (t, x), times outer; numpy's array abs may differ from
+        # the scalar abs() by 2 ulps, so |psi|^2 by 4
+        args = ("wavepacket", "--beta0", "1.5", "--beta-center", "6", "--t-max", "3.0",
+                "--frames", "3", "--x-points", "25")
+        assert run_cli(*args, "--format", "json") == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        spec = WavePacketSpec.for_beta(PotentialConfig.from_beta0(1.5), 6.0)
+        frames = evolve(spec, np.linspace(0.0, spec.x_start + 12.0 * spec.sigma_x, 25),
+                        np.linspace(0.0, 3.0, 3))
+        expected = [(t, x, psi.real, psi.imag, abs(psi) ** 2)
+                    for t, frame in zip(frames.times, frames.psi)
+                    for x, psi in zip(frames.x_grid, frame)]
+        assert len(data) == len(expected) == 75
+        for row, (t, x, re, im, abs2) in zip(data, expected):
+            assert list(row) == ["t", "x", "re_psi", "im_psi", "abs2_psi"]
+            assert (row["t"], row["x"], row["re_psi"], row["im_psi"]) == (t, x, re, im)
+            assert row["abs2_psi"] == pytest.approx(abs2, rel=1e-15, abs=0.0)
+        assert run_cli(*args) == 0
+        header, rows = read_csv(capsys.readouterr().out)
+        assert header == ["t", "x", "re_psi", "im_psi", "abs2_psi"]
+        assert [row[:2] for row in rows] == [[cli._fmt(t), cli._fmt(x)]
+                                             for t, x, *_ in expected]
 
     def test_beta_center_takes_width_and_start(self, capsys):
         # sigma_x = 1 / (2 sigma_k) = 10, so the grid ends at 80 + 12 * 10

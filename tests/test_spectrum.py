@@ -263,6 +263,20 @@ def _batched_roots(beta0: float, tol: float = 1e-12) -> list[float]:
                                 ends[:, 0].copy(), ends[:, 1].copy(), tol).tolist()
 
 
+@pytest.fixture
+def phase_calls(monkeypatch):
+    """Sizes of the spectrum._level_phase evaluations made during the test."""
+    calls = []
+    original = spectrum._level_phase
+
+    def counted(beta, odd, config):
+        calls.append(np.size(beta))
+        return original(beta, odd, config)
+
+    monkeypatch.setattr(spectrum, "_level_phase", counted)
+    return calls
+
+
 class TestBatchedBisection:
     # The two batched bracket solvers: _bisect_all, driven here directly on
     # the cotangent form of the level equation, and the safeguarded Newton
@@ -376,23 +390,33 @@ class TestBatchedBisection:
             for level, root in zip(levels, _mpmath_levels(beta0), strict=True):
                 assert abs(level.beta_n - root) <= 2.0 * np.spacing(root)
 
-    def test_residual_calls_bounded(self, monkeypatch):
+    def test_residual_calls_bounded(self, phase_calls):
         # one call on the ends and midpoints of every bracket, then one per
         # Newton step of the levels still open, however many levels there are
-        calls = []
-        original = spectrum._level_phase
-
-        def counted(beta, odd, config):
-            calls.append(np.size(beta))
-            return original(beta, odd, config)
-
-        monkeypatch.setattr(spectrum, "_level_phase", counted)
         for beta0 in (4.5, 12.0, 60.0, 200.0):
-            calls.clear()
+            phase_calls.clear()
             count = len(solve_levels(make_config(beta0)))
             assert count == level_count(make_config(beta0))
-            assert calls[0] == 3 * count
-            assert len(calls) <= 6, (beta0, calls)
+            assert phase_calls[0] == 3 * count
+            assert len(phase_calls) <= 6, (beta0, phase_calls)
+
+    @pytest.mark.parametrize("beta0", [1.0 + 1e-6, 3.0 + 1e-7, 3.0004, 5.011])
+    def test_root_next_to_the_branch_point_takes_few_calls(self, beta0, phase_calls):
+        # the last root sits just below beta0, where G' grows like 1/q: the
+        # step in q = sqrt((beta0 - beta)/2) lands where halvings used to
+        # take 6 to 19 calls
+        levels = solve_levels(make_config(beta0))
+        assert len(phase_calls) <= 6, phase_calls
+        for level, root in zip(levels, _mpmath_levels(beta0), strict=True):
+            assert abs(level.beta_n - root) <= 1e-12
+
+    def test_calls_per_table_over_a_scan(self, phase_calls):
+        worst = 0
+        for beta0 in np.linspace(2.5, 12.0, 1000).tolist():
+            phase_calls.clear()
+            solve_levels(make_config(beta0))
+            worst = max(worst, len(phase_calls))
+        assert worst <= 5
 
 
 def _pbdv_norm(level, config) -> float:

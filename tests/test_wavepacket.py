@@ -1,5 +1,7 @@
 """Improper eigenfunctions, packet evolution and the measured delay."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -52,8 +54,8 @@ class TestImproperEigenfunction:
 
     def test_is_the_mode_row_at_k_of_beta(self, cfg15):
         xs = np.linspace(-4.0, 6.0, 41)
-        ks = np.array([cfg15.k_continuum(2.4)])
-        row = wavepacket._mode_matrix(cfg15, ks, xs, mirror=False)[0]
+        rule = wavepacket._KRule.single(cfg15.k_continuum(2.4))
+        row = wavepacket._mode_matrix(cfg15, rule, xs, mirror=False)[0]
         assert np.array_equal(improper_eigenfunction(2.4, cfg15, xs), row)
 
     @pytest.mark.parametrize("beta", [28.2, 40.3])
@@ -189,3 +191,118 @@ class TestMeasureDelay:
                               x_start=4.81 / (2.0 * sigma_k), config=cfg15)
         with pytest.raises(DispersionError):
             measure_delay(spec)
+
+
+def _direct_modes(config, ks, xs, mirror, incoming=True):
+    """u_k(x) with plane waves from one exponential per (k, x).
+
+    (e^{-ikx} + zeta e^{ikx}) / sqrt(2 pi) on x >= 0 (zeta = 1 for the
+    mirror, the incoming wave left out when ``incoming`` is false), and
+    Pi(beta) F(alpha x) e^{-(alpha x)^2/2} / sqrt(2 pi) on x < 0 (zero for the mirror).
+    """
+    betas = config.beta_from_k(ks)
+    refl = 1.0 if mirror else zeta(betas, config)[:, None]
+    modes = refl * np.exp(1j * np.outer(ks, xs))
+    if incoming:
+        modes += np.exp(-1j * np.outer(ks, xs))
+    neg = xs < 0.0
+    if neg.any():
+        y = config.alpha * xs[neg]
+        modes[:, neg] = 0.0 if mirror else (pi_coefficient(betas, config)[:, None]
+                                            * contour.interior_rows(betas, y)
+                                            * np.exp(-0.5 * y * y))
+    return modes / math.sqrt(2.0 * math.pi)
+
+
+def _direct_frames(spec, ks, ws, modes, times):
+    """psi(t, x) = sum_k w_k c(k) e^{-i Omega(k) t} u_k(x)."""
+    amplitudes = (ws * spec.envelope(ks)
+                  * np.exp(-1j * np.outer(times, spec.omega_of(ks))))
+    return amplitudes @ modes
+
+
+def _delay_grid(spec, monkeypatch):
+    """The positions on which measure_delay samples the reflected packet."""
+    grids = []
+    frames = wavepacket._reflected_frames
+
+    def spy(spec, rule, xs, times, mirror):
+        grids.append(xs)
+        return frames(spec, rule, xs, times, mirror)
+
+    monkeypatch.setattr(wavepacket, "_reflected_frames", spy)
+    measure_delay(spec)
+    monkeypatch.undo()
+    return grids[0]
+
+
+class TestPlaneWaves:
+    @pytest.mark.parametrize("beta", [6.0, 40.0])
+    def test_table_equals_direct_exponentials(self, cfg15, beta, monkeypatch):
+        spec = WavePacketSpec.for_beta(cfg15, beta)
+        uniform = _delay_grid(spec, monkeypatch)
+        assert np.all(np.diff(uniform) > 0.0) and uniform.size == 1600
+        scattered = np.sort(np.concatenate([
+            -np.geomspace(1e-3, 6.0, 50), [0.0], np.geomspace(1e-3, uniform[-1], 300)]))
+        for n in (128, 256, 512, 1024):
+            rule = wavepacket._k_rule(spec, n)
+            assert rule.ks.size == rule.centres.size * rule.offsets.size >= n
+            for xs in (uniform, scattered):
+                table = wavepacket._plane_waves(rule, xs)
+                assert np.abs(table - np.exp(1j * np.outer(rule.ks, xs))).max() <= 1e-13
+
+    def test_rule_is_the_panel_rule(self, cfg15):
+        # the nodes, formed as centre + offset, stay within an ulp of the
+        # composite rule's; the weights are its own
+        spec = WavePacketSpec.for_beta(cfg15, 6.0)
+        for n in (128, 1024):
+            rule = wavepacket._k_rule(spec, n)
+            ks, ws = contour._panel_rule(spec.k_center - 5.0 * spec.sigma_k,
+                                         spec.k_center + 5.0 * spec.sigma_k, n)
+            assert np.array_equal(rule.weights, ws)
+            assert np.all(np.abs(rule.ks - ks) <= np.spacing(ks))
+
+    @pytest.mark.parametrize("beta", [1.7, 2.4, 4.0, 28.2])
+    def test_improper_eigenfunction_on_the_step_side(self, cfg15, beta):
+        xs = np.linspace(0.0, 60.0, 601)
+        k = cfg15.k_continuum(beta)
+        expected = ((np.exp(-1j * k * xs) + zeta(beta, cfg15) * np.exp(1j * k * xs))
+                    / math.sqrt(2.0 * math.pi))
+        assert np.abs(improper_eigenfunction(beta, cfg15, xs) - expected).max() <= 1e-15
+
+
+class TestPacketSums:
+    """measure_delay and evolve against sums of directly exponentiated modes."""
+
+    @pytest.mark.parametrize("beta,mirror", [(6.0, False), (6.0, True), (3.0, False),
+                                             (40.0, False)])
+    def test_measure_delay(self, cfg15, beta, mirror, monkeypatch):
+        spec = WavePacketSpec.for_beta(cfg15, beta)
+        delay = measure_delay(spec, mirror=mirror)
+
+        def reference(spec, rule, xs, times, mirror):
+            # the reflected packet: the outgoing waves alone
+            modes = _direct_modes(cfg15, rule.ks, xs, mirror, incoming=False)
+            return _direct_frames(spec, rule.ks, rule.weights, modes, times)
+
+        monkeypatch.setattr(wavepacket, "_reflected_frames", reference)
+        assert abs(measure_delay(spec, mirror=mirror) - delay) <= 1e-12
+
+    @pytest.mark.parametrize("x_lo,mirror", [(0.0, False), (0.0, True), (-4.0, False)])
+    def test_evolve(self, cfg15, x_lo, mirror, monkeypatch):
+        spec = WavePacketSpec.for_beta(cfg15, 6.0)
+        xs = np.linspace(x_lo, spec.x_start + 12.0 * spec.sigma_x, 400)
+        times = np.linspace(0.0, 40.0, 9)
+        rules = []
+        k_rule = wavepacket._k_rule
+
+        def recorded(spec, n):
+            rules.append(k_rule(spec, n))
+            return rules[-1]
+
+        monkeypatch.setattr(wavepacket, "_k_rule", recorded)
+        psi = evolve(spec, xs, times, mirror=mirror).psi
+        last = rules[-1]
+        expected = _direct_frames(spec, last.ks, last.weights,
+                                  _direct_modes(cfg15, last.ks, xs, mirror), times)
+        assert np.abs(psi - expected).max() <= 1e-12 * np.abs(expected).max()
