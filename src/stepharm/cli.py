@@ -8,7 +8,7 @@ rows, and the run manifest (which carries the timestamp) travels either
 inside the JSON document or in a sidecar file next to the CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments,
-3 requested level does not exist, 4 numerical failure.
+3 requested level does not exist, 4 numerical failure or out of memory.
 """
 
 from __future__ import annotations
@@ -313,6 +313,9 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"argument error: {exc}", file=sys.stderr)
         return _EXIT_BAD_ARGS
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return _EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -20,10 +20,13 @@ class ConvergenceError(StepharmError, RuntimeError):
 class BracketError(StepharmError, RuntimeError):
     """A root bracket did not contain a sign change.
 
-    For the level equation this signals an internal inconsistency: its
+    Both bracketed root searches build their brackets so that this cannot
+    happen; it signals an internal inconsistency.  The level equation's
     pole-free phase form is negative at the lower end 2n+1 of every bracket
-    and positive at the upper end min(2n+2, beta0) by construction, so the
-    level solver takes the brackets as they are, with no endpoint pull.
+    and positive at the upper end min(2n+2, beta0), so the level solver
+    takes the brackets as they are, with no endpoint pull.  Each half-height
+    crossing of ``find_resonances`` is bracketed by two neighbours of the
+    coarse delay scan that lie on either side of the half level.
     """
 
 

@@ -33,6 +33,8 @@ class PotentialConfig:
     u0: float = 0.5
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.hbar, self.mass, self.kappa, self.u0))):
+            raise DomainError("hbar, mass, kappa and u0 must be finite")
         if self.hbar <= 0 or self.mass <= 0 or self.kappa <= 0:
             raise DomainError("hbar, mass and kappa must be positive")
         if self.u0 < 0:
@@ -46,6 +48,8 @@ class PotentialConfig:
         the dimensionless bookkeeping in which all results depend only on
         beta and beta0.
         """
+        if not math.isfinite(beta0):
+            raise DomainError("beta0 must be finite")
         if beta0 < 0.5:
             raise DomainError("beta0 must be >= 1/2 (u0 >= 0)")
         return cls(u0=beta0 - 0.5)

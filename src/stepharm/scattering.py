@@ -17,16 +17,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contour
-from .errors import DomainError, SingularityError
+from .errors import BracketError, DomainError, SingularityError
 from .potential import PotentialConfig
 from .runtime import parallel_map
 from .special import digamma, gamma_half_ratio
-from .spectrum import _bisect_all
 
 _SQRT2 = math.sqrt(2.0)
 _RESONANCE_SCAN_STEP = 0.01
 _RESONANCE_MIN_HEIGHT = 1.05  # in units of the classical limit pi/omega
 _RESONANCE_TOL = 1e-10  # bracket width where the peak and half-height searches stop
+_SECTIONS = 16  # equal parts each open bracket is cut into per call of the residual
 
 
 @dataclass(frozen=True)
@@ -155,6 +155,44 @@ def _golden_max(f, lo: float, hi: float) -> float:
     return 0.5 * (a + b)
 
 
+def _multisect(f, inside: np.ndarray, outside: np.ndarray, tol: float) -> np.ndarray:
+    """Roots of every bracket (inside[i], outside[i]) at once, ends in either order.
+
+    f(points, brackets) maps points to residuals elementwise; ``brackets``
+    holds each point's bracket index, so each bracket can have its own
+    residual.  After one call on the ends, each call cuts every open
+    bracket into _SECTIONS equal parts and keeps the first, counted from
+    the inside, whose far end has changed sign or is zero.  An exact zero
+    at an end or a node is the root.  Otherwise a bracket ends no wider
+    than tol, or when a call cannot narrow it (so a tol below the float
+    spacing still ends), and its midpoint is the root.
+    """
+    every = np.arange(inside.size)
+    ends = f(np.concatenate([inside, outside]), np.concatenate([every, every]))
+    f_near, f_far = np.split(ends, 2)
+    no_change = np.flatnonzero(np.sign(f_near) * np.sign(f_far) > 0.0)
+    if no_change.size:
+        i = no_change[0]
+        raise BracketError(f"no sign change on bracket ({inside[i]}, {outside[i]})")
+    far = np.where(f_near == 0.0, inside, outside)
+    near = np.where(f_far == 0.0, far, inside)  # a zero end closes its bracket
+    fractions = np.arange(1, _SECTIONS) / _SECTIONS
+    live = np.flatnonzero(np.abs(far - near) > tol)
+    while live.size:
+        lo, hi = near[live], far[live]
+        nodes = np.column_stack([lo, lo[:, None] + (hi - lo)[:, None] * fractions, hi])
+        inner = f(nodes[:, 1:-1].ravel(), np.repeat(live, _SECTIONS - 1))
+        # the far end's sign is opposite to the near end's by construction
+        values = np.column_stack([f_near[live], inner.reshape(live.size, -1), -f_near[live]])
+        j = np.argmax(np.sign(values[:, 1:]) != np.sign(values[:, :1]), axis=1) + 1
+        rows = np.arange(live.size)
+        near[live] = nodes[rows, np.where(values[rows, j] == 0.0, j, j - 1)]
+        far[live], f_near[live] = nodes[rows, j], values[rows, j - 1]
+        moved = (near[live] != lo) | (far[live] != hi)
+        live = live[moved & (np.abs(far[live] - near[live]) > tol)]
+    return 0.5 * (near + far)
+
+
 def find_resonances(config: PotentialConfig, beta_max: float) -> list[Resonance]:
     """Locate delay-curve maxima: coarse scan, golden-section refinement, FWHM.
 
@@ -163,10 +201,13 @@ def find_resonances(config: PotentialConfig, beta_max: float) -> list[Resonance]
     peak and the classical baseline pi/omega (the raw half-maximum can lie
     below the baseline and would never be crossed).  The monotone descent
     from a threshold divergence is not a local maximum and is therefore
-    never reported.  The half-height crossings of all peaks are bisected
-    together, one ``delay_time`` call per four bisection levels.
+    never reported.  The half-height crossings of all peaks are found
+    together by one multisection, each ``delay_time`` call after the one on
+    the bracket ends narrowing every open bracket 16-fold.
     """
     beta0 = config.beta0
+    if not math.isfinite(beta_max):
+        raise DomainError("beta_max must be finite")
     if beta_max <= beta0 + 1.0:
         raise DomainError("beta_max must exceed beta0 + 1")
     baseline = math.pi / config.omega
@@ -185,28 +226,22 @@ def find_resonances(config: PotentialConfig, beta_max: float) -> list[Resonance]
     halves = [baseline + 0.5 * (tau_peak - baseline) for _, tau_peak in peaks]
     # Walk outward on the coarse grid until tau drops through the half
     # level.  A side that reaches the end of the grid first ends there;
-    # every other side brackets its crossing between two grid neighbours.
-    outer = []
+    # every other side brackets its crossing between its last two steps.
+    walks = []
     for i, half in zip(candidates, halves):
-        left = i
-        while left > 0 and taus[left] > half:
-            left -= 1
-        right = i
-        while right < len(grid) - 1 and taus[right] > half:
-            right += 1
-        outer += [left, right]
-    outer = np.array(outer, dtype=int)
+        for step in (-1, 1):
+            j = i
+            while 0 < j < len(grid) - 1 and taus[j] > half:
+                j += step
+            walks.append((j - step, j))
+    inside, outside = np.array(walks, dtype=int).reshape(-1, 2).T
     levels = np.repeat(halves, 2)
-    crossed = taus[outer] <= levels
-    ends = grid[outer]
-    if crossed.any():
-        # lower end of each bracket: the walk's end on a left side, the point
-        # before it on a right side
-        low = (outer - np.tile([0, 1], len(candidates)))[crossed]
-        crossed_levels = levels[crossed]
-        ends[crossed] = _bisect_all(
-            lambda b, k: delay_time(b, config) - crossed_levels[k],
-            grid[low], grid[low + 1], _RESONANCE_TOL)
+    ends = grid[outside]
+    crossed = np.flatnonzero(taus[outside] <= levels)
+    if crossed.size:
+        ends[crossed] = _multisect(
+            lambda b, k: delay_time(b, config) - levels[crossed[k]],
+            grid[inside[crossed]], ends[crossed], _RESONANCE_TOL)
     return [Resonance(beta_peak=float(beta_peak), tau_peak=float(tau_peak),
                       width=float(b_right - b_left))
             for (beta_peak, tau_peak), b_left, b_right

@@ -36,8 +36,6 @@ from .errors import BracketError, DomainError
 from .potential import PotentialConfig
 from .special import digamma, gamma_half_ratio
 
-_TREE_DEPTH = 4  # bisection levels evaluated per residual call
-
 
 @dataclass(frozen=True)
 class EnergyLevel:
@@ -85,77 +83,6 @@ def level_equation_residual(beta, config: PotentialConfig):
         cot = np.cos(np.pi * b / 2.0) / np.sin(np.pi * b / 2.0)
         g = gamma_half_ratio(b / 2.0) * cot + np.sqrt((beta0 - b) / 2.0)
     return float(g) if np.ndim(beta) == 0 else g
-
-
-def _bisect_all(f, lo: np.ndarray, hi: np.ndarray, tol: float) -> np.ndarray:
-    """Bisect every bracket (lo[i], hi[i]) at once, _TREE_DEPTH levels per call of f.
-
-    f(points, brackets) maps an array of points to their residuals,
-    elementwise; ``brackets`` holds the index of the bracket each point
-    belongs to, so each bracket can have its own residual.  lo and hi are
-    narrowed in place.  Each bracket follows the scalar rules: an
-    endpoint with zero residual is the root, an exact zero at a midpoint is
-    the root, otherwise the bracket is halved until it is no wider than tol
-    and its midpoint returned.  A bracket whose midpoint rounds to one of
-    its ends can shrink no further and is closed there, so a tol below the
-    float spacing still ends.
-
-    After one call on the bracket ends, each call evaluates the whole
-    bisection tree of every open bracket down to _TREE_DEPTH levels, every
-    node formed as 0.5*(a+b) from its parent's ends exactly as a scalar
-    bisection forms its midpoints.  The levels are then walked one by one
-    under the rules above, so every root is the one a scalar bisection of
-    its bracket alone gives; the nodes below a bracket's last step are
-    evaluated and unused.
-    """
-    count = lo.size
-    every = np.arange(count)
-    ends = f(np.concatenate([lo, hi]), np.concatenate([every, every]))
-    f_lo, f_hi = ends[:count], ends[count:]
-    roots = np.empty(count)
-    found = f_lo == 0.0
-    roots[found] = lo[found]
-    at_hi = ~found & (f_hi == 0.0)
-    roots[at_hi] = hi[at_hi]
-    found |= at_hi
-    no_change = ~found & (f_lo * f_hi > 0.0)
-    if no_change.any():
-        i = int(np.argmax(no_change))
-        raise BracketError(f"no sign change on bracket ({float(lo[i])}, {float(hi[i])})")
-    live = np.flatnonzero(~found & (hi - lo > tol))
-    span = 2 ** _TREE_DEPTH
-    while live.size:
-        # grid[:, j] is the node at j/span of the way from lo to hi, filled
-        # coarse to fine: step s fills the midpoints of the nodes s apart
-        grid = np.empty((live.size, span + 1))
-        grid[:, 0], grid[:, span] = lo[live], hi[live]
-        step = span
-        while step > 1:
-            grid[:, step // 2::step] = 0.5 * (grid[:, :-1:step] + grid[:, step::step])
-            step //= 2
-        values = f(grid[:, 1:-1].ravel(), np.repeat(live, span - 1))
-        values = values.reshape(live.size, span - 1)
-        rows = np.arange(live.size)
-        start = np.zeros(live.size, dtype=int)  # grid index of each bracket's lo
-        step = span
-        while step > 1 and live.size:
-            step //= 2
-            node = start + step
-            lo_live, hi_live = lo[live], hi[live]
-            mid, f_mid = grid[rows, node], values[rows, node - 1]
-            stuck = (mid == lo_live) | (mid == hi_live)
-            left = f_lo[live] * f_mid < 0.0
-            hi[live[left]] = mid[left]
-            lo[live[~left]] = mid[~left]
-            f_lo[live[~left]] = f_mid[~left]
-            hit = f_mid == 0.0
-            roots[live[hit]] = mid[hit]
-            found[live[hit]] = True
-            keep = ~hit & ~stuck & (hi[live] - lo[live] > tol)
-            start = np.where(left, start, node)[keep]
-            rows, live = rows[keep], live[keep]
-    roots[~found] = 0.5 * (lo[~found] + hi[~found])
-    return roots
 
 
 def _ratio_and_slope(beta: np.ndarray):

@@ -133,6 +133,18 @@ class TestDelay:
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
 
+    def test_unallocatable_curve_exits_4(self, capsys):
+        # 1e17 float64 points are 711 PiB, past the largest user address
+        # space of 64-bit machines (2^57 bytes, 128 PiB), so numpy refuses
+        # up front and nothing is allocated
+        code = run_cli("delay", "--beta0", "1.5", "--beta-min", "1.6",
+                       "--beta-max", "2", "--steps", str(10 ** 17))
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("out of memory: ")
+        assert captured.err.count("\n") == 1
+
     def test_curve_shows_resonance_peaks(self, capsys):
         assert run_cli("delay", "--beta0", "1.5", "--beta-min", "1.6",
                        "--beta-max", "8.0", "--steps", "321") == 0
@@ -319,15 +331,24 @@ class TestResonances:
         assert any(abs(p - 5.0) < 0.2 for p in peaks)
 
     def test_unbracketed_crossing_exits_4(self, capsys, monkeypatch):
-        def unbracketed(f, lo, hi, tol):
-            raise BracketError(f"no sign change on bracket ({lo[0]}, {hi[0]})")
+        def unbracketed(f, inside, outside, tol):
+            raise BracketError(f"no sign change on bracket ({inside[0]}, {outside[0]})")
 
-        monkeypatch.setattr(scattering, "_bisect_all", unbracketed)
+        monkeypatch.setattr(scattering, "_multisect", unbracketed)
         code = run_cli("resonances", "--beta0", "1.5", "--beta-max", "12")
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
         assert captured.err.startswith("numerical failure: no sign change on bracket (")
+
+    def test_unallocatable_scan_exits_4(self, capsys):
+        # the 0.01 scan grid up to 1e15 has 1e17 points (711 PiB)
+        code = run_cli("resonances", "--beta0", "1.5", "--beta-max", "1e15")
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("out of memory: ")
+        assert captured.err.count("\n") == 1
 
     def test_nan_beta_max_exits_2(self):
         with pytest.raises(SystemExit) as exc:

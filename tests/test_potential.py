@@ -23,8 +23,14 @@ class TestPotentialConfig:
         with pytest.raises(DomainError):
             PotentialConfig.from_beta0(0.3)
 
+    @pytest.mark.parametrize("beta0", [math.nan, math.inf])
+    def test_from_beta0_non_finite_rejected(self, beta0):
+        with pytest.raises(DomainError, match="beta0 must be finite"):
+            PotentialConfig.from_beta0(beta0)
+
     @pytest.mark.parametrize("kwargs", [
         {"hbar": 0.0}, {"mass": -1.0}, {"kappa": 0.0}, {"u0": -0.1},
+        {"u0": math.inf}, {"hbar": math.nan}, {"mass": math.inf}, {"kappa": math.nan},
     ])
     def test_invalid_constants_rejected(self, kwargs):
         with pytest.raises(DomainError):

@@ -1,16 +1,17 @@
 """Reflection coefficient, phase shift, closed-form delay and resonances."""
 
 import math
+import threading
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special as sps
 
-from stepharm import (DomainError, PotentialConfig, SingularityError,
+from stepharm import (BracketError, DomainError, PotentialConfig, SingularityError,
                       delay_time, delta_prime, find_resonances, phase_shift,
                       pi_coefficient, zeta, j_beta)
 from stepharm import contour, scattering
-from stepharm.spectrum import _bisect_all
 from stepharm.special import digamma, gamma_half_ratio
 from stepharm.verification import phase_derivative_residual
 from tests.conftest import make_config
@@ -256,56 +257,100 @@ class TestResonances:
         with pytest.raises(DomainError):
             find_resonances(cfg15, beta_max=2.4)
 
+    @pytest.mark.parametrize("beta_max", [math.nan, math.inf])
+    def test_non_finite_beta_max(self, cfg15, beta_max):
+        with pytest.raises(DomainError, match="beta_max must be finite"):
+            find_resonances(cfg15, beta_max=beta_max)
 
-def scalar_half_crossing(f, inside: float, outside: float, level: float,
-                         tol: float = 1e-10) -> float:
-    """Bisect f(beta) = level between a point above and a point below it, one call at a time."""
-    lo, hi = inside, outside
-    f_lo = f(lo) - level
-    while abs(hi - lo) > tol:
-        mid = 0.5 * (lo + hi)
-        if (f(mid) - level) * f_lo > 0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    @pytest.mark.parametrize("n", [3, 31, 99])
+    @pytest.mark.parametrize("delta", [0.05, 1e-3])
+    def test_just_below_odd_step_heights(self, n, delta):
+        # the peak that becomes a bound state at beta0 = n sits just above
+        # threshold, on the upward divergence of tau there
+        beta0 = n - delta
+        found = find_resonances(make_config(beta0), beta_max=beta0 + 10.0)
+        assert found
+        assert all(r.width > 0 for r in found)
+
+
+def _mpmath_delay(beta, beta0):
+    """tau at 30 digits from the phase of zeta = (a - i b)/(a + i b).
+
+    delta = -2 atan2(b, a), so tau = delta' = -2 (a b' - b a')/(a^2 + b^2),
+    with b' by mpmath.diff: a route apart from delta_prime's closed form.
+    """
+    def b_of(t):
+        return (mpmath.sqrt(2 / (t - beta0)) * mpmath.gamma((t + 1) / 2)
+                / mpmath.gamma(t / 2) * mpmath.cos(mpmath.pi * t / 2))
+
+    a, d_a = mpmath.sin(mpmath.pi * beta / 2), mpmath.pi / 2 * mpmath.cos(mpmath.pi * beta / 2)
+    b, d_b = b_of(beta), mpmath.diff(b_of, beta)
+    return -2 * (a * d_b - b * d_a) / (a * a + b * b)
+
+
+def _mpmath_crossing(beta0: float, level: float, inside: float, outside: float) -> float:
+    """Root of tau(beta) = level between inside (above it) and outside, by 30-digit bisection."""
+    with mpmath.workdps(30):
+        lo, hi = mpmath.mpf(inside), mpmath.mpf(outside)
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if _mpmath_delay(mid, beta0) > level else (lo, mid)
+        return float((lo + hi) / 2)
 
 
 class TestHalfCrossings:
-    """The half-height crossings of all peaks come from one batched bisection."""
+    """The half-height crossings of all peaks come from one batched multisection."""
+
+    def test_mpmath_delay_is_delay_time(self):
+        with mpmath.workdps(30):
+            for beta in (1.6, 3.0, 7.25, 60.5):
+                exact = float(_mpmath_delay(mpmath.mpf(beta), mpmath.mpf(1.5)))
+                assert delay_time(beta, make_config(1.5)) == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("beta0", [1.5, 2.5, 4.5])
-    def test_widths_match_scalar_bisection(self, beta0):
-        # the reference walks the coarse scan outward from each local maximum
-        # and bisects each crossing on its own, one scalar call per step
+    def test_widths_match_mpmath(self, beta0, monkeypatch):
+        # every crossing against a 30-digit root of tau = half on the grid
+        # bracket of the coarse walk, and every width against those roots
+        # (or the grid end a side runs into)
+        crossings = []
+        original = scattering._multisect
+
+        def recorded(*args):
+            roots = original(*args)
+            crossings.extend(roots.tolist())
+            return roots
+
+        monkeypatch.setattr(scattering, "_multisect", recorded)
         config = make_config(beta0)
         baseline = math.pi / config.omega
         grid = np.arange(beta0 + scattering._RESONANCE_SCAN_STEP, 100.0,
                          scattering._RESONANCE_SCAN_STEP)
         taus = delay_time(grid, config)
-        tau_of = lambda b: delay_time(float(b), config)
         found = find_resonances(config, beta_max=100.0)
         maxima = [i for i in range(1, len(grid) - 1)
                   if taus[i - 1] < taus[i] >= taus[i + 1] and taus[i] > 1.05 * baseline]
         assert len(found) == len(maxima) >= 5
+        computed = iter(crossings)
         for i, res in zip(maxima, found):
             half = baseline + 0.5 * (res.tau_peak - baseline)
-            left = i
-            while left > 0 and taus[left] > half:
-                left -= 1
-            right = i
-            while right < len(grid) - 1 and taus[right] > half:
-                right += 1
-            b_left = (scalar_half_crossing(tau_of, grid[left + 1], grid[left], half)
-                      if taus[left] <= half else grid[left])
-            b_right = (scalar_half_crossing(tau_of, grid[right - 1], grid[right], half)
-                       if taus[right] <= half else grid[right])
-            assert res.width == float(b_right - b_left)
+            sides = []
+            for step in (-1, 1):
+                j = i
+                while 0 < j < len(grid) - 1 and taus[j] > half:
+                    j += step
+                if taus[j] > half:
+                    sides.append(float(grid[j]))
+                    continue
+                exact = _mpmath_crossing(beta0, half, grid[j - step], grid[j])
+                assert abs(next(computed) - exact) <= 1e-10
+                sides.append(exact)
+            assert abs(res.width - (sides[1] - sides[0])) <= 1e-10
+        assert next(computed, None) is None
 
     def test_half_crossings_take_few_delay_calls(self, monkeypatch, cfg15):
         # after the scan (one array call) and the scalar golden sections, the
-        # crossings of 0.01-wide brackets to tol 1e-10 (27 halvings) take one
-        # call on the ends and seven of four levels each
+        # crossings of 0.01-wide brackets to tol 1e-10 take one call on the
+        # ends and seven 16-fold narrowings
         calls = []
         original = scattering.delay_time
 
@@ -318,7 +363,19 @@ class TestHalfCrossings:
         assert calls[0] == 1
         assert calls[1:].count(1) == 8
 
-    def test_bisect_all_takes_a_level_per_bracket(self):
+
+class TestMultisection:
+    def test_reversed_brackets(self):
+        # (inside, outside) in either order: the same root to tol
+        levels = np.array([2.0, 2.0, 5.0, 5.0])
+        inside = np.array([1.0, 2.0, 2.0, 3.0])
+        outside = np.array([2.0, 1.0, 3.0, 2.0])
+        roots = scattering._multisect(lambda b, k: b * b - levels[k], inside, outside, 1e-12)
+        assert np.abs(roots - np.sqrt(levels)).max() <= 1e-12
+        assert inside.tolist() == [1.0, 2.0, 2.0, 3.0]
+        assert outside.tolist() == [2.0, 1.0, 3.0, 2.0]
+
+    def test_takes_a_level_per_bracket(self):
         # brackets that share their ends but not their levels
         levels = np.array([2.0, 3.0, 5.0, 7.0])
         calls = []
@@ -327,7 +384,74 @@ class TestHalfCrossings:
             calls.append(brackets.tolist())
             return b * b - levels[brackets]
 
-        roots = _bisect_all(residual, np.array([1.0, 1.0, 2.0, 2.0]),
-                            np.array([2.0, 2.0, 3.0, 3.0]), 1e-12)
+        roots = scattering._multisect(residual, np.array([1.0, 1.0, 2.0, 2.0]),
+                                      np.array([2.0, 2.0, 3.0, 3.0]), 1e-12)
         assert np.abs(roots - np.sqrt(levels)).max() <= 1e-12
         assert calls[0] == [0, 1, 2, 3, 0, 1, 2, 3]
+        assert calls[1] == np.repeat([0, 1, 2, 3], 15).tolist()
+
+    def test_exact_zeros_are_returned_as_they_are(self):
+        # roots at the inside end, the outside end, a node of the first call
+        # and a node of the second, on brackets of both orders
+        roots = np.array([0.0, 1.0, 5.0 / 16.0, 1.0 - (3.0 + 7.0 / 16.0) / 16.0])
+        inside = np.array([0.0, 0.0, 1.0, 1.0])
+        outside = np.array([1.0, 1.0, 0.0, 0.0])
+        calls = []
+
+        def residual(b, k):
+            calls.append(b.size)
+            return roots[k] - b
+
+        found = scattering._multisect(residual, inside, outside, 1e-12)
+        assert found.tolist() == roots.tolist()
+        assert calls == [8, 2 * 15, 15]
+
+    def test_brackets_close_at_different_calls(self):
+        # widths 1, 16 and 256 with tol = 1 need 0, 1 and 2 narrowings
+        widths = 16.0 ** np.arange(3)
+        targets = widths * (math.sqrt(2.0) - 1.0)
+        calls = []
+
+        def residual(b, k):
+            calls.append(b.size)
+            return targets[k] - b
+
+        roots = scattering._multisect(residual, np.zeros(3), widths, 1.0)
+        assert calls == [6, 2 * 15, 15]
+        assert np.all(np.abs(roots - targets) <= 0.5)
+
+    def test_tol_below_float_spacing_returns(self):
+        # on (1, 1 + 4 eps) the nodes round onto four floats; the bracket
+        # narrows to (1 + eps, 1 + 2 eps), which no call can narrow further
+        eps = np.finfo(float).eps
+        calls = []
+
+        def residual(b, k):
+            calls.append(b.size)
+            return (b - 1.0) * 2.0 ** 52 - 1.5
+
+        result = []
+        worker = threading.Thread(target=lambda: result.append(scattering._multisect(
+            residual, np.array([1.0]), np.array([1.0 + 4.0 * eps]), 1e-20)), daemon=True)
+        worker.start()
+        worker.join(timeout=10.0)
+        assert result, "_multisect(tol=1e-20) did not return within 10 s"
+        assert result[0].tolist() == [1.0 + 2.0 * eps]
+        assert calls == [2, 15, 15]
+
+    def test_no_sign_change_raises_bracket_error(self):
+        with pytest.raises(BracketError, match=r"no sign change on bracket \(3\.0, 2\.0\)"):
+            scattering._multisect(lambda b, k: b * b - 2.0, np.array([1.0, 3.0]),
+                                  np.array([2.0, 2.0]), 1e-12)
+
+    def test_calls_per_bracket_width(self):
+        # one call on the ends, then one per 16-fold narrowing: a 0.01-wide
+        # bracket reaches tol = 1e-10 after seven (16^7 > 1e8)
+        calls = []
+
+        def residual(b, k):
+            calls.append(b.size)
+            return b - math.pi
+
+        scattering._multisect(residual, np.array([3.14]), np.array([3.15]), 1e-10)
+        assert calls == [2] + 7 * [15]

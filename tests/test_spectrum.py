@@ -91,6 +91,20 @@ class TestLevelEquation:
             level_equation_residual(beta, make_config(4.5))
 
 
+@pytest.fixture
+def phase_calls(monkeypatch):
+    """Sizes of the spectrum._level_phase evaluations made during the test."""
+    calls = []
+    original = spectrum._level_phase
+
+    def counted(beta, odd, config):
+        calls.append(np.size(beta))
+        return original(beta, odd, config)
+
+    monkeypatch.setattr(spectrum, "_level_phase", counted)
+    return calls
+
+
 class TestSolveLevels:
     @pytest.mark.parametrize("beta0", sorted(KNOWN_ROOTS))
     def test_roots_match_high_precision(self, beta0):
@@ -205,168 +219,6 @@ class TestSolveLevels:
                 d_slope = 2.0 * (d_ratio * cos / sin - 0.5 * math.pi * ratio / (sin * sin))
                 expected = -d_slope / (2.0 * config.alpha) + 1.0 / (2.0 * level.k_n)
                 assert spectrum._norm_over_j2(level, config, xs) == expected
-
-
-def _scalar_bisect(f, lo: float, hi: float, tol: float) -> float:
-    """Reference: plain bisection of one bracket, one residual call per step."""
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise BracketError(f"no sign change on bracket ({lo}, {hi})")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
-
-
-def _tree_node(lo: float, hi: float, path: str) -> float:
-    """Midpoint a bisection of (lo, hi) forms after the halvings in path ("L" keeps the left half)."""
-    for side in path:
-        mid = 0.5 * (lo + hi)
-        lo, hi = (lo, mid) if side == "L" else (mid, hi)
-    return 0.5 * (lo + hi)
-
-
-def _bracket(beta0: float, n: int) -> tuple[float, float]:
-    """Bracket of level n pulled in from the cotangent pole and the branch point."""
-    lo, hi = 2.0 * n + 1.0, min(2.0 * n + 2.0, beta0)
-    pull = min(1e-9, (hi - lo) * 1e-6)
-    return lo + pull, hi - pull
-
-
-def _reference_roots(beta0: float, tol: float = 1e-12) -> list[float]:
-    """Levels found bracket by bracket, through the module's residual."""
-    if beta0 == 1.0:
-        return [1.0]
-    config = make_config(beta0)
-    return [_scalar_bisect(lambda b: spectrum.level_equation_residual(b, config),
-                           *_bracket(beta0, n), tol)
-            for n in range(level_count(config))]
-
-
-def _batched_roots(beta0: float, tol: float = 1e-12) -> list[float]:
-    """Levels from one _bisect_all call over every bracket, through the module's residual."""
-    if beta0 == 1.0:
-        return [1.0]
-    config = make_config(beta0)
-    ends = np.array([_bracket(beta0, n) for n in range(level_count(config))]).reshape(-1, 2)
-    return spectrum._bisect_all(lambda b, _: spectrum.level_equation_residual(b, config),
-                                ends[:, 0].copy(), ends[:, 1].copy(), tol).tolist()
-
-
-@pytest.fixture
-def phase_calls(monkeypatch):
-    """Sizes of the spectrum._level_phase evaluations made during the test."""
-    calls = []
-    original = spectrum._level_phase
-
-    def counted(beta, odd, config):
-        calls.append(np.size(beta))
-        return original(beta, odd, config)
-
-    monkeypatch.setattr(spectrum, "_level_phase", counted)
-    return calls
-
-
-class TestBatchedBisection:
-    # The two batched bracket solvers: _bisect_all, driven here directly on
-    # the cotangent form of the level equation, and the safeguarded Newton
-    # iteration of solve_levels, which halves a bracket where Newton fails.
-    # beta0 = 1: marginal; 3.0: exactly odd, no threshold level; 5 + 1e-7:
-    # a last bracket 1e-7 wide, pulled in by 1e-13
-    @pytest.mark.parametrize("beta0,tol", [
-        (0.7, 1e-12), (1.0, 1e-12), (1.2, 1e-12), (2.0, 1e-12), (3.0, 1e-12),
-        (4.5, 1e-12), (5.0 + 1e-7, 1e-12), (9.7, 1e-12), (30.0, 1e-12),
-        (60.0, 1e-12), (200.0, 1e-12), (12.3, 1e-6), (200.0, 0.3),
-    ])
-    def test_bit_identical_to_scalar_bisection(self, beta0, tol):
-        assert _batched_roots(beta0, tol) == _reference_roots(beta0, tol)
-
-    def test_exact_zeros_at_endpoints_and_midpoints(self, monkeypatch):
-        # linear residuals with roots at the pulled lower end (bracket 0),
-        # the first midpoint (1), the pulled upper end (2) and inside (3)
-        beta0 = 8.5
-        brackets = [_bracket(beta0, n) for n in range(4)]
-        first_mid = 0.5 * (brackets[1][0] + brackets[1][1])
-        roots = np.array([brackets[0][0], first_mid, brackets[2][1], 7.3])
-
-        def residual(beta, config):
-            b = np.asarray(beta, dtype=float)
-            g = roots[np.floor((b - 1.0) / 2.0).astype(int)] - b
-            return float(g) if np.ndim(beta) == 0 else g
-
-        monkeypatch.setattr(spectrum, "level_equation_residual", residual)
-        found = _batched_roots(beta0)
-        assert found == _reference_roots(beta0)
-        assert found[:3] == roots[:3].tolist()
-
-    def test_exact_zeros_at_deeper_tree_nodes(self, monkeypatch):
-        # linear residuals with roots at a second-, third- and fourth-level
-        # node of the first call's trees, and at the first level of the next
-        beta0 = 8.5
-        paths = ["L", "RL", "LRR", "RRLR"]
-        roots = np.array([_tree_node(*_bracket(beta0, n), path)
-                          for n, path in enumerate(paths)])
-        calls = []
-
-        def residual(beta, config):
-            calls.append(np.size(beta))
-            b = np.asarray(beta, dtype=float)
-            g = roots[np.floor((b - 1.0) / 2.0).astype(int)] - b
-            return float(g) if np.ndim(beta) == 0 else g
-
-        monkeypatch.setattr(spectrum, "level_equation_residual", residual)
-        found = _batched_roots(beta0)
-        assert found == roots.tolist()
-        # the ends, one tree of every bracket, then one tree of the last
-        assert calls == [8, 4 * 15, 15]
-        assert found == _reference_roots(beta0)
-
-    def test_brackets_finish_at_different_depths_in_one_call(self):
-        # widths 1.5 * 2^k from 0 with tol = 1 need k + 1 halvings: the first
-        # four brackets close at levels 1 to 4 of one call, the last needs a second
-        widths = 1.5 * 2.0 ** np.arange(5)
-        targets = widths * (math.sqrt(2.0) - 1.0)
-        calls = []
-
-        def residual(b, brackets):
-            calls.append(brackets.size)
-            return targets[brackets] - b
-
-        lo, hi = np.zeros(5), widths.copy()
-        roots = spectrum._bisect_all(residual, lo, hi, 1.0)
-        assert calls == [10, 5 * 15, 15]
-        assert roots.tolist() == [
-            _scalar_bisect(lambda b, t=t: t - b, 0.0, w, 1.0)
-            for t, w in zip(targets.tolist(), widths.tolist())]
-
-    def test_bracket_stuck_inside_a_call_closes(self):
-        # on (1, 1 + 4 eps) the third midpoint, 1 + 1.5 eps, rounds to the
-        # upper end: the bracket is closed at the third level of the first call
-        eps = np.finfo(float).eps
-        calls = []
-
-        def residual(b, brackets):
-            calls.append(b.size)
-            return (b - 1.0) * 2.0 ** 52 - 1.5
-
-        result = []
-        worker = threading.Thread(target=lambda: result.append(spectrum._bisect_all(
-            residual, np.array([1.0]), np.array([1.0 + 4.0 * eps]), 1e-20)), daemon=True)
-        worker.start()
-        worker.join(timeout=10.0)
-        assert result, "_bisect_all(tol=1e-20) did not return within 10 s"
-        assert result[0].tolist() == [1.0 + 2.0 * eps]
-        assert calls == [2, 15]
 
     def test_no_sign_change_raises_bracket_error(self, monkeypatch):
         # the phase form is negative at 2n+1 and positive at the upper end by
