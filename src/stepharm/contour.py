@@ -33,12 +33,15 @@ vanishes but the n = m one, and the series is the residue formula
 (2 pi i / m!) H_m(y).  The sum over n is one real contraction.
 
 The cut-edge integral is a composite Gauss-Legendre sum of positive terms
-up to the point where the integrand drops below _TARGET_TOL / 100.  It
-starts from _LINE_NODES nodes and doubles them until two successive values
-of F agree to _TARGET_TOL relative to 1 + max|F|.  A tolerance below the
-round-off floor of the two sums (machine epsilon times their absolute
-sums) cannot be confirmed in double precision and raises ConvergenceError
-at once, as do series terms that overflow.  No reduction goes through BLAS.
+up to the point where the integrand drops below _TARGET_TOL / 100.  It goes
+through _refine, the one doubling refinement of the package (the packet
+frames of wavepacket use it too): from _LINE_NODES nodes, doubled until two
+successive values of F agree to _TARGET_TOL relative to 1 + max|F|, with
+ConvergenceError after _MAX_ROUNDS evaluations.  A tolerance below the
+round-off floor of the two sums (machine epsilon times their absolute sums
+at the first evaluation) cannot be confirmed in double precision and raises
+ConvergenceError at once, as do series terms that overflow.  No reduction
+goes through BLAS.
 
 interior_rows gives every interior sample of the package: rows of F, each
 checked against the closed form J(beta) = F(0) by its own F(0).
@@ -47,6 +50,7 @@ checked against the closed form J(beta) = F(0) by its own F(0).
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,7 +62,7 @@ _CIRCLE_RADIUS = 1.0
 _LINE_NODES = 120  # first node count of the cut-edge refinement
 _TARGET_TOL = 1e-10
 _JUNCTION_TOL = 1e-8  # relative F(0) - J(beta) that interior_rows allows
-_MAX_REFINEMENTS = 12
+_MAX_ROUNDS = 6  # evaluations of an adaptive sum before _refine gives up
 _SERIES_CHUNK = 8  # series terms between two checks of the stop rule
 _EPS = float(np.finfo(float).eps)
 
@@ -67,14 +71,51 @@ _NODES_PER_PANEL = 20
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
 
 
-def _panel_rule(a: float, b: float, n_nodes: int):
+class _PanelRule(NamedTuple):
+    """Composite Gauss-Legendre rule in the factors of its nodes.
+
+    Node p * len(offsets) + q is nodes = centres[p] + offsets[q]: the
+    equal-width panels share one half-width, hence their node offsets from
+    the panel centre and their weights.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    centres: np.ndarray
+    offsets: np.ndarray
+
+
+def _panel_rule(a: float, b: float, n_nodes: int) -> _PanelRule:
     """Composite Gauss-Legendre rule on [a, b] with about n_nodes nodes."""
     n_panels = max(1, int(math.ceil(n_nodes / _NODES_PER_PANEL)))
     edges = np.linspace(a, b, n_panels + 1)
-    mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    return ((mid + half * _GL_NODES[None, :]).ravel(),
-            (half * _GL_WEIGHTS[None, :]).ravel())
+    centres = 0.5 * (edges[:-1] + edges[1:])
+    half = 0.5 * (b - a) / n_panels
+    offsets = half * _GL_NODES
+    return _PanelRule(np.add.outer(centres, offsets).ravel(),
+                      np.tile(half * _GL_WEIGHTS, n_panels), centres, offsets)
+
+
+def _refine(evaluate, n_nodes: int, tol: float, what: str, nodes: str):
+    """evaluate(n) at n = n_nodes, 2 n_nodes, ... until two successive values agree.
+
+    Returns the first value v_n with max|v_n - v_{n/2}| < tol (1 + max|v_n|).
+    After _MAX_ROUNDS evaluations raises ConvergenceError naming ``what``,
+    the last change, the change allowed and the node count, written into
+    ``nodes`` by str.format.
+    """
+    previous = evaluate(n_nodes)
+    for _ in range(_MAX_ROUNDS - 1):
+        n_nodes *= 2
+        value = evaluate(n_nodes)
+        allowed = tol * (1.0 + float(np.abs(value).max(initial=0.0)))
+        change = float(np.abs(value - previous).max(initial=0.0))
+        if change < allowed:
+            return value
+        previous = value
+    raise ConvergenceError(
+        f"{what} stalled: last change {change:.3g} against "
+        f"target_tol*scale={allowed:.3g} ({nodes.format(n_nodes)})")
 
 
 def _circle_part(beta: float, y: np.ndarray, radius: float, tol: float):
@@ -124,7 +165,7 @@ def _circle_part(beta: float, y: np.ndarray, radius: float, tol: float):
 
 def _line_part(beta: float, y: np.ndarray, radius: float, t_max: float,
                n_nodes: int) -> np.ndarray:
-    t, w = _panel_rule(radius, t_max, n_nodes)
+    t, w = _panel_rule(radius, t_max, n_nodes)[:2]
     # Single exp of the combined log integrand, weights included; keeps
     # t^(-beta) * e^{2ty} from pairing overflow with underflow when |y| is
     # large.  Every term is positive.
@@ -148,7 +189,8 @@ def f_epsilon(beta: float, y):
     as its Hermite series down to ``_TARGET_TOL / 100``, and the cut-edge
     sum, cut off where its integrand falls below ``_TARGET_TOL / 100``,
     starts from ``_LINE_NODES`` nodes and doubles them until two successive
-    values of F agree to ``_TARGET_TOL`` relative to 1 + max|F|.
+    values of F agree to ``_TARGET_TOL`` relative to 1 + max|F|, at most
+    ``_MAX_ROUNDS`` evaluations in all (``_refine``).
 
     Parameters
     ----------
@@ -178,29 +220,23 @@ def f_epsilon(beta: float, y):
     line_factor = -2j * np.exp(-1j * math.pi * beta) * math.sin(math.pi * beta)
 
     circle, circle_abs, n_terms = _circle_part(beta, y_arr, radius, tol)
-    n_l = _LINE_NODES
-    previous, change = None, math.inf
-    for _ in range(_MAX_REFINEMENTS):
+
+    def value_at(n_l: int) -> np.ndarray:
         line = _line_part(beta, y_arr, radius, t_max, n_l)
         value = circle + line_factor * line
-        allowed = tol * (1.0 + float(np.abs(value).max()))
-        if previous is None:
+        if n_l == _LINE_NODES:  # the round-off floor, before any doubling
+            allowed = tol * (1.0 + float(np.abs(value).max()))
             floor = _EPS * float((circle_abs + abs(line_factor) * line).max())
             if not allowed > floor:
                 raise ConvergenceError(
                     f"contour for beta={beta}: target_tol*scale={allowed:.3g} is "
                     f"below the round-off floor {floor:.3g} of the sums "
                     f"({n_terms} series terms, {n_l} line nodes)")
-        else:
-            change = float(np.abs(value - previous).max())
-            if change < allowed:
-                return value[0] if np.ndim(y) == 0 else value.reshape(np.shape(y))
-        previous = value
-        n_l *= 2
-    raise ConvergenceError(
-        f"contour for beta={beta} stalled: last change {change:.3g} "
-        f"against target_tol*scale={allowed:.3g} ({n_terms} series terms, "
-        f"{n_l // 2} line nodes)")
+        return value
+
+    value = _refine(value_at, _LINE_NODES, tol, f"contour for beta={beta}",
+                    f"{n_terms} series terms, {{}} line nodes")
+    return value[0] if np.ndim(y) == 0 else value.reshape(np.shape(y))
 
 
 def f_epsilon_derivative(beta: float, y):

@@ -39,6 +39,14 @@ class PotentialConfig:
             raise DomainError("hbar, mass and kappa must be positive")
         if self.u0 < 0:
             raise DomainError("step height u0 must be non-negative")
+        try:  # hbar**2 can overflow, and hbar**2 or hbar*omega underflow to 0
+            derived = (0.0 < self.omega < math.inf and 0.0 < self.alpha < math.inf
+                       and math.isfinite(self.beta0))
+        except (OverflowError, ZeroDivisionError):
+            derived = False
+        if not derived:
+            raise DomainError("derived omega and alpha must be positive and finite, "
+                              "and beta0 finite")
 
     @classmethod
     def from_beta0(cls, beta0: float) -> "PotentialConfig":

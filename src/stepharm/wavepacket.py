@@ -11,21 +11,23 @@ The reflection delay is measured as the time the reflected packet's
 centroid crosses the detector at x_start, minus the perfect-mirror
 prediction 2*x_start/(hbar*k_center/m).
 
-The k integral is a composite Gauss-Legendre sum.  The plane waves e^{ikx}
-of all its nodes form one table, built from one exponential per panel
-centre and one per shared node offset (``_plane_waves``); the incoming wave
-e^{-ikx} is its complex conjugate.  ``evolve`` sums the modes
-(e^{-ikx} + zeta(k) e^{ikx}) / sqrt(2 pi) on x >= 0 and the interior rows
-on x < 0, all formed in ``_mode_matrix``.  ``measure_delay`` follows the
-reflected packet alone: it sums the bare table, with zeta(k) and
-1/sqrt(2 pi) put on the k weights instead.
+The k integral is the composite Gauss-Legendre rule ``contour._panel_rule``
+over k_center +/- 5 sigma_k.  The plane waves e^{ikx} of all its nodes form
+one table, built from one exponential per panel centre and one per shared
+node offset (``_plane_waves``); the incoming wave e^{-ikx} is its complex
+conjugate.  ``evolve`` sums the modes (e^{-ikx} + zeta(k) e^{ikx}) / sqrt(2 pi)
+on x >= 0 and the interior rows on x < 0, all formed in ``_mode_matrix``.
+``measure_delay`` follows the reflected packet alone: it sums the bare
+table, with zeta(k) and 1/sqrt(2 pi) put on the k weights instead.  Both
+converge their frames by the one doubling refinement ``contour._refine``:
+from 128 k nodes, doubled until the frames change by less than 1e-6
+relative to 1 + max|psi|, at most six evaluations in all.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -34,13 +36,14 @@ from .errors import ConvergenceError, DispersionError, DomainError
 from .potential import PotentialConfig
 
 _FRAME_TOL = 1e-6
-_FRAME_NODES = 128  # first k-node count of evolve; doubled up to _FRAME_ROUNDS times
-_FRAME_ROUNDS = 6
-_DELAY_NODES = 256  # first k-node count of measure_delay
+_FRAME_NODES = 128  # first k-node count of the frame refinement
 _REL_WIDTH = 1.0 / 30.0  # default sigma_k / k_center of WavePacketSpec.for_k
 _START_WIDTHS = 6.0  # default x_start of WavePacketSpec.for_k, in initial widths sigma_x
 _K_SUPPORT_SIGMAS = 5.0
 _MIN_OVERLAP_SIGMAS = 4.8  # Gaussian tail beyond 4.75 sigma is < 1e-6
+# Phi(-2): the share on x < 0 of a Gaussian of width x_start/2 centred on
+# the detector; a reflected packet missing more than this is not yet formed
+_UNFORMED_SHARE = 0.5 * math.erfc(math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -135,47 +138,19 @@ def improper_eigenfunction(beta, config: PotentialConfig, x):
     ``contour.interior_rows`` misses J(beta), and x >= 0 need no contour solution.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
-    out = _mode_matrix(config, _KRule.single(config.k_continuum(beta)), x_arr,
+    k = np.array([config.k_continuum(beta)])
+    out = _mode_matrix(config, contour._PanelRule(k, np.ones(1), k, np.zeros(1)), x_arr,
                        mirror=False)[0]
     return out[0] if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
-class _KRule(NamedTuple):
-    """Composite Gauss-Legendre k rule in the factors of its plane waves.
-
-    Node p * len(offsets) + q is ks = centres[p] + offsets[q]: equal-width
-    panels share their node offsets from the panel centre.
-    """
-
-    ks: np.ndarray
-    weights: np.ndarray
-    centres: np.ndarray
-    offsets: np.ndarray
-
-    @classmethod
-    def single(cls, k: float) -> "_KRule":
-        """The one node k of unit weight: one panel of one node."""
-        return cls(np.array([k]), np.ones(1), np.array([k]), np.zeros(1))
+def _k_rule(spec: WavePacketSpec, n_nodes: int) -> contour._PanelRule:
+    """The ``contour._panel_rule`` over k_center +/- 5 sigma_k."""
+    return contour._panel_rule(spec.k_center - _K_SUPPORT_SIGMAS * spec.sigma_k,
+                               spec.k_center + _K_SUPPORT_SIGMAS * spec.sigma_k, n_nodes)
 
 
-def _k_rule(spec: WavePacketSpec, n_nodes: int) -> _KRule:
-    """The ``contour._panel_rule`` over k_center +/- 5 sigma_k, nodes as centre + offset.
-
-    The weights and panels are the panel rule's.  Its nodes are formed here
-    as the sums the plane-wave table factors, each within an ulp of the
-    panel rule's, so that e^{ikx}, c(k), Omega(k) and zeta(k) see one k.
-    """
-    lo = spec.k_center - _K_SUPPORT_SIGMAS * spec.sigma_k
-    hi = spec.k_center + _K_SUPPORT_SIGMAS * spec.sigma_k
-    _, weights = contour._panel_rule(lo, hi, n_nodes)
-    n_panels = weights.size // contour._NODES_PER_PANEL
-    edges = np.linspace(lo, hi, n_panels + 1)
-    centres = 0.5 * (edges[:-1] + edges[1:])
-    offsets = (0.5 * (hi - lo) / n_panels) * contour._GL_NODES
-    return _KRule(np.add.outer(centres, offsets).ravel(), weights, centres, offsets)
-
-
-def _plane_waves(rule: _KRule, x: np.ndarray) -> np.ndarray:
+def _plane_waves(rule: contour._PanelRule, x: np.ndarray) -> np.ndarray:
     """Table e^{ikx}[node, x] of the rule's nodes, from per-panel factors.
 
     e^{i (c_p + o_q) x} = e^{i c_p x} e^{i o_q x}: one exponential per panel
@@ -184,10 +159,10 @@ def _plane_waves(rule: _KRule, x: np.ndarray) -> np.ndarray:
     """
     centre = np.exp(1j * np.multiply.outer(rule.centres, x))
     offset = np.exp(1j * np.multiply.outer(rule.offsets, x))
-    return (centre[:, None, :] * offset[None, :, :]).reshape(rule.ks.size, x.size)
+    return (centre[:, None, :] * offset[None, :, :]).reshape(rule.nodes.size, x.size)
 
 
-def _mode_matrix(config: PotentialConfig, rule: _KRule, x_grid: np.ndarray,
+def _mode_matrix(config: PotentialConfig, rule: contour._PanelRule, x_grid: np.ndarray,
                  mirror: bool) -> np.ndarray:
     """Rows u_k(x) of the improper eigenfunctions on the grid.
 
@@ -197,7 +172,7 @@ def _mode_matrix(config: PotentialConfig, rule: _KRule, x_grid: np.ndarray,
     conjugate of the plane-wave table; the interior is Pi(beta) times the
     checked rows of ``contour.interior_rows``.
     """
-    betas = config.beta_from_k(rule.ks)
+    betas = config.beta_from_k(rule.nodes)
     neg = x_grid < 0.0
     waves = _plane_waves(rule, x_grid[~neg])
     step = np.conj(waves)
@@ -226,8 +201,9 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
     """Propagate the packet and return frames on the given grids.
 
     The k-quadrature (Gauss-Legendre over k_center +/- 5 sigma_k) starts
-    from 128 nodes and doubles them, at most six times in all, until the
-    frames change by less than 1e-6 relative.  A scalar ``x_grid`` or
+    from 128 nodes and doubles them until the frames change by less than
+    1e-6 relative to 1 + max|psi|; ConvergenceError names the last change
+    and node count if six evaluations do not settle.  A scalar ``x_grid`` or
     ``times`` is one point; an empty one gives empty frames.  Positions x < 0
     request the costly rows of ``contour.interior_rows``, which raise
     ConvergenceError naming the first beta whose F(0) misses J(beta); keep the
@@ -238,32 +214,17 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
     if np.any(np.diff(x_arr) <= 0):
         raise DomainError("x_grid must be strictly increasing")
-    previous = None
-    n = _FRAME_NODES
-    for _ in range(_FRAME_ROUNDS):
-        rule = _k_rule(spec, n)
-        psi = _frames_at(spec, rule.ks, rule.weights,
-                         _mode_matrix(spec.config, rule, x_arr, mirror), t_arr)
-        if previous is not None:
-            scale = 1.0 + float(np.abs(psi).max(initial=0.0))
-            if float(np.abs(psi - previous).max(initial=0.0)) < _FRAME_TOL * scale:
-                return FrameSet(times=t_arr, x_grid=x_arr, psi=psi)
-        previous = psi
-        n *= 2
-    raise ConvergenceError("k-quadrature did not converge while assembling frames")
+
+    def frames(n_nodes: int) -> np.ndarray:
+        rule = _k_rule(spec, n_nodes)
+        return _frames_at(spec, rule.nodes, rule.weights,
+                          _mode_matrix(spec.config, rule, x_arr, mirror), t_arr)
+
+    psi = contour._refine(frames, _FRAME_NODES, _FRAME_TOL, "packet frames", "about {} k nodes")
+    return FrameSet(times=t_arr, x_grid=x_arr, psi=psi)
 
 
-def _crossing_time(times: np.ndarray, centroids: np.ndarray, target: float):
-    above = centroids >= target
-    if not above.any() or above[0]:
-        return None
-    i = int(np.argmax(above))
-    t0, t1 = times[i - 1], times[i]
-    c0, c1 = centroids[i - 1], centroids[i]
-    return t0 + (target - c0) * (t1 - t0) / (c1 - c0)
-
-
-def _reflected_frames(spec: WavePacketSpec, rule: _KRule, xs: np.ndarray,
+def _reflected_frames(spec: WavePacketSpec, rule: contour._PanelRule, xs: np.ndarray,
                       times: np.ndarray, mirror: bool) -> np.ndarray:
     """Frames of the reflected packet alone: its waves zeta(k) e^{ikx} / sqrt(2 pi).
 
@@ -271,19 +232,25 @@ def _reflected_frames(spec: WavePacketSpec, rule: _KRule, xs: np.ndarray,
     (k x x) plane-wave table is used as it is built.
     """
     cfg = spec.config
-    refl = 1.0 if mirror else scattering.zeta(cfg.beta_from_k(rule.ks), cfg)
+    refl = 1.0 if mirror else scattering.zeta(cfg.beta_from_k(rule.nodes), cfg)
     weights = rule.weights * refl / math.sqrt(2.0 * math.pi)
-    return _frames_at(spec, rule.ks, weights, _plane_waves(rule, xs), times)
+    return _frames_at(spec, rule.nodes, weights, _plane_waves(rule, xs), times)
 
 
 def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
     """Reflection delay from the centroid of the reflected packet.
 
-    The centroid of |psi_ref|^2 moves ballistically at the mean group
-    speed once formed; its crossing time at the detector x = x_start,
-    minus the mirror prediction 2 x_start / (hbar k_center / m), is the
-    measured delay.  Raises DispersionError when the reflected packet is
-    too broad to localize (width > x_start / 2).
+    The reflected frames, on 201 times and 1,600 positions x >= 0, converge
+    by the frame rule of ``evolve``.  The centroid of |psi_ref|^2 moves
+    ballistically at the mean group speed once the packet is formed: from
+    the first frame that misses less than Phi(-2) ~ 0.0228 of the unit
+    reflected norm, the share on x < 0 of a Gaussian of width x_start/2
+    centred on the detector.  Until then the window may hold only a faint
+    prompt echo off the step.  The first upward crossing of the detector
+    x = x_start from that frame on, minus the mirror prediction
+    2 x_start / (hbar k_center / m), is the measured delay.  Raises
+    DispersionError when the centroid is already past the detector on that
+    frame (the packet is too broad to localize).
     """
     cfg = spec.config
     v = spec.group_speed
@@ -292,37 +259,23 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
     spread = spec.sigma_x * math.sqrt(
         1.0 + (cfg.hbar * t_mirror / (2.0 * cfg.mass * spec.sigma_x**2)) ** 2)
     window = 10.0 * math.pi / cfg.omega
-    t_lo = max(t_mirror - 4.0 * spread / v, 0.0)
-    t_hi = t_mirror + window
-    times = np.linspace(t_lo, t_hi, 201)
+    times = np.linspace(max(t_mirror - 4.0 * spread / v, 0.0), t_mirror + window, 201)
     xs = np.linspace(0.0, spec.x_start + 12.0 * spread, 1600)
-
-    def centroid_delay(n: int):
-        psi = _reflected_frames(spec, _k_rule(spec, n), xs, times, mirror)
-        rho = np.abs(psi) ** 2
-        mass = np.trapezoid(rho, xs, axis=1)
-        cent = np.trapezoid(xs * rho, xs, axis=1) / mass
-        t_cross = _crossing_time(times, cent, spec.x_start)
-        if t_cross is None:
-            raise ConvergenceError("reflected centroid never crossed the detector "
-                                   "inside the sampling window")
-        i = int(np.searchsorted(times, t_cross))
-        second = np.trapezoid(xs**2 * rho[i], xs) / mass[i]
-        width = math.sqrt(max(second - cent[i] ** 2, 0.0))
-        return t_cross - t_mirror, width
-
-    previous = None
-    last_change = math.inf
-    for n in (_DELAY_NODES, 2 * _DELAY_NODES, 4 * _DELAY_NODES):
-        delay, width = centroid_delay(n)
-        if previous is not None:
-            last_change = abs(delay - previous)
-            if last_change < 1e-5 / cfg.omega:
-                break
-        previous = delay
-    if last_change > 1e-3 / cfg.omega:
-        raise ConvergenceError("k-quadrature did not stabilize the measured delay")
-    if width > spec.x_start / 2.0:
-        raise DispersionError("reflected packet too dispersed to localize "
-                              f"(width {width:.3g} > x_start/2)")
-    return delay
+    psi = contour._refine(lambda n: _reflected_frames(spec, _k_rule(spec, n), xs, times, mirror),
+                          _FRAME_NODES, _FRAME_TOL, "reflected frames", "about {} k nodes")
+    frames = FrameSet(times=times, x_grid=xs, psi=psi)
+    # the packet has unit norm and |zeta| = 1: what the window misses is 1 - norm
+    formed = np.flatnonzero(frames.norms() > 1.0 - _UNFORMED_SHARE)
+    if formed.size == 0:
+        raise ConvergenceError("reflected packet never formed inside the sampling window")
+    start, centroids = formed[0], frames.centroids()
+    if centroids[start] >= spec.x_start:
+        raise DispersionError("reflected packet too dispersed to localize: its "
+                              "centroid is past the detector when it forms")
+    above = np.flatnonzero(centroids[start:] >= spec.x_start)
+    if above.size == 0:
+        raise ConvergenceError("reflected centroid never crossed the detector "
+                               "inside the sampling window")
+    i = start + above[0]
+    t0, t1, c0, c1 = times[i - 1], times[i], centroids[i - 1], centroids[i]
+    return t0 + (spec.x_start - c0) * (t1 - t0) / (c1 - c0) - t_mirror

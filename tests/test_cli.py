@@ -80,6 +80,16 @@ class TestLevels:
         assert exc.value.code == 2
         assert "finite" in capsys.readouterr().err
 
+    def test_overflowing_step_height_exits_2(self, capsys):
+        # finite constants whose beta0 = u0 / (hbar omega) + 1/2 overflows
+        code = run_cli("levels", "--hbar", "1e-300", "--mass", "1", "--kappa", "1",
+                       "--u0", "1e10")
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("argument error: ")
+        assert captured.err.count("\n") == 1
+
     def test_deterministic_data_section(self, tmp_path):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:

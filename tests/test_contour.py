@@ -154,7 +154,7 @@ class TestFEpsilon:
                             lambda beta, y, radius, t_max, n_nodes: np.full(y.shape, n_nodes))
         with pytest.raises(ConvergenceError,
                            match=r"last change \S+ against target_tol\*scale=\S+ "
-                                 r"\(\d+ series terms, 245760 line nodes\)"):
+                                 r"\(\d+ series terms, 3840 line nodes\)"):
             f_epsilon(1.3, -1.0)
 
 

@@ -36,6 +36,15 @@ class TestPotentialConfig:
         with pytest.raises(DomainError):
             PotentialConfig(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        {"hbar": 1e-300, "u0": 1e10},                  # beta0 = inf
+        {"mass": 1e-300, "kappa": 1e300, "u0": 1.0},   # omega = inf
+        {"mass": 1e300, "kappa": 1e-300, "u0": 1.0},   # omega underflows to 0
+    ])
+    def test_overflowing_derived_quantities_rejected(self, kwargs):
+        with pytest.raises(DomainError, match="derived omega and alpha"):
+            PotentialConfig(**kwargs)
+
     def test_wavenumber_couplings(self):
         config = PotentialConfig.from_beta0(2.5)
         beta = 4.0

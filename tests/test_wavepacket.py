@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stepharm import (ConvergenceError, DispersionError, DomainError,
-                      WavePacketSpec, contour, delay_time, evolve, f_epsilon,
+                      PotentialConfig, WavePacketSpec, contour, delay_time, evolve, f_epsilon,
                       f_epsilon_derivative, improper_eigenfunction,
                       measure_delay, pi_coefficient, wavepacket, zeta)
 
@@ -54,7 +54,8 @@ class TestImproperEigenfunction:
 
     def test_is_the_mode_row_at_k_of_beta(self, cfg15):
         xs = np.linspace(-4.0, 6.0, 41)
-        rule = wavepacket._KRule.single(cfg15.k_continuum(2.4))
+        k = np.array([cfg15.k_continuum(2.4)])
+        rule = contour._PanelRule(k, np.ones(1), k, np.zeros(1))  # one node of unit weight
         row = wavepacket._mode_matrix(cfg15, rule, xs, mirror=False)[0]
         assert np.array_equal(improper_eigenfunction(2.4, cfg15, xs), row)
 
@@ -155,6 +156,16 @@ class TestEvolve:
         assert frames.psi.shape == (2, 1)
         assert np.array_equal(frames.psi, evolve(spec, [5.0], [0.0, 10.0]).psi)
 
+    def test_stall_names_last_change_and_budget(self, cfg15, monkeypatch):
+        # frames that move with every doubling never settle
+        monkeypatch.setattr(wavepacket, "_frames_at",
+                            lambda spec, ks, weights, modes, times:
+                            np.full((times.size, modes.shape[1]), ks.size, dtype=complex))
+        with pytest.raises(ConvergenceError,
+                           match=r"packet frames stalled: last change \S+ against "
+                                 r"target_tol\*scale=\S+ \(about 4096 k nodes\)"):
+            evolve(WavePacketSpec.for_beta(cfg15, 6.0), np.linspace(0.0, 40.0, 7), [0.0])
+
     def test_grid_must_increase(self, cfg15):
         spec = WavePacketSpec.for_beta(cfg15, 6.0)
         with pytest.raises(DomainError):
@@ -182,6 +193,42 @@ class TestMeasureDelay:
         spec = WavePacketSpec.for_beta(cfg15, 20.0)
         measured = measure_delay(spec)
         assert abs(measured * cfg15.omega / np.pi - 1.0) < 0.02
+
+    @pytest.mark.parametrize("beta0", [1.5, 4.5])
+    @pytest.mark.parametrize("beta", [30.0, 40.0, 100.0])
+    def test_high_energy_delay_is_the_averaged_tau(self, beta0, beta):
+        # the reflected wave is a faint prompt echo off the step plus the
+        # delayed packet; the crossing counts only once the packet has formed
+        config = PotentialConfig.from_beta0(beta0)
+        spec = WavePacketSpec.for_beta(config, beta)
+        x, w = np.polynomial.legendre.leggauss(200)
+        ks = spec.k_center + 5.0 * spec.sigma_k * x
+        density = w * np.abs(spec.envelope(ks)) ** 2
+        averaged = np.sum(density * delay_time(config.beta_from_k(ks), config)) / np.sum(density)
+        assert abs(measure_delay(spec) - averaged) < 0.005 * averaged
+
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_reflected_frames_evaluated_twice(self, cfg15, mirror, monkeypatch):
+        counts = []
+        frames = wavepacket._reflected_frames
+
+        def counted(spec, rule, xs, times, mirror):
+            counts.append(rule.nodes.size)
+            return frames(spec, rule, xs, times, mirror)
+
+        monkeypatch.setattr(wavepacket, "_reflected_frames", counted)
+        measure_delay(WavePacketSpec.for_beta(cfg15, 6.0), mirror=mirror)
+        assert counts == [140, 260]  # 128 and 256 requested, whole panels of 20
+
+    def test_stall_names_last_change_and_budget(self, cfg15, monkeypatch):
+        # reflected frames that move with every doubling never settle
+        monkeypatch.setattr(wavepacket, "_reflected_frames",
+                            lambda spec, rule, xs, times, mirror:
+                            np.full((times.size, xs.size), rule.nodes.size, dtype=complex))
+        with pytest.raises(ConvergenceError,
+                           match=r"reflected frames stalled: last change \S+ against "
+                                 r"target_tol\*scale=\S+ \(about 4096 k nodes\)"):
+            measure_delay(WavePacketSpec.for_beta(cfg15, 6.0))
 
     def test_dispersed_packet_rejected(self, cfg15):
         # broad momentum spread at the smallest admissible launch distance:
@@ -246,21 +293,28 @@ class TestPlaneWaves:
             -np.geomspace(1e-3, 6.0, 50), [0.0], np.geomspace(1e-3, uniform[-1], 300)]))
         for n in (128, 256, 512, 1024):
             rule = wavepacket._k_rule(spec, n)
-            assert rule.ks.size == rule.centres.size * rule.offsets.size >= n
+            assert rule.nodes.size == rule.centres.size * rule.offsets.size >= n
             for xs in (uniform, scattered):
                 table = wavepacket._plane_waves(rule, xs)
-                assert np.abs(table - np.exp(1j * np.outer(rule.ks, xs))).max() <= 1e-13
+                assert np.abs(table - np.exp(1j * np.outer(rule.nodes, xs))).max() <= 1e-13
 
     def test_rule_is_the_panel_rule(self, cfg15):
-        # the nodes, formed as centre + offset, stay within an ulp of the
-        # composite rule's; the weights are its own
+        # the nodes are exactly centre + offset, within an ulp of each
+        # panel's mid + half x_GL; the shared weights differ from each
+        # panel's own only by the rounding of the linspace panel widths
         spec = WavePacketSpec.for_beta(cfg15, 6.0)
+        lo, hi = spec.k_center - 5.0 * spec.sigma_k, spec.k_center + 5.0 * spec.sigma_k
+        x_gl, w_gl = np.polynomial.legendre.leggauss(20)
         for n in (128, 1024):
             rule = wavepacket._k_rule(spec, n)
-            ks, ws = contour._panel_rule(spec.k_center - 5.0 * spec.sigma_k,
-                                         spec.k_center + 5.0 * spec.sigma_k, n)
-            assert np.array_equal(rule.weights, ws)
-            assert np.all(np.abs(rule.ks - ks) <= np.spacing(ks))
+            assert np.array_equal(rule.nodes, np.add.outer(rule.centres, rule.offsets).ravel())
+            edges = np.linspace(lo, hi, rule.centres.size + 1)
+            mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
+            half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+            ks = (mid + half * x_gl).ravel()
+            assert np.all(np.abs(rule.nodes - ks) <= np.spacing(ks))
+            ws = (half * w_gl).ravel()
+            assert np.all(np.abs(rule.weights - ws) <= 1e-13 * ws)
 
     @pytest.mark.parametrize("beta", [1.7, 2.4, 4.0, 28.2])
     def test_improper_eigenfunction_on_the_step_side(self, cfg15, beta):
@@ -282,8 +336,8 @@ class TestPacketSums:
 
         def reference(spec, rule, xs, times, mirror):
             # the reflected packet: the outgoing waves alone
-            modes = _direct_modes(cfg15, rule.ks, xs, mirror, incoming=False)
-            return _direct_frames(spec, rule.ks, rule.weights, modes, times)
+            modes = _direct_modes(cfg15, rule.nodes, xs, mirror, incoming=False)
+            return _direct_frames(spec, rule.nodes, rule.weights, modes, times)
 
         monkeypatch.setattr(wavepacket, "_reflected_frames", reference)
         assert abs(measure_delay(spec, mirror=mirror) - delay) <= 1e-12
@@ -303,6 +357,6 @@ class TestPacketSums:
         monkeypatch.setattr(wavepacket, "_k_rule", recorded)
         psi = evolve(spec, xs, times, mirror=mirror).psi
         last = rules[-1]
-        expected = _direct_frames(spec, last.ks, last.weights,
-                                  _direct_modes(cfg15, last.ks, xs, mirror), times)
+        expected = _direct_frames(spec, last.nodes, last.weights,
+                                  _direct_modes(cfg15, last.nodes, xs, mirror), times)
         assert np.abs(psi - expected).max() <= 1e-12 * np.abs(expected).max()
