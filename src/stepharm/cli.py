@@ -283,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frames", type=_count, default=9)
     p.add_argument("--x-points", type=_count, default=400)
     p.add_argument("--include-interior", action="store_true",
-                   help="also sample x < 0 (costly eigenfunction evaluations)")
+                   help="also sample x < 0 (contour-integral interior rows)")
     p.add_argument("--mirror", action="store_true",
                    help="replace the reflection coefficient by 1 (delay-free reference)")
     p.set_defaults(func=cmd_wavepacket)

@@ -30,21 +30,25 @@ before it, so the tail after h_n is at most 2 max(|h_n|, |h_{n-1}|) times
 the weight bound 2 pi r^{1-beta}; the series stops when that bound,
 doubled, is below _TARGET_TOL / 100.  At integer beta = m+1 every sinc
 vanishes but the n = m one, and the series is the residue formula
-(2 pi i / m!) H_m(y).  The sum over n is one real contraction.
+(2 pi i / m!) H_m(y).
 
-The cut-edge integral is a composite Gauss-Legendre sum of positive terms
-up to the point where the integrand drops below _TARGET_TOL / 100.  It goes
-through _refine, the one doubling refinement of the package (the packet
-frames of wavepacket use it too): from _LINE_NODES nodes, doubled until two
-successive values of F agree to _TARGET_TOL relative to 1 + max|F|, with
-ConvergenceError after _MAX_ROUNDS evaluations.  A tolerance below the
-round-off floor of the two sums (machine epsilon times their absolute sums
-at the first evaluation) cannot be confirmed in double precision and raises
-ConvergenceError at once, as do series terms that overflow.  No reduction
-goes through BLAS.
+Both pieces separate in beta, so an array of beta is one block of rows
+F(beta_i, y_j) formed as two products: the (beta x n) weights times the
+(n x y) rows h_n, which every beta shares, and the (beta x m) matrix
+t_m^(b - beta_i), b the smallest beta, times the (m x y) matrix of the cut
+edge's composite Gauss-Legendre terms w_m t_m^(-b) e^{-t_m^2 + 2 t_m y_j},
+all positive, up to where they drop below _TARGET_TOL / 100.  The cut edge
+goes through _refine, the one doubling refinement of the package (the
+packet frames of wavepacket use it too): from _LINE_NODES nodes, doubled
+until two successive blocks agree to _TARGET_TOL relative to 1 + max|F|,
+with ConvergenceError after _MAX_ROUNDS evaluations.  A tolerance below the
+round-off floor of a row's two sums (machine epsilon times their absolute
+sums at the first evaluation) cannot be confirmed in double precision and
+raises ConvergenceError at once, as do series terms that overflow.  No
+reduction goes through BLAS.
 
-interior_rows gives every interior sample of the package: rows of F, each
-checked against the closed form J(beta) = F(0) by its own F(0).
+interior_rows gives every interior sample of the package: a block of rows,
+each checked against J(beta) = F(0) by its own F(0), after a block on y = 0.
 """
 
 from __future__ import annotations
@@ -118,19 +122,19 @@ def _refine(evaluate, n_nodes: int, tol: float, what: str, nodes: str):
         f"target_tol*scale={allowed:.3g} ({nodes.format(n_nodes)})")
 
 
-def _circle_part(beta: float, y: np.ndarray, radius: float, tol: float):
-    """Circle arc I_beta(y) as the Hermite series (see the module docstring).
+def _circle_part(beta: np.ndarray, y: np.ndarray, radius: float, tol: float):
+    """Circle arcs I_beta(y) of a 1-D array beta, one Hermite series for the block.
 
-    Returns the values, the absolute sum of the series terms at each y (its
+    Returns the (beta x y) values, the absolute sums of the series terms (their
     round-off scale) and the number of terms summed.
     """
     prefactor = radius ** (1.0 - beta)
-    if not 0.0 < prefactor < math.inf:
-        raise ConvergenceError(
-            f"circle prefactor r^(1-beta)={prefactor} is out of range for "
-            f"r={radius}, beta={beta}")
+    for b, p in zip(beta.tolist(), prefactor.tolist()):
+        if not 0.0 < p < math.inf:
+            raise ConvergenceError(
+                f"circle prefactor r^(1-beta)={p} is out of range for r={radius}, beta={b}")
     two_g = 4.0 * radius * (float(np.abs(y).max()) + radius)
-    limit = tol / (400.0 * _TWO_PI * prefactor)
+    limit = tol / (400.0 * _TWO_PI * float(prefactor.max()))
     ry, r2 = 2.0 * radius * y, 2.0 * radius * radius
     rows = [np.ones_like(y), ry]
     n = 1
@@ -142,7 +146,7 @@ def _circle_part(beta: float, y: np.ndarray, radius: float, tol: float):
             tail = max(float(np.abs(rows[n]).max()), float(np.abs(rows[n - 1]).max()))
             if not math.isfinite(tail):
                 raise ConvergenceError(
-                    f"Hermite series of the circle overflows for beta={beta} at "
+                    f"Hermite series of the circle overflows at "
                     f"min y={float(y.min())}, max y={float(y.max())} "
                     f"({n + 1} terms)")
             if n + 1 > two_g and tail <= limit:
@@ -152,26 +156,28 @@ def _circle_part(beta: float, y: np.ndarray, radius: float, tol: float):
     # is 2 pi e^{-i pi f} d_n, d_n = -sin(pi f) / (pi a_n), and d_n = 1 at
     # a_n = 0.  Splitting off the integer k keeps every other d_n exactly
     # zero at integer beta, so only the residue term is left there.
-    whole = round(beta)
+    whole = np.round(beta)
     frac = beta - whole
-    a = (np.arange(n + 1) + (1.0 - whole)) - frac
-    d = np.divide(-math.sin(math.pi * frac), math.pi * a, out=np.ones_like(a),
+    a = (np.arange(n + 1) + (1.0 - whole)[:, None]) - frac[:, None]
+    d = np.divide(-np.sin(np.pi * frac)[:, None], np.pi * a, out=np.ones_like(a),
                   where=a != 0.0)
     scale = _TWO_PI * prefactor
-    value = 1j * scale * np.exp(-1j * math.pi * frac) * np.einsum("n,ny->y", d, h)
-    abs_sum = scale * np.einsum("n,ny->y", np.abs(d), np.abs(h))
+    value = (1j * scale * np.exp(-1j * np.pi * frac))[:, None] * np.einsum("bn,ny->by", d, h)
+    abs_sum = scale[:, None] * np.einsum("bn,ny->by", np.abs(d), np.abs(h))
     return value, abs_sum, n + 1
 
 
-def _line_part(beta: float, y: np.ndarray, radius: float, t_max: float,
+def _line_part(beta: np.ndarray, y: np.ndarray, radius: float, t_max: float,
                n_nodes: int) -> np.ndarray:
+    # t^(-beta_i) = t^(-b) t^(b - beta_i), b the smallest beta.  One exp of the
+    # log integrand of b, weights included, keeps t^(-b) e^{2ty} from pairing
+    # overflow with underflow at large |y|; t^(b - beta_i) <= 1 for t >= 1.
     t, w = _panel_rule(radius, t_max, n_nodes)[:2]
-    # Single exp of the combined log integrand, weights included; keeps
-    # t^(-beta) * e^{2ty} from pairing overflow with underflow when |y| is
-    # large.  Every term is positive.
+    lowest, log_t = float(beta.min()), np.log(t)
     log_f = np.multiply.outer(y, 2.0 * t)
-    log_f += np.log(w) - t * t - beta * np.log(t)
-    return np.exp(log_f, out=log_f).sum(axis=1)
+    log_f += np.log(w) - t * t - lowest * log_t
+    rest = np.exp(np.multiply.outer(lowest - beta, log_t))
+    return np.einsum("bt,yt->by", rest, np.exp(log_f, out=log_f))
 
 
 def _auto_truncation(beta: float, y_max: float, radius: float, tol: float) -> float:
@@ -182,70 +188,74 @@ def _auto_truncation(beta: float, y_max: float, radius: float, tol: float) -> fl
     return t
 
 
-def f_epsilon(beta: float, y):
-    """Evaluate the loop solution F(y) of the Hermite equation.
+def f_epsilon(beta, y):
+    """Loop solution F(beta, y) of the Hermite equation (see the module docstring).
 
-    The contour is fixed: the circle of radius ``_CIRCLE_RADIUS`` is summed
-    as its Hermite series down to ``_TARGET_TOL / 100``, and the cut-edge
-    sum, cut off where its integrand falls below ``_TARGET_TOL / 100``,
-    starts from ``_LINE_NODES`` nodes and doubles them until two successive
-    values of F agree to ``_TARGET_TOL`` relative to 1 + max|F|, at most
-    ``_MAX_ROUNDS`` evaluations in all (``_refine``).
+    An array of beta is one block: one series, one cut-off at its smallest
+    beta and one refinement serve every row, with max|F| over the block.
 
     Parameters
     ----------
-    beta : float
-        Spectral coordinate (epsilon + 1) / 2.
+    beta : float or array
+        Spectral coordinate(s) (epsilon + 1) / 2.
     y : float or array
         Dimensionless position(s) alpha*x.
 
     Returns
     -------
-    complex or complex ndarray matching the shape of ``y``.
+    complex or complex ndarray of shape ``shape(beta) + shape(y)``.
 
     Raises
     ------
+    DomainError
+        If a beta or a y is not finite.
     ConvergenceError
         If the series overflows, if the tolerance is below the round-off
-        floor of the sums, or if the refinement stalls.
+        floor of the sums of a row (naming the first such beta), or if the
+        refinement stalls.
     """
-    beta = float(beta)
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float)).ravel()
+    b = np.asarray(beta, dtype=float).ravel()
+    y_arr = np.asarray(y, dtype=float).ravel()
+    if not np.all(np.isfinite(b)):
+        raise DomainError("beta must be finite")
     if not np.all(np.isfinite(y_arr)):
         raise DomainError("y must be finite")
-    if y_arr.size == 0:
-        return np.empty(np.shape(y), dtype=complex)
+    shape = np.shape(beta) + np.shape(y)
+    if b.size == 0 or y_arr.size == 0:
+        return np.empty(shape, dtype=complex)
     radius, tol = _CIRCLE_RADIUS, _TARGET_TOL
-    t_max = _auto_truncation(beta, float(y_arr.max(initial=0.0)), radius, tol)
-    line_factor = -2j * np.exp(-1j * math.pi * beta) * math.sin(math.pi * beta)
+    t_max = _auto_truncation(float(b.min()), float(y_arr.max(initial=0.0)), radius, tol)
+    line_factor = (-2j * np.exp(-1j * np.pi * b) * np.sin(np.pi * b))[:, None]
 
-    circle, circle_abs, n_terms = _circle_part(beta, y_arr, radius, tol)
+    circle, circle_abs, n_terms = _circle_part(b, y_arr, radius, tol)
 
     def value_at(n_l: int) -> np.ndarray:
-        line = _line_part(beta, y_arr, radius, t_max, n_l)
+        line = _line_part(b, y_arr, radius, t_max, n_l)
         value = circle + line_factor * line
-        if n_l == _LINE_NODES:  # the round-off floor, before any doubling
-            allowed = tol * (1.0 + float(np.abs(value).max()))
-            floor = _EPS * float((circle_abs + abs(line_factor) * line).max())
-            if not allowed > floor:
+        if n_l == _LINE_NODES:  # the round-off floor of each row, before any doubling
+            allowed = tol * (1.0 + np.abs(value).max(axis=1))
+            floor = _EPS * (circle_abs + np.abs(line_factor) * line).max(axis=1)
+            i = int(np.argmin(allowed > floor))  # the first row that fails, if any
+            if not allowed[i] > floor[i]:
                 raise ConvergenceError(
-                    f"contour for beta={beta}: target_tol*scale={allowed:.3g} is "
-                    f"below the round-off floor {floor:.3g} of the sums "
+                    f"contour for beta={b[i]}: target_tol*scale={allowed[i]:.3g} is "
+                    f"below the round-off floor {floor[i]:.3g} of the sums "
                     f"({n_terms} series terms, {n_l} line nodes)")
         return value
 
-    value = _refine(value_at, _LINE_NODES, tol, f"contour for beta={beta}",
+    what = f"beta={b[0]}" if b.size == 1 else f"beta in [{b.min()}, {b.max()}]"
+    value = _refine(value_at, _LINE_NODES, tol, f"contour for {what}",
                     f"{n_terms} series terms, {{}} line nodes")
-    return value[0] if np.ndim(y) == 0 else value.reshape(np.shape(y))
+    return value.reshape(shape)[()]
 
 
-def f_epsilon_derivative(beta: float, y):
-    """dF/dy, via the recurrence F'(y) = 2 F_{beta-1}(y).
+def f_epsilon_derivative(beta, y):
+    """dF/dy, via the recurrence F'(y) = 2 F_{beta-1}(y), for a beta or an array of beta.
 
     Differentiating under the integral sign lowers beta by one and doubles
     the integrand, so no finite differencing is needed.
     """
-    return 2.0 * f_epsilon(float(beta) - 1.0, y)
+    return 2.0 * f_epsilon(np.asarray(beta, dtype=float) - 1.0, y)
 
 
 def j_beta(beta):
@@ -280,31 +290,25 @@ def _j_and_scale(b: np.ndarray):
 
 
 def interior_rows(betas, y: np.ndarray) -> np.ndarray:
-    """Rows F(beta_i, y), each one f_epsilon call on y plus y = 0.
+    """Rows F(beta_i, y) of one f_epsilon block on y plus y = 0, after one on y = 0.
 
     A row whose own F(0) misses J(beta_i) by more than _JUNCTION_TOL of
-    2 pi / Gamma((beta_i+1)/2) (J without its factor sin(pi beta / 2), zero
-    at even beta) raises ConvergenceError naming its beta.  The first beta
-    is checked on F(0) alone before any row, so a highly excited bound state
-    fails after one scalar evaluation, not a whole row.
+    2 pi / Gamma((beta_i+1)/2) (J without its factor sin(pi beta / 2), zero at
+    even beta) raises ConvergenceError naming the first such beta.
     """
     betas = np.asarray(betas, dtype=float)
     js, scales = _j_and_scale(betas)
-    checks = list(zip(betas.tolist(), scales.tolist(), js.tolist()))
-
-    def checked_row(beta, scale, j, y_and_junction):
-        row = f_epsilon(beta, y_and_junction)
-        mismatch = abs(row[-1] - j) / scale if scale > 0.0 else math.inf
-        if not mismatch <= _JUNCTION_TOL:
+    for y_and_junction in (np.zeros(1), np.append(y, 0.0)):
+        rows = f_epsilon(betas, y_and_junction)
+        mismatch = np.divide(np.abs(rows[:, -1] - js), scales,
+                             out=np.full(betas.shape, math.inf), where=scales > 0.0)
+        i = int(np.argmin(mismatch <= _JUNCTION_TOL))  # the first row that fails, if any
+        if not mismatch[i] <= _JUNCTION_TOL:
             raise ConvergenceError(
-                f"contour solution for beta={beta:.12g} misses J(beta) at the "
-                f"junction by {mismatch:.3g} relative to 2 pi / Gamma((beta+1)/2) "
+                f"contour solution for beta={betas[i]:.12g} misses J(beta) at the "
+                f"junction by {mismatch[i]:.3g} relative to 2 pi / Gamma((beta+1)/2) "
                 f"(tolerance {_JUNCTION_TOL:g})")
-        return row[:-1]
-
-    checked_row(*checks[0], np.zeros(1))
-    y_and_junction = np.append(y, 0.0)
-    return np.array([checked_row(*check, y_and_junction) for check in checks])
+    return rows[:, :-1]
 
 
 def hermite_poly(n: int, y):

@@ -16,7 +16,7 @@ over k_center +/- 5 sigma_k.  The plane waves e^{ikx} of all its nodes form
 one table, built from one exponential per panel centre and one per shared
 node offset (``_plane_waves``); the incoming wave e^{-ikx} is its complex
 conjugate.  ``evolve`` sums the modes (e^{-ikx} + zeta(k) e^{ikx}) / sqrt(2 pi)
-on x >= 0 and the interior rows on x < 0, all formed in ``_mode_matrix``.
+on x >= 0 and one block of interior rows on x < 0, all in ``_mode_matrix``.
 ``measure_delay`` follows the reflected packet alone: it sums the bare
 table, with zeta(k) and 1/sqrt(2 pi) put on the k weights instead.  Both
 converge their frames by the one doubling refinement ``contour._refine``:
@@ -120,12 +120,15 @@ class FrameSet:
 
     def norms(self) -> np.ndarray:
         """L2 norm of each frame over the stored grid."""
-        return np.trapezoid(np.abs(self.psi) ** 2, self.x_grid, axis=1)
+        return self._moments()[0]
 
     def centroids(self) -> np.ndarray:
-        rho = np.abs(self.psi) ** 2
-        return (np.trapezoid(self.x_grid * rho, self.x_grid, axis=1)
-                / np.trapezoid(rho, self.x_grid, axis=1))
+        return self._moments()[1]
+
+    def _moments(self):  # both from one |psi|^2 and one norm trapezoid
+        density = self.psi.real ** 2 + self.psi.imag ** 2
+        norms = np.trapezoid(density, self.x_grid, axis=1)
+        return norms, np.trapezoid(self.x_grid * density, self.x_grid, axis=1) / norms
 
 
 def improper_eigenfunction(beta, config: PotentialConfig, x):
@@ -205,10 +208,9 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
     1e-6 relative to 1 + max|psi|; ConvergenceError names the last change
     and node count if six evaluations do not settle.  A scalar ``x_grid`` or
     ``times`` is one point; an empty one gives empty frames.  Positions x < 0
-    request the costly rows of ``contour.interior_rows``, which raise
-    ConvergenceError naming the first beta whose F(0) misses J(beta); keep the
-    grid non-negative when only the reflected motion matters.  ``mirror``
-    replaces zeta by 1, the delay-free perfect-mirror reference.
+    add one block of ``contour.interior_rows`` per round, which raises
+    ConvergenceError naming the first beta whose F(0) misses J(beta).
+    ``mirror`` replaces zeta by 1, the delay-free perfect-mirror reference.
     """
     x_arr = np.atleast_1d(np.asarray(x_grid, dtype=float))
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
@@ -263,12 +265,12 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
     xs = np.linspace(0.0, spec.x_start + 12.0 * spread, 1600)
     psi = contour._refine(lambda n: _reflected_frames(spec, _k_rule(spec, n), xs, times, mirror),
                           _FRAME_NODES, _FRAME_TOL, "reflected frames", "about {} k nodes")
-    frames = FrameSet(times=times, x_grid=xs, psi=psi)
+    norms, centroids = FrameSet(times=times, x_grid=xs, psi=psi)._moments()
     # the packet has unit norm and |zeta| = 1: what the window misses is 1 - norm
-    formed = np.flatnonzero(frames.norms() > 1.0 - _UNFORMED_SHARE)
+    formed = np.flatnonzero(norms > 1.0 - _UNFORMED_SHARE)
     if formed.size == 0:
         raise ConvergenceError("reflected packet never formed inside the sampling window")
-    start, centroids = formed[0], frames.centroids()
+    start = formed[0]
     if centroids[start] >= spec.x_start:
         raise DispersionError("reflected packet too dispersed to localize: its "
                               "centroid is past the detector when it forms")

@@ -318,6 +318,24 @@ class TestWavepacket:
         assert captured.out == ""
         assert captured.err == "numerical failure: Pi denominator vanished at beta=6.0\n"
 
+    def test_interior_rows_join_the_step_side(self, capsys):
+        # the x < 0 rows written are the library frames, and those are
+        # continuous at x = 0
+        assert run_cli("wavepacket", "--beta0", "1.5", "--beta-center", "6",
+                       "--include-interior", "--frames", "2", "--x-points", "60") == 0
+        _, rows = read_csv(capsys.readouterr().out)
+        table = np.array(rows, dtype=float)
+        times, xs = np.unique(table[:, 0]), np.unique(table[:, 1])
+        assert xs.size == 60 and np.count_nonzero(xs < 0.0) > 1
+        spec = WavePacketSpec.for_beta(PotentialConfig.from_beta0(1.5), 6.0)
+        psi = evolve(spec, xs, times).psi.ravel()
+        assert np.all(table[:, 4] > 0.0)
+        # x and psi are printed to 12 digits, and psi moves by about |psi| k dx
+        assert np.abs(table[:, 2] + 1j * table[:, 3] - psi).max() <= 1e-9 * np.abs(psi).max()
+        edge = evolve(spec, [-1e-9, 0.0], times).psi
+        density = np.abs(edge) ** 2
+        assert np.all(np.abs(density[:, 0] - density[:, 1]) <= 1e-6 * density[:, 1])
+
     def test_inaccurate_interior_packet_exits_4(self, capsys):
         # the k-support spans beta 28.2 to 53.9, where the contour solution
         # misses J(beta): the junction check of the first k node's row stops it

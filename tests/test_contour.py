@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 import scipy.special as sps
 
-from stepharm import (ConvergenceError, DomainError, asymptotic_f2, contour,
-                      f_epsilon, f_epsilon_derivative, hermite_poly, j_beta)
+from stepharm import (ConvergenceError, DomainError, PotentialConfig, WavePacketSpec,
+                      asymptotic_f2, contour, f_epsilon, f_epsilon_derivative, hermite_poly,
+                      j_beta, wavepacket)
 
 EPS = np.finfo(float).eps
 
@@ -148,14 +149,81 @@ class TestFEpsilon:
         with pytest.raises(ConvergenceError, match="round-off floor"):
             f_epsilon(beta, y)
 
+    def test_round_off_floor_names_the_first_row_of_a_block(self, monkeypatch):
+        # every row is below its floor here; the first in order is named, not the smallest
+        monkeypatch.setattr(contour, "_TARGET_TOL", 1e-18)
+        with pytest.raises(ConvergenceError, match=r"contour for beta=7.3: .* round-off floor"):
+            f_epsilon([7.3, 1.3], -2.0)
+
     def test_stall_names_last_change_and_budget(self, monkeypatch):
         # a cut-edge sum that moves with every doubling never settles
-        monkeypatch.setattr(contour, "_line_part",
-                            lambda beta, y, radius, t_max, n_nodes: np.full(y.shape, n_nodes))
+        monkeypatch.setattr(contour, "_line_part", lambda beta, y, radius, t_max, n_nodes:
+                            np.full((beta.size, y.size), n_nodes))
         with pytest.raises(ConvergenceError,
                            match=r"last change \S+ against target_tol\*scale=\S+ "
                                  r"\(\d+ series terms, 3840 line nodes\)"):
             f_epsilon(1.3, -1.0)
+
+
+class TestFEpsilonBlock:
+    """f_epsilon on an array of beta: one block of rows F(beta_i, y)."""
+
+    @pytest.mark.parametrize("beta0,beta_center", [(1.2, 2.8), (1.5, 6.0), (2.7, 8.1),
+                                                   (4.4, 9.5), (4.4, 10.0)])
+    def test_rows_are_the_one_row_values(self, beta0, beta_center):
+        # the k nodes of a default packet, over the y range of its interior rows
+        config = PotentialConfig.from_beta0(beta0)
+        spec = WavePacketSpec.for_beta(config, beta_center)
+        betas = config.beta_from_k(wavepacket._k_rule(spec, 128).nodes)
+        ys = np.linspace(-6.0, 0.0, 41)
+        block = f_epsilon(betas, ys)
+        assert block.shape == (betas.size, ys.size)
+        for beta, row in zip(betas, block):
+            reference = f_epsilon(float(beta), ys)
+            assert np.abs(row - reference).max() <= 1e-12 * (1.0 + np.abs(reference).max())
+
+    def test_integer_and_even_rows(self):
+        # residue rows (every weight but one vanishes) next to generic ones
+        betas = np.array([1.0, 1.7, 2.0, 3.0, 3.4, 4.0, 6.0, 7.5])
+        ys = np.linspace(-6.0, 1.0, 36)
+        block = f_epsilon(betas, ys)
+        for beta, row in zip(betas, block):
+            reference = f_epsilon(float(beta), ys)
+            assert np.abs(row - reference).max() <= 1e-12 * (1.0 + np.abs(reference).max())
+        for m in (0, 1, 2, 3, 5):
+            residue = 2j * np.pi * hermite_poly(m, ys) / math.factorial(m)
+            row = block[np.flatnonzero(betas == m + 1.0)[0]]
+            assert np.all(np.abs(row - residue) <= 1e-9 * (1.0 + np.abs(residue)))
+
+    def test_shapes(self):
+        assert np.ndim(f_epsilon(2.5, 0.0)) == 0 and isinstance(f_epsilon(2.5, 0.0), complex)
+        assert f_epsilon(2.5, [0.0]).shape == (1,)
+        assert f_epsilon([2.5, 3.5], 0.0).shape == (2,)
+        assert f_epsilon(np.array([2.5]), np.zeros((3, 2))).shape == (1, 3, 2)
+        assert f_epsilon(np.empty(0), [0.0, 1.0]).shape == (0, 2)
+
+    @pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf, [1.3, math.nan],
+                                      [math.inf, 2.5], [2.5, -math.inf]])
+    def test_non_finite_beta_rejected(self, beta):
+        # -inf used to hang in the cut-off search, nan and inf to raise ValueError
+        with pytest.raises(DomainError, match="beta must be finite"):
+            f_epsilon(beta, 0.0)
+
+    def test_failing_beta_raises_before_any_row(self, monkeypatch):
+        # only the third beta misses J(beta) at the junction; the block on
+        # y = 0 alone names it before the 200-point rows are evaluated
+        exact = contour.f_epsilon
+        sizes = []
+
+        def counted(beta, y):
+            sizes.append((np.size(beta), np.size(y)))
+            return exact(beta, y)
+
+        monkeypatch.setattr(contour, "f_epsilon", counted)
+        with pytest.raises(ConvergenceError, match=r"beta=28.2 misses J\(beta\) at the junction"):
+            contour.interior_rows([3.3, 6.1, 28.2, 40.3], np.linspace(-4.0, 0.0, 200,
+                                                                       endpoint=False))
+        assert sizes == [(4, 1)]
 
 
 def _circle_mpmath(beta: float, y: float, radius: float) -> complex:
@@ -174,7 +242,8 @@ class TestCircleSeries:
     @pytest.mark.parametrize("radius", [0.6, 1.0, 1.4, 2.0])
     @pytest.mark.parametrize("beta", [1.3, 2.6, 3.0, 7.3, 11.9, 20.5])
     def test_matches_mpmath_quadrature(self, beta, radius):
-        values, abs_sum, terms = contour._circle_part(beta, self.YS, radius, 1e-12)
+        values, abs_sum, terms = contour._circle_part(np.array([beta]), self.YS, radius, 1e-12)
+        values, abs_sum = values[0], abs_sum[0]
         reference = np.array([_circle_mpmath(beta, float(y), radius) for y in self.YS])
         error = np.abs(values - reference)
         # truncation below 1e-14, plus the rounding of `terms` recurrence
@@ -188,7 +257,7 @@ class TestCircleSeries:
         # every weight but n = m vanishes: I = 2 pi i H_m(y) / m!
         ys = np.linspace(-8.0, 3.0, 23)
         for m in range(9):
-            values = contour._circle_part(m + 1.0, ys, radius, 1e-10)[0]
+            values = contour._circle_part(np.array([m + 1.0]), ys, radius, 1e-10)[0][0]
             reference = 2j * np.pi * hermite_poly(m, ys) / math.factorial(m)
             assert np.all(np.abs(values - reference) <= 1e-13 * (1.0 + np.abs(reference)))
 

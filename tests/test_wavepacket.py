@@ -127,10 +127,8 @@ class TestEvolve:
         exact = contour.f_epsilon
 
         def spoiled(beta, y):
-            value = exact(beta, y)
-            if centre < beta < upper:
-                value = value + 1e-4 * (np.asarray(y) == 0.0)
-            return value
+            inside = (centre < np.asarray(beta)) & (np.asarray(beta) < upper)
+            return exact(beta, y) + 1e-4 * np.multiply.outer(inside, np.asarray(y) == 0.0)
 
         monkeypatch.setattr(contour, "f_epsilon", spoiled)
         with pytest.raises(ConvergenceError,
@@ -138,6 +136,30 @@ class TestEvolve:
             evolve(spec, np.linspace(-2.0, 40.0, 60), [0.0])
         named = float(info.value.args[0].split("beta=")[1].split()[0])
         assert centre < named < upper
+
+    def test_two_contour_calls_per_round(self, cfg15, monkeypatch):
+        # each k-refinement round forms all its interior rows as one block,
+        # after one block on y = 0 alone
+        spec = WavePacketSpec.for_beta(cfg15, 6.0)
+        calls, rounds = [], []
+        exact, k_rule = contour.f_epsilon, wavepacket._k_rule
+
+        def counted(beta, y):
+            calls.append((np.size(beta), np.size(y)))
+            return exact(beta, y)
+
+        def recorded(spec, n):
+            rounds.append(k_rule(spec, n))
+            return rounds[-1]
+
+        monkeypatch.setattr(contour, "f_epsilon", counted)
+        monkeypatch.setattr(wavepacket, "_k_rule", recorded)
+        xs = np.linspace(-4.0, spec.x_start + 12.0 * spec.sigma_x, 400)
+        evolve(spec, xs, np.linspace(0.0, 40.0, 9))
+        interior = int(np.count_nonzero(xs < 0.0))
+        assert len(rounds) >= 2
+        assert calls == [call for rule in rounds for call in
+                         ((rule.nodes.size, 1), (rule.nodes.size, interior + 1))]
 
     @pytest.mark.parametrize("x_grid,times,shape", [
         ([], [0.0, 1.0], (2, 0)),
@@ -245,7 +267,8 @@ def _direct_modes(config, ks, xs, mirror, incoming=True):
 
     (e^{-ikx} + zeta e^{ikx}) / sqrt(2 pi) on x >= 0 (zeta = 1 for the
     mirror, the incoming wave left out when ``incoming`` is false), and
-    Pi(beta) F(alpha x) e^{-(alpha x)^2/2} / sqrt(2 pi) on x < 0 (zero for the mirror).
+    Pi(beta) F(alpha x) e^{-(alpha x)^2/2} / sqrt(2 pi) on x < 0 (zero for the
+    mirror), F from one scalar-beta f_epsilon call per k rather than one block.
     """
     betas = config.beta_from_k(ks)
     refl = 1.0 if mirror else zeta(betas, config)[:, None]
@@ -256,7 +279,7 @@ def _direct_modes(config, ks, xs, mirror, incoming=True):
     if neg.any():
         y = config.alpha * xs[neg]
         modes[:, neg] = 0.0 if mirror else (pi_coefficient(betas, config)[:, None]
-                                            * contour.interior_rows(betas, y)
+                                            * np.array([f_epsilon(b, y) for b in betas])
                                             * np.exp(-0.5 * y * y))
     return modes / math.sqrt(2.0 * math.pi)
 
