@@ -15,7 +15,7 @@ gives the numerically usable split
 where I_beta is the circle contribution.  By Cauchy's theorem any radius
 gives the same F; the module fixes r = _CIRCLE_RADIUS = 1 and the
 tolerance _TARGET_TOL = 1e-10 below, and passes r to the helpers as an
-argument so that it can become a function of beta in one place.
+argument.
 
 The circle is summed in closed form.  The Hermite generating function
 exp(2ty - t^2) = sum_n H_n(y) t^n / n! (DLMF 18.12.15), integrated term by
@@ -33,19 +33,17 @@ vanishes but the n = m one, and the series is the residue formula
 (2 pi i / m!) H_m(y).
 
 Both pieces separate in beta, so an array of beta is one block of rows
-F(beta_i, y_j) formed as two products: the (beta x n) weights times the
-(n x y) rows h_n, which every beta shares, and the (beta x m) matrix
-t_m^(b - beta_i), b the smallest beta, times the (m x y) matrix of the cut
-edge's composite Gauss-Legendre terms w_m t_m^(-b) e^{-t_m^2 + 2 t_m y_j},
-all positive, up to where they drop below _TARGET_TOL / 100.  The cut edge
-goes through _refine, the one doubling refinement of the package (the
-packet frames of wavepacket use it too): from _LINE_NODES nodes, doubled
-until two successive blocks agree to _TARGET_TOL relative to 1 + max|F|,
-with ConvergenceError after _MAX_ROUNDS evaluations.  A tolerance below the
-round-off floor of a row's two sums (machine epsilon times their absolute
-sums at the first evaluation) cannot be confirmed in double precision and
-raises ConvergenceError at once, as do series terms that overflow.  No
-reduction goes through BLAS.
+F(beta_i, y_j), two products: the (beta x n) weights times the rows h_n,
+which do not depend on beta, and the (beta x m) factors t_m^(b - beta_i),
+b the smallest beta, times the positive cut-edge terms w_m t_m^(-b)
+e^{-t_m^2 + 2 t_m y_j} of a composite Gauss-Legendre rule, cut off where
+they drop below _TARGET_TOL / 100.  The cut edge goes through _refine, the
+one doubling refinement of the package: _LINE_NODES nodes, doubled until two
+successive blocks agree to _TARGET_TOL relative to 1 + max|F|, with
+ConvergenceError after _MAX_ROUNDS evaluations.  A tolerance below a row's
+round-off floor (machine epsilon times its absolute sums at the first
+evaluation) raises ConvergenceError at once, as do series terms that
+overflow.  No reduction goes through BLAS.
 
 interior_rows gives every interior sample of the package: a block of rows,
 each checked against J(beta) = F(0) by its own F(0), after a block on y = 0.
@@ -97,7 +95,8 @@ def _panel_rule(a: float, b: float, n_nodes: int) -> _PanelRule:
     half = 0.5 * (b - a) / n_panels
     offsets = half * _GL_NODES
     return _PanelRule(np.add.outer(centres, offsets).ravel(),
-                      np.tile(half * _GL_WEIGHTS, n_panels), centres, offsets)
+                      np.multiply.outer(np.full(n_panels, half), _GL_WEIGHTS).ravel(),
+                      centres, offsets)
 
 
 def _refine(evaluate, n_nodes: int, tol: float, what: str, nodes: str):
@@ -126,15 +125,18 @@ def _circle_part(beta: np.ndarray, y: np.ndarray, radius: float, tol: float):
     """Circle arcs I_beta(y) of a 1-D array beta, one Hermite series for the block.
 
     Returns the (beta x y) values, the absolute sums of the series terms (their
-    round-off scale) and the number of terms summed.
+    round-off scale), the number of terms summed and the (beta x 1) factors
+    -2i e^{-i pi beta} sin(pi beta) of the cut edge.
     """
     prefactor = radius ** (1.0 - beta)
-    for b, p in zip(beta.tolist(), prefactor.tolist()):
-        if not 0.0 < p < math.inf:
-            raise ConvergenceError(
-                f"circle prefactor r^(1-beta)={p} is out of range for r={radius}, beta={b}")
+    largest = float(prefactor.max())
+    if not (0.0 < float(prefactor.min()) and largest < math.inf):
+        i = int(np.argmax(~((prefactor > 0.0) & (prefactor < math.inf))))
+        raise ConvergenceError(
+            f"circle prefactor r^(1-beta)={prefactor[i]} is out of range for "
+            f"r={radius}, beta={beta[i]}")
     two_g = 4.0 * radius * (float(np.abs(y).max()) + radius)
-    limit = tol / (400.0 * _TWO_PI * float(prefactor.max()))
+    limit = tol / (400.0 * _TWO_PI * largest)
     ry, r2 = 2.0 * radius * y, 2.0 * radius * radius
     rows = [np.ones_like(y), ry]
     n = 1
@@ -155,16 +157,17 @@ def _circle_part(beta: np.ndarray, y: np.ndarray, radius: float, tol: float):
     # With beta = k + f, k = round(beta), the weight 2 pi e^{i pi a} sinc(a)
     # is 2 pi e^{-i pi f} d_n, d_n = -sin(pi f) / (pi a_n), and d_n = 1 at
     # a_n = 0.  Splitting off the integer k keeps every other d_n exactly
-    # zero at integer beta, so only the residue term is left there.
+    # zero at integer beta, so only the residue term is left there.  The cut
+    # edge's e^{-i pi beta} sin(pi beta) is e^{-i pi f} sin(pi f), zero there too.
     whole = np.round(beta)
-    frac = beta - whole
-    a = (np.arange(n + 1) + (1.0 - whole)[:, None]) - frac[:, None]
-    d = np.divide(-np.sin(np.pi * frac)[:, None], np.pi * a, out=np.ones_like(a),
-                  where=a != 0.0)
-    scale = _TWO_PI * prefactor
-    value = (1j * scale * np.exp(-1j * np.pi * frac))[:, None] * np.einsum("bn,ny->by", d, h)
-    abs_sum = scale[:, None] * np.einsum("bn,ny->by", np.abs(d), np.abs(h))
-    return value, abs_sum, n + 1
+    frac = (beta - whole)[:, None]
+    sine, phase = np.sin(np.pi * frac), np.exp(-1j * np.pi * frac)
+    a = (np.arange(n + 1) + (1.0 - whole)[:, None]) - frac
+    d = np.divide(-sine, np.pi * a, out=np.ones_like(a), where=a != 0.0)
+    scale = _TWO_PI * prefactor[:, None]
+    value = 1j * scale * phase * np.einsum("bn,ny->by", d, h)
+    abs_sum = scale * np.einsum("bn,ny->by", np.abs(d), np.abs(h))
+    return value, abs_sum, n + 1, -2j * phase * sine
 
 
 def _line_part(beta: np.ndarray, y: np.ndarray, radius: float, t_max: float,
@@ -173,11 +176,10 @@ def _line_part(beta: np.ndarray, y: np.ndarray, radius: float, t_max: float,
     # log integrand of b, weights included, keeps t^(-b) e^{2ty} from pairing
     # overflow with underflow at large |y|; t^(b - beta_i) <= 1 for t >= 1.
     t, w = _panel_rule(radius, t_max, n_nodes)[:2]
-    lowest, log_t = float(beta.min()), np.log(t)
+    lowest = float(beta.min())
     log_f = np.multiply.outer(y, 2.0 * t)
-    log_f += np.log(w) - t * t - lowest * log_t
-    rest = np.exp(np.multiply.outer(lowest - beta, log_t))
-    return np.einsum("bt,yt->by", rest, np.exp(log_f, out=log_f))
+    log_f += np.log(w) - t * t - lowest * np.log(t)
+    return np.einsum("bt,yt->by", t ** (lowest - beta)[:, None], np.exp(log_f, out=log_f))
 
 
 def _auto_truncation(beta: float, y_max: float, radius: float, tol: float) -> float:
@@ -216,18 +218,16 @@ def f_epsilon(beta, y):
     """
     b = np.asarray(beta, dtype=float).ravel()
     y_arr = np.asarray(y, dtype=float).ravel()
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise DomainError("beta must be finite")
-    if not np.all(np.isfinite(y_arr)):
+    if not np.isfinite(y_arr).all():
         raise DomainError("y must be finite")
     shape = np.shape(beta) + np.shape(y)
     if b.size == 0 or y_arr.size == 0:
         return np.empty(shape, dtype=complex)
     radius, tol = _CIRCLE_RADIUS, _TARGET_TOL
     t_max = _auto_truncation(float(b.min()), float(y_arr.max(initial=0.0)), radius, tol)
-    line_factor = (-2j * np.exp(-1j * np.pi * b) * np.sin(np.pi * b))[:, None]
-
-    circle, circle_abs, n_terms = _circle_part(b, y_arr, radius, tol)
+    circle, circle_abs, n_terms, line_factor = _circle_part(b, y_arr, radius, tol)
 
     def value_at(n_l: int) -> np.ndarray:
         line = _line_part(b, y_arr, radius, t_max, n_l)
@@ -235,8 +235,9 @@ def f_epsilon(beta, y):
         if n_l == _LINE_NODES:  # the round-off floor of each row, before any doubling
             allowed = tol * (1.0 + np.abs(value).max(axis=1))
             floor = _EPS * (circle_abs + np.abs(line_factor) * line).max(axis=1)
-            i = int(np.argmin(allowed > floor))  # the first row that fails, if any
-            if not allowed[i] > floor[i]:
+            above = allowed > floor
+            if not above.all():
+                i = int(np.argmin(above))  # the first row that fails
                 raise ConvergenceError(
                     f"contour for beta={b[i]}: target_tol*scale={allowed[i]:.3g} is "
                     f"below the round-off floor {floor[i]:.3g} of the sums "
@@ -302,8 +303,9 @@ def interior_rows(betas, y: np.ndarray) -> np.ndarray:
         rows = f_epsilon(betas, y_and_junction)
         mismatch = np.divide(np.abs(rows[:, -1] - js), scales,
                              out=np.full(betas.shape, math.inf), where=scales > 0.0)
-        i = int(np.argmin(mismatch <= _JUNCTION_TOL))  # the first row that fails, if any
-        if not mismatch[i] <= _JUNCTION_TOL:
+        within = mismatch <= _JUNCTION_TOL
+        if not within.all():
+            i = int(np.argmin(within))  # the first row that fails
             raise ConvergenceError(
                 f"contour solution for beta={betas[i]:.12g} misses J(beta) at the "
                 f"junction by {mismatch[i]:.3g} relative to 2 pi / Gamma((beta+1)/2) "

@@ -65,27 +65,32 @@ def check_j_route_independence() -> CheckResult:
         direct = oracle.contour_quadrature_j(beta)
         closed = contour.j_beta(beta)
         worst = max(worst, abs(direct - closed) / (1.0 + abs(closed)))
-    betas = np.array([1.3, 2.6, 4.1])
-    via_f, closed = contour.f_epsilon(betas, 0.0), contour.j_beta(betas)
-    worst = max(worst, float(np.max(np.abs(via_f - closed) / (1.0 + np.abs(closed)))))
+    for beta in (1.3, 2.6, 4.1):
+        via_f = contour.f_epsilon(beta, 0.0)
+        closed = contour.j_beta(beta)
+        worst = max(worst, abs(via_f - closed) / (1.0 + abs(closed)))
     return _check("j_route_independence", worst, 1e-8)
 
 
 def check_hermite_degeneracy() -> CheckResult:
     ys = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    reference = np.array([2j * np.pi * contour.hermite_poly(n, ys) / math.factorial(n)
-                          for n in range(6)])
-    values = contour.f_epsilon(np.arange(1.0, 7.0), ys)
-    worst = float(np.max(np.abs(values - reference) / (1.0 + np.abs(reference))))
+    worst = 0.0
+    for n in range(6):
+        reference = 2j * np.pi * contour.hermite_poly(n, ys) / math.factorial(n)
+        values = contour.f_epsilon(float(n + 1), ys)
+        scale = 1.0 + np.abs(reference)
+        worst = max(worst, float(np.max(np.abs(values - reference) / scale)))
     return _check("hermite_degeneracy", worst, 1e-6)
 
 
 def check_ode_oracle() -> CheckResult:
-    grid, betas = np.linspace(-4.0, 1.0, 51), (0.8, 1.3, 2.6)
-    seeded = np.array([oracle.integrate_hermite_ode(
-        beta, grid, contour.j_beta(beta), 2.0 * contour.j_beta(beta - 1.0)) for beta in betas])
-    direct = contour.f_epsilon(betas, grid)
-    worst = float(np.max(np.abs(seeded - direct) / np.abs(direct)))
+    grid = np.linspace(-4.0, 1.0, 51)
+    worst = 0.0
+    for beta in (0.8, 1.3, 2.6):
+        seeded = oracle.integrate_hermite_ode(
+            beta, grid, contour.j_beta(beta), 2.0 * contour.j_beta(beta - 1.0))
+        direct = contour.f_epsilon(beta, grid)
+        worst = max(worst, float(np.max(np.abs(seeded - direct) / np.abs(direct))))
     return _check("hermite_ode_oracle", worst, 1e-6)
 
 
@@ -162,14 +167,16 @@ def check_bound_junction() -> CheckResult:
 
 def check_improper_junction() -> CheckResult:
     config = PotentialConfig.from_beta0(1.5)
-    betas = np.array([1.7, 2.9, 4.2, 7.5])
-    pi_coeff = scattering.pi_coefficient(betas, config)
-    z = scattering.zeta(betas, config)
-    value = pi_coeff * contour.f_epsilon(betas, 0.0)
-    slope_left = pi_coeff * config.alpha * contour.f_epsilon_derivative(betas, 0.0)
-    slope_right = 1j * config.k_continuum(betas) * (z - 1.0)
-    worst = max(float(np.max(np.abs(value - (1.0 + z)) / np.abs(1.0 + z))),
-                float(np.max(np.abs(slope_left - slope_right) / np.abs(slope_right))))
+    worst = 0.0
+    for beta in (1.7, 2.9, 4.2, 7.5):
+        pi_coeff = scattering.pi_coefficient(beta, config)
+        z = scattering.zeta(beta, config)
+        k = config.k_continuum(beta)
+        value = pi_coeff * contour.f_epsilon(beta, 0.0)
+        worst = max(worst, abs(value - (1.0 + z)) / abs(1.0 + z))
+        slope_left = pi_coeff * config.alpha * contour.f_epsilon_derivative(beta, 0.0)
+        slope_right = 1j * k * (z - 1.0)
+        worst = max(worst, abs(slope_left - slope_right) / abs(slope_right))
     return _check("improper_junction", worst, 1e-8)
 
 

@@ -120,15 +120,19 @@ class TestEvolve:
 
     def test_every_interior_row_is_checked(self, cfg15, monkeypatch):
         # F(0) is spoiled only strictly inside the upper half of the
-        # k-support, away from its centre and ends: the rows there must raise
+        # k-support, away from its centre and ends, and only in the call that
+        # also samples y < 0: the check of the rows' own F(0) must raise there
         spec = WavePacketSpec.for_beta(cfg15, 6.0)
         centre = spec.beta_center
         upper = cfg15.beta_from_k(spec.k_center + 5.0 * spec.sigma_k)
         exact = contour.f_epsilon
 
         def spoiled(beta, y):
-            inside = (centre < np.asarray(beta)) & (np.asarray(beta) < upper)
-            return exact(beta, y) + 1e-4 * np.multiply.outer(inside, np.asarray(y) == 0.0)
+            value = exact(beta, y)
+            if np.size(y) > 1:
+                inside = (centre < np.asarray(beta)) & (np.asarray(beta) < upper)
+                value = value + 1e-4 * np.multiply.outer(inside, np.asarray(y) == 0.0)
+            return value
 
         monkeypatch.setattr(contour, "f_epsilon", spoiled)
         with pytest.raises(ConvergenceError,
