@@ -37,7 +37,12 @@ F(beta_i, y_j), two products: the (beta x n) weights times the rows h_n,
 which do not depend on beta, and the (beta x m) factors t_m^(b - beta_i),
 b the smallest beta, times the positive cut-edge terms w_m t_m^(-b)
 e^{-t_m^2 + 2 t_m y_j} of a composite Gauss-Legendre rule, cut off where
-they drop below _TARGET_TOL / 100.  The cut edge goes through _refine, the
+they drop below _TARGET_TOL / 100.  A block of few rows on many y (a bound
+state, one continuum mode) factors e^{2 t_m y_j} over the rule's panels
+instead: t_m = c_p + o_q, so the (y x node) exponentials become (y x panel)
+and (y x offset) ones, contracted first over the offsets, then over the
+panels; blocks of many rows (the k nodes of a packet) keep the (y x node)
+product, which costs less there.  The cut edge goes through _refine, the
 one doubling refinement of the package: _LINE_NODES nodes, doubled until two
 successive blocks agree to _TARGET_TOL relative to 1 + max|F|, with
 ConvergenceError after _MAX_ROUNDS evaluations.  A tolerance below a row's
@@ -45,8 +50,8 @@ round-off floor (machine epsilon times its absolute sums at the first
 evaluation) raises ConvergenceError at once, as do series terms that
 overflow.  No reduction goes through BLAS.
 
-interior_rows gives every interior sample of the package: a block of rows,
-each checked against J(beta) = F(0) by its own F(0), after a block on y = 0.
+interior_rows gives every interior sample of the package: one block of rows
+on y plus y = 0, each checked against J(beta) = F(0) by its own F(0).
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ _TARGET_TOL = 1e-10
 _JUNCTION_TOL = 1e-8  # relative F(0) - J(beta) that interior_rows allows
 _MAX_ROUNDS = 6  # evaluations of an adaptive sum before _refine gives up
 _SERIES_CHUNK = 8  # series terms between two checks of the stop rule
+_FACTORED_POINTS_PER_ROW = 100  # y points per row from which _line_part factors e^{2ty}
 _EPS = float(np.finfo(float).eps)
 
 
@@ -175,11 +181,30 @@ def _line_part(beta: np.ndarray, y: np.ndarray, radius: float, t_max: float,
     # t^(-beta_i) = t^(-b) t^(b - beta_i), b the smallest beta.  One exp of the
     # log integrand of b, weights included, keeps t^(-b) e^{2ty} from pairing
     # overflow with underflow at large |y|; t^(b - beta_i) <= 1 for t >= 1.
-    t, w = _panel_rule(radius, t_max, n_nodes)[:2]
+    rule = _panel_rule(radius, t_max, n_nodes)
+    t = rule.nodes
     lowest = float(beta.min())
-    log_f = np.multiply.outer(y, 2.0 * t)
-    log_f += np.log(w) - t * t - lowest * np.log(t)
-    return np.einsum("bt,yt->by", t ** (lowest - beta)[:, None], np.exp(log_f, out=log_f))
+    log_g = np.log(rule.weights) - t * t - lowest * np.log(t)
+    rise = t ** (lowest - beta)[:, None]
+    if y.size < _FACTORED_POINTS_PER_ROW * beta.size:
+        log_f = np.multiply.outer(y, 2.0 * t)
+        log_f += log_g
+        return np.einsum("bt,yt->by", rise, np.exp(log_f, out=log_f))
+    # Few rows on many y: with t = c_p + o_q, e^{2ty} = e^{2 c_p y} e^{2 o_q y},
+    # so (y x (panels + offsets)) exponentials replace the (y x node) ones.
+    # The y-free terms are taken relative to -c_p^2 - b log c_p, their value at
+    # the panel centre; the (node) and (y x offset) factors then multiply to
+    # about e^{2 o_q (y - c_p)}, near 1 in the panels of the largest terms
+    # (c_p ~ y), so no factor overflows before the terms themselves do.
+    n_panels, n_offsets = rule.centres.size, rule.offsets.size
+    centre = -rule.centres * rule.centres - lowest * np.log(rule.centres)
+    log_g = log_g.reshape(n_panels, n_offsets) - centre[:, None]
+    g = rise.reshape(beta.size, n_panels, n_offsets) * np.exp(log_g)
+    offset = np.multiply.outer(y, 2.0 * rule.offsets)
+    panel = np.multiply.outer(y, 2.0 * rule.centres)
+    panel += centre
+    per_panel = np.einsum("bpq,yq->bpy", g, np.exp(offset, out=offset))
+    return np.einsum("bpy,yp->by", per_panel, np.exp(panel, out=panel))
 
 
 def _auto_truncation(beta: float, y_max: float, radius: float, tol: float) -> float:
@@ -291,25 +316,28 @@ def _j_and_scale(b: np.ndarray):
 
 
 def interior_rows(betas, y: np.ndarray) -> np.ndarray:
-    """Rows F(beta_i, y) of one f_epsilon block on y plus y = 0, after one on y = 0.
+    """Rows F(beta_i, y) of one f_epsilon block on y plus y = 0.
 
     A row whose own F(0) misses J(beta_i) by more than _JUNCTION_TOL of
     2 pi / Gamma((beta_i+1)/2) (J without its factor sin(pi beta / 2), zero at
-    even beta) raises ConvergenceError naming the first such beta.
+    even beta) raises ConvergenceError naming the first such beta, after the
+    block is formed.  A row that f_epsilon itself refuses raises from
+    f_epsilon first: high beta on y far below 0 reaches the round-off floor
+    of its sums there (bound states from beta_n ~ 59 at beta0 = 60 on
+    y >= -14, from beta_n ~ 86 at beta0 = 200 on y >= -23).
     """
     betas = np.asarray(betas, dtype=float)
     js, scales = _j_and_scale(betas)
-    for y_and_junction in (np.zeros(1), np.append(y, 0.0)):
-        rows = f_epsilon(betas, y_and_junction)
-        mismatch = np.divide(np.abs(rows[:, -1] - js), scales,
-                             out=np.full(betas.shape, math.inf), where=scales > 0.0)
-        within = mismatch <= _JUNCTION_TOL
-        if not within.all():
-            i = int(np.argmin(within))  # the first row that fails
-            raise ConvergenceError(
-                f"contour solution for beta={betas[i]:.12g} misses J(beta) at the "
-                f"junction by {mismatch[i]:.3g} relative to 2 pi / Gamma((beta+1)/2) "
-                f"(tolerance {_JUNCTION_TOL:g})")
+    rows = f_epsilon(betas, np.append(y, 0.0))
+    mismatch = np.divide(np.abs(rows[:, -1] - js), scales,
+                         out=np.full(betas.shape, math.inf), where=scales > 0.0)
+    within = mismatch <= _JUNCTION_TOL
+    if not within.all():
+        i = int(np.argmin(within))  # the first row that fails
+        raise ConvergenceError(
+            f"contour solution for beta={betas[i]:.12g} misses J(beta) at the "
+            f"junction by {mismatch[i]:.3g} relative to 2 pi / Gamma((beta+1)/2) "
+            f"(tolerance {_JUNCTION_TOL:g})")
     return rows[:, :-1]
 
 

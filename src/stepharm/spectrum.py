@@ -199,8 +199,10 @@ def bound_eigenfunction(level: EnergyLevel, config: PotentialConfig, xs,
     u_n(x) = F(alpha x) exp(-(alpha x)^2 / 2) for x < 0 and
     J(beta_n) exp(-k_n x) for x >= 0; both branches equal J(beta_n) at the
     junction.  Positions x >= 0 need no contour solution.  Positions x < 0
-    are one row of ``contour.interior_rows``, which raises ConvergenceError
-    where the row's own F(0) misses J(beta_n) instead of returning wrong samples.
+    are one row of ``contour.interior_rows``: one contour call on them plus
+    x = 0, which raises ConvergenceError instead of returning wrong samples
+    where that call's F(0) misses J(beta_n), or where the row reaches the
+    round-off floor of its sums (high beta_n on x far below 0).
 
     When ``normalized`` the result carries unit L2 norm, in closed form.
     With y = alpha x and eps = 2 beta - 1 the interior obeys

@@ -208,8 +208,10 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
     1e-6 relative to 1 + max|psi|; ConvergenceError names the last change
     and node count if six evaluations do not settle.  A scalar ``x_grid`` or
     ``times`` is one point; an empty one gives empty frames.  Positions x < 0
-    add one block of ``contour.interior_rows`` per round, which raises
-    ConvergenceError naming the first beta whose F(0) misses J(beta).
+    add one contour call per round, the block of ``contour.interior_rows`` on
+    them plus x = 0, which raises ConvergenceError naming the first beta
+    whose own F(0) misses J(beta), or the first at the round-off floor of
+    its sums.
     ``mirror`` replaces zeta by 1, the delay-free perfect-mirror reference.
     """
     x_arr = np.atleast_1d(np.asarray(x_grid, dtype=float))

@@ -209,9 +209,9 @@ class TestFEpsilonBlock:
         with pytest.raises(DomainError, match="beta must be finite"):
             f_epsilon(beta, 0.0)
 
-    def test_failing_beta_raises_before_any_row(self, monkeypatch):
-        # only the third beta misses J(beta) at the junction; the block on
-        # y = 0 alone names it before the 200-point rows are evaluated
+    def test_failing_beta_raises_from_the_one_block_call(self, monkeypatch):
+        # only the third beta misses J(beta) at the junction; the one block on
+        # the 200 points plus y = 0 names it, and no rows are returned
         exact = contour.f_epsilon
         sizes = []
 
@@ -220,10 +220,70 @@ class TestFEpsilonBlock:
             return exact(beta, y)
 
         monkeypatch.setattr(contour, "f_epsilon", counted)
+        rows = None
         with pytest.raises(ConvergenceError, match=r"beta=28.2 misses J\(beta\) at the junction"):
-            contour.interior_rows([3.3, 6.1, 28.2, 40.3], np.linspace(-4.0, 0.0, 200,
-                                                                       endpoint=False))
-        assert sizes == [(4, 1)]
+            rows = contour.interior_rows([3.3, 6.1, 28.2, 40.3],
+                                         np.linspace(-4.0, 0.0, 200, endpoint=False))
+        assert sizes == [(4, 201)] and rows is None
+
+
+class TestFactoredCutEdge:
+    """Few rows on many y: the cut edge from panel and offset factors of e^{2ty}."""
+
+    YS = np.linspace(-14.0, 3.0, 561)
+
+    @pytest.mark.parametrize("beta", [1.0, 1.2, 1.55, 2.0, 2.5, 3.0, 3.3, 4.0, 4.71, 5.0,
+                                      6.0, 6.9, 9.2, 12.45, 17.6, 23.8, 27.15, 30.0])
+    def test_one_row_is_its_row_in_a_block(self, beta):
+        # beta is the smallest of the 20 rows, so both calls cut the edge off
+        # at the same t; only the block takes the (y x node) form.  Below
+        # beta = 4 the block's rows reach their round-off floor before y = -14.
+        ys = self.YS[self.YS >= -12.0] if beta < 4.0 else self.YS
+        block = f_epsilon(beta + np.linspace(0.0, 0.019, 20), ys)
+        row = f_epsilon(beta, ys)
+        assert np.abs(row - block[0]).max() <= 1e-13 * (1.0 + np.abs(block[0]).max())
+
+    @pytest.mark.parametrize("centre", [-40.0, -25.0, 8.0, 12.0])
+    @pytest.mark.parametrize("beta", [1.5, 3.0, 7.7, 20.3])
+    def test_far_from_the_junction_as_the_node_form(self, beta, centre, monkeypatch):
+        # the same value or the same error as the (y x node) form, at y where
+        # a term's two factors are far apart in size
+        ys = np.linspace(centre - 0.5, centre + 0.5, 201)
+
+        def outcome():
+            try:
+                return f_epsilon(beta, ys)
+            except ConvergenceError as error:
+                return str(error)
+
+        factored = outcome()
+        monkeypatch.setattr(contour, "_FACTORED_POINTS_PER_ROW", math.inf)
+        by_node = outcome()
+        if isinstance(by_node, str) or isinstance(factored, str):
+            assert factored == by_node
+        else:
+            assert np.abs(factored - by_node).max() <= 1e-13 * (1.0 + np.abs(by_node).max())
+
+    def test_one_row_forms_no_y_by_node_exponentials(self, monkeypatch):
+        # the largest exponential of a one-row call is (y x offsets); a 20-row
+        # block on the same y still forms the (y x node) one
+        sizes = []
+
+        class CountedNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def exp(x, *args, **kwargs):
+                sizes.append(np.size(x))
+                return np.exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(contour, "np", CountedNumpy())
+        f_epsilon(6.9, self.YS)
+        assert max(sizes) == self.YS.size * contour._NODES_PER_PANEL
+        sizes.clear()
+        f_epsilon(6.9 + np.linspace(0.0, 1.0, 20), self.YS)
+        assert max(sizes) == self.YS.size * 2 * contour._LINE_NODES
 
 
 def _circle_mpmath(beta: float, y: float, radius: float) -> complex:

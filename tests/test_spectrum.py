@@ -365,8 +365,7 @@ class TestBoundEigenfunction:
         assert np.all(np.abs(values - expected) <= 1e-9 * np.abs(expected))
 
     def test_interior_row_carries_its_junction_value(self, cfg45, monkeypatch):
-        # a one-point probe at y = 0 first, then the x < 0 samples and their
-        # own junction value F(0) from one call
+        # one call: the x < 0 samples and their own junction value F(0)
         level = solve_levels(cfg45)[1]
         exact = contour.f_epsilon
         sizes = []
@@ -377,11 +376,11 @@ class TestBoundEigenfunction:
 
         monkeypatch.setattr(contour, "f_epsilon", counted)
         bound_eigenfunction(level, cfg45, np.linspace(-3.0, 3.0, 61))
-        assert sizes == [1, 30 + 1]
+        assert sizes == [30 + 1]
 
-    def test_faulty_state_fails_before_its_row(self, monkeypatch):
-        # beta_n ~ 31.5 misses J(beta_n): the one-point probe refuses it
-        # before the 1,120-point row is evaluated
+    def test_faulty_state_fails_at_its_junction(self, monkeypatch):
+        # beta_n ~ 31.5 misses J(beta_n): the one call that forms its
+        # 1,120-point row refuses it, and no samples are returned
         config = make_config(60.0)
         level = solve_levels(config)[15]
         exact = contour.f_epsilon
@@ -392,9 +391,10 @@ class TestBoundEigenfunction:
             return exact(beta, y)
 
         monkeypatch.setattr(contour, "f_epsilon", counted)
-        with pytest.raises(ConvergenceError, match="beta=31.48"):
-            bound_eigenfunction(level, config, np.linspace(-14.0, 3.0, 1361))
-        assert sizes == [1]
+        values = None
+        with pytest.raises(ConvergenceError, match=r"beta=31.48\S* misses J\(beta\)"):
+            values = bound_eigenfunction(level, config, np.linspace(-14.0, 3.0, 1361))
+        assert sizes == [1120 + 1] and values is None
 
     def test_junction_value_of_the_sampling_call_is_checked(self, cfg45, monkeypatch):
         # F(0) is spoiled only in a call that also samples y < 0, so only a

@@ -141,9 +141,9 @@ class TestEvolve:
         named = float(info.value.args[0].split("beta=")[1].split()[0])
         assert centre < named < upper
 
-    def test_two_contour_calls_per_round(self, cfg15, monkeypatch):
-        # each k-refinement round forms all its interior rows as one block,
-        # after one block on y = 0 alone
+    def test_one_contour_call_per_round(self, cfg15, monkeypatch):
+        # each k-refinement round forms all its interior rows, with their
+        # junction values, as one block
         spec = WavePacketSpec.for_beta(cfg15, 6.0)
         calls, rounds = [], []
         exact, k_rule = contour.f_epsilon, wavepacket._k_rule
@@ -162,8 +162,7 @@ class TestEvolve:
         evolve(spec, xs, np.linspace(0.0, 40.0, 9))
         interior = int(np.count_nonzero(xs < 0.0))
         assert len(rounds) >= 2
-        assert calls == [call for rule in rounds for call in
-                         ((rule.nodes.size, 1), (rule.nodes.size, interior + 1))]
+        assert calls == [(rule.nodes.size, interior + 1) for rule in rounds]
 
     @pytest.mark.parametrize("x_grid,times,shape", [
         ([], [0.0, 1.0], (2, 0)),
