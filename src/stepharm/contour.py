@@ -32,6 +32,15 @@ doubled, is below _TARGET_TOL / 100.  At integer beta = m+1 every sinc
 vanishes but the n = m one, and the series is the residue formula
 (2 pi i / m!) H_m(y).
 
+The rows h_n do not depend on beta, so they are built once per y grid:
+_hermite_table keeps each (terms x y) table, read-only, under the bytes of
+the float64 y, the radius, the stop limit and _SERIES_CHUNK.  A later call
+on the same y (another level on a state grid, the next k round of a packet,
+a repeated F(0)) skips the recurrence and gets the same bits as a cold
+call.  At most _TABLE_CACHE_ENTRIES tables and _TABLE_CACHE_BYTES are
+kept, the least recently used going first; a larger table is used once
+and dropped.  A lock makes the cache safe to share between threads.
+
 Both pieces separate in beta, so an array of beta is one block of rows
 F(beta_i, y_j), two products: the (beta x n) weights times the rows h_n,
 which do not depend on beta, and the (beta x m) factors t_m^(b - beta_i),
@@ -57,6 +66,8 @@ on y plus y = 0, each checked against J(beta) = F(0) by its own F(0).
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from typing import NamedTuple
 
 import numpy as np
@@ -73,6 +84,10 @@ _MAX_ROUNDS = 6  # evaluations of an adaptive sum before _refine gives up
 _SERIES_CHUNK = 8  # series terms between two checks of the stop rule
 _FACTORED_POINTS_PER_ROW = 100  # y points per row from which _line_part factors e^{2ty}
 _EPS = float(np.finfo(float).eps)
+_TABLE_CACHE_ENTRIES = 8  # Hermite tables _hermite_table keeps between calls
+_TABLE_CACHE_BYTES = 4 << 20  # their total size, y keys included
+_tables: OrderedDict = OrderedDict()  # key -> table, least recently used first
+_tables_lock = threading.Lock()
 
 
 _NODES_PER_PANEL = 20
@@ -127,22 +142,40 @@ def _refine(evaluate, n_nodes: int, tol: float, what: str, nodes: str):
         f"target_tol*scale={allowed:.3g} ({nodes.format(n_nodes)})")
 
 
-def _circle_part(beta: np.ndarray, y: np.ndarray, radius: float, tol: float):
-    """Circle arcs I_beta(y) of a 1-D array beta, one Hermite series for the block.
+def _hermite_table(y: np.ndarray, radius: float, limit: float) -> np.ndarray:
+    """Read-only (terms x y) rows h_n(y) of _hermite_rows, kept between calls.
 
-    Returns the (beta x y) values, the absolute sums of the series terms (their
-    round-off scale), the number of terms summed and the (beta x 1) factors
-    -2i e^{-i pi beta} sin(pi beta) of the cut edge.
+    The key is the bytes of the float64 y and every number the rows depend
+    on, so a later call on the same y gets the same bits without the
+    recurrence.  The least recently used tables go first once there are more
+    than _TABLE_CACHE_ENTRIES of them or more than _TABLE_CACHE_BYTES; a
+    larger table is returned but not kept.
     """
-    prefactor = radius ** (1.0 - beta)
-    largest = float(prefactor.max())
-    if not (0.0 < float(prefactor.min()) and largest < math.inf):
-        i = int(np.argmax(~((prefactor > 0.0) & (prefactor < math.inf))))
-        raise ConvergenceError(
-            f"circle prefactor r^(1-beta)={prefactor[i]} is out of range for "
-            f"r={radius}, beta={beta[i]}")
+    key = (y.tobytes(), radius, limit, _SERIES_CHUNK)
+    with _tables_lock:
+        h = _tables.get(key)
+        if h is not None:
+            _tables.move_to_end(key)
+            return h
+    h = _hermite_rows(y, radius, limit)
+    h.flags.writeable = False
+    if h.nbytes + len(key[0]) <= _TABLE_CACHE_BYTES:
+        with _tables_lock:
+            _tables[key] = h
+            _tables.move_to_end(key)  # another thread may have stored it first
+            while (len(_tables) > _TABLE_CACHE_ENTRIES
+                   or sum(t.nbytes + len(k[0]) for k, t in _tables.items()) > _TABLE_CACHE_BYTES):
+                _tables.popitem(last=False)
+    return h
+
+
+def _hermite_rows(y: np.ndarray, radius: float, limit: float) -> np.ndarray:
+    """Rows h_n(y) = H_n(y) r^n / n! of the circle series, until the stop rule holds.
+
+    The stop rule (see the module docstring) is checked every _SERIES_CHUNK
+    terms against ``limit``; terms that overflow raise ConvergenceError.
+    """
     two_g = 4.0 * radius * (float(np.abs(y).max()) + radius)
-    limit = tol / (400.0 * _TWO_PI * largest)
     ry, r2 = 2.0 * radius * y, 2.0 * radius * radius
     rows = [np.ones_like(y), ry]
     n = 1
@@ -159,7 +192,25 @@ def _circle_part(beta: np.ndarray, y: np.ndarray, radius: float, tol: float):
                     f"({n + 1} terms)")
             if n + 1 > two_g and tail <= limit:
                 break
-    h = np.array(rows)
+    return np.array(rows)
+
+
+def _circle_part(beta: np.ndarray, y: np.ndarray, radius: float, tol: float):
+    """Circle arcs I_beta(y) of a 1-D array beta, one Hermite series for the block.
+
+    Returns the (beta x y) values, the absolute sums of the series terms (their
+    round-off scale), the number of terms summed and the (beta x 1) factors
+    -2i e^{-i pi beta} sin(pi beta) of the cut edge.
+    """
+    prefactor = radius ** (1.0 - beta)
+    largest = float(prefactor.max())
+    if not (0.0 < float(prefactor.min()) and largest < math.inf):
+        i = int(np.argmax(~((prefactor > 0.0) & (prefactor < math.inf))))
+        raise ConvergenceError(
+            f"circle prefactor r^(1-beta)={prefactor[i]} is out of range for "
+            f"r={radius}, beta={beta[i]}")
+    h = _hermite_table(y, radius, tol / (400.0 * _TWO_PI * largest))
+    n = h.shape[0] - 1
     # With beta = k + f, k = round(beta), the weight 2 pi e^{i pi a} sinc(a)
     # is 2 pi e^{-i pi f} d_n, d_n = -sin(pi f) / (pi a_n), and d_n = 1 at
     # a_n = 0.  Splitting off the integer k keeps every other d_n exactly

@@ -1,6 +1,9 @@
 """Loop-integral solution F(y): boundary values, degeneracies, ODE residual."""
 
 import math
+import sys
+from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 
 import mpmath as mp
 import numpy as np
@@ -320,6 +323,158 @@ class TestCircleSeries:
             values = contour._circle_part(np.array([m + 1.0]), ys, radius, 1e-10)[0][0]
             reference = 2j * np.pi * hermite_poly(m, ys) / math.factorial(m)
             assert np.all(np.abs(values - reference) <= 1e-13 * (1.0 + np.abs(reference)))
+
+
+def _bits(value) -> bytes:
+    """The exact bits of a value, an error message, or a tuple of them."""
+    if isinstance(value, tuple):
+        return b"|".join(_bits(v) for v in value)
+    if isinstance(value, str):
+        return value.encode()
+    return np.asarray(value).tobytes()
+
+
+class TestHermiteTableCache:
+    """The circle's Hermite rows, built once per y grid and kept between calls."""
+
+    YS = np.linspace(-7.0, 0.0, 561)
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        # each test starts cold, and what it stores is dropped after it
+        monkeypatch.setattr(contour, "_tables", OrderedDict())
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Sizes of the y grids the recurrence runs on, in call order."""
+        sizes, exact = [], contour._hermite_rows
+
+        def counted(y, radius, limit):
+            sizes.append(y.size)
+            return exact(y, radius, limit)
+
+        monkeypatch.setattr(contour, "_hermite_rows", counted)
+        return sizes
+
+    @staticmethod
+    def outcome(beta, y):
+        try:
+            return f_epsilon(beta, y)
+        except ConvergenceError as error:
+            return str(error)
+
+    @staticmethod
+    def held():
+        return (len(contour._tables),
+                sum(t.nbytes + len(k[0]) for k, t in contour._tables.items()))
+
+    @pytest.mark.parametrize("beta,y", [(7.7, YS), (3.3 + np.linspace(0.0, 1.9, 20), YS),
+                                        (7.7, 0.0), (np.array([2.5, 6.1]), 0.0)],
+                             ids=["one-row", "twenty-rows", "scalar", "two-rows-at-zero"])
+    def test_warm_call_is_the_cold_call_bit_for_bit(self, beta, y, built):
+        cold = f_epsilon(beta, y)
+        warm = f_epsilon(beta, y)
+        assert len(built) == 1
+        assert _bits(warm) == _bits(cold)
+
+    def test_table_of_one_row_serves_a_block(self, built):
+        block = 3.3 + np.linspace(0.0, 1.9, 20)
+        cold = f_epsilon(block, self.YS)
+        contour._tables.clear()
+        f_epsilon(7.7, self.YS)
+        assert _bits(f_epsilon(block, self.YS)) == _bits(cold)
+        assert len(built) == 2
+
+    @pytest.mark.parametrize("name,value", [("_TARGET_TOL", 1e-14), ("_TARGET_TOL", 1e-18),
+                                            ("_CIRCLE_RADIUS", 1.4), ("_SERIES_CHUNK", 3)])
+    def test_patched_constant_gives_the_cold_result(self, name, value, monkeypatch):
+        # each constant changes the table, and the table of the default
+        # constants, already cached, is never returned for the patched ones.
+        # With beta = 1 in the block the largest r^(1-beta) is 1 at any
+        # radius, so the radius changes the table but not the stop limit.
+        ys, beta = np.linspace(-3.0, 1.0, 41), np.array([1.0, 2.6, 7.3])
+
+        def results():
+            circle = contour._circle_part(beta, ys, contour._CIRCLE_RADIUS, contour._TARGET_TOL)
+            return circle, self.outcome(beta, ys)
+
+        default = results()
+        monkeypatch.setattr(contour, name, value)
+        warm = results()
+        contour._tables.clear()
+        cold = results()
+        assert _bits(warm) == _bits(cold)
+        assert _bits(warm[0]) != _bits(default[0])
+
+    def test_table_is_read_only(self):
+        f_epsilon(7.7, self.YS)
+        (table,) = contour._tables.values()
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 2.0
+
+    def test_grid_changed_in_place_is_a_new_grid(self):
+        ys = self.YS.copy()
+        before = f_epsilon(7.7, ys)
+        ys += 0.25
+        after = f_epsilon(7.7, ys)
+        contour._tables.clear()
+        assert _bits(after) == _bits(f_epsilon(7.7, ys.copy())) != _bits(before)
+
+    def test_overflowing_series_is_not_kept(self, built):
+        first, second = (self.outcome(2.6, [-400.0, 0.0]) for _ in range(2))
+        assert "Hermite series of the circle overflows" in first and second == first
+        assert len(built) == 2 and not contour._tables
+
+    def test_entry_bound_holds_over_more_grids(self):
+        for i in range(contour._TABLE_CACHE_ENTRIES + 4):
+            f_epsilon(2.5, np.linspace(-6.0 - 0.1 * i, 0.0, 201))
+            entries, size = self.held()
+            assert entries <= contour._TABLE_CACHE_ENTRIES
+            assert size <= contour._TABLE_CACHE_BYTES
+        assert entries == contour._TABLE_CACHE_ENTRIES
+
+    def test_byte_bound_keeps_the_latest_tables(self, monkeypatch):
+        # the same points in five orders: five keys, five tables of one size
+        grids = [np.roll(np.linspace(-6.0, 0.0, 201), i) for i in range(5)]
+        f_epsilon(2.5, grids[0])
+        size = self.held()[1]
+        monkeypatch.setattr(contour, "_TABLE_CACHE_BYTES", int(2.5 * size))
+        for y in grids[1:]:
+            f_epsilon(2.5, y)
+            assert self.held()[1] <= contour._TABLE_CACHE_BYTES
+        f_epsilon(2.5, grids[3])  # used last, so kept over grids[4]
+        f_epsilon(2.5, grids[0])
+        assert [key[0] for key in contour._tables] == [grids[3].tobytes(), grids[0].tobytes()]
+        # a table above the whole budget is used once and not kept
+        large = np.linspace(-6.0, 0.0, 2001)
+        assert _bits(f_epsilon(2.5, large)) == _bits(f_epsilon(2.5, large))
+        assert [key[0] for key in contour._tables] == [grids[3].tobytes(), grids[0].tobytes()]
+
+    def test_threads_get_the_serial_values(self):
+        # 12 grids against 8 entries, so tables are evicted while other threads read
+        jobs = [(np.linspace(-6.0 + 0.25 * i, 1.0, 41), beta)
+                for i in range(12) for beta in (2.3, 5.6)]
+        serial = []
+        for y, beta in jobs:
+            contour._tables.clear()
+            serial.append(_bits(f_epsilon(beta, y)))
+
+        def run(thread):
+            calls = [(7 * thread + c) % len(jobs) for c in range(50)]
+            return [(j, _bits(f_epsilon(jobs[j][1], jobs[j][0]))) for j in calls]
+
+        # threads switch every few microseconds instead of every 5 ms, so
+        # a store or an eviction outside the lock meets another thread's
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = [r for rs in pool.map(run, range(4), timeout=60) for r in rs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(results) == 200
+        assert all(value == serial[j] for j, value in results)
 
 
 class TestFEpsilonDerivative:

@@ -3,6 +3,7 @@
 import functools
 import math
 import threading
+from collections import OrderedDict
 
 import mpmath
 import numpy as np
@@ -395,6 +396,27 @@ class TestBoundEigenfunction:
         with pytest.raises(ConvergenceError, match=r"beta=31.48\S* misses J\(beta\)"):
             values = bound_eigenfunction(level, config, np.linspace(-14.0, 3.0, 1361))
         assert sizes == [1120 + 1] and values is None
+
+    def test_two_levels_on_one_grid_build_one_hermite_table(self, monkeypatch):
+        # the circle's Hermite rows depend on y alone: the second state of
+        # the same grid reuses the first one's table, and gets the same bits
+        config = make_config(6.5)
+        levels = solve_levels(config)
+        xs = np.linspace(-7.0, 3.0, 801)
+        monkeypatch.setattr(contour, "_tables", OrderedDict())
+        cold = bound_eigenfunction(levels[1], config, xs)
+        contour._tables.clear()
+        built, exact = [], contour._hermite_rows
+
+        def counted(y, radius, limit):
+            built.append(y.size)
+            return exact(y, radius, limit)
+
+        monkeypatch.setattr(contour, "_hermite_rows", counted)
+        bound_eigenfunction(levels[0], config, xs)
+        warm = bound_eigenfunction(levels[1], config, xs)
+        assert built == [np.count_nonzero(xs < 0.0) + 1]
+        assert warm.tobytes() == cold.tobytes()
 
     def test_junction_value_of_the_sampling_call_is_checked(self, cfg45, monkeypatch):
         # F(0) is spoiled only in a call that also samples y < 0, so only a

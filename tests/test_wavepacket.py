@@ -1,6 +1,7 @@
 """Improper eigenfunctions, packet evolution and the measured delay."""
 
 import math
+from collections import OrderedDict
 
 import numpy as np
 import pytest
@@ -163,6 +164,29 @@ class TestEvolve:
         interior = int(np.count_nonzero(xs < 0.0))
         assert len(rounds) >= 2
         assert calls == [(rule.nodes.size, interior + 1) for rule in rounds]
+
+    def test_one_hermite_table_across_rounds(self, cfg15, monkeypatch):
+        # every k round forms its rows on the same y, so the circle's
+        # Hermite recurrence runs once for the whole refinement
+        spec = WavePacketSpec.for_beta(cfg15, 6.0)
+        built, rounds = [], []
+        exact, k_rule = contour._hermite_rows, wavepacket._k_rule
+
+        def counted(y, radius, limit):
+            built.append(y.size)
+            return exact(y, radius, limit)
+
+        def recorded(spec, n):
+            rounds.append(k_rule(spec, n))
+            return rounds[-1]
+
+        monkeypatch.setattr(contour, "_tables", OrderedDict())
+        monkeypatch.setattr(contour, "_hermite_rows", counted)
+        monkeypatch.setattr(wavepacket, "_k_rule", recorded)
+        xs = np.linspace(-4.0, spec.x_start + 12.0 * spec.sigma_x, 400)
+        evolve(spec, xs, np.linspace(0.0, 40.0, 9))
+        assert len(rounds) >= 2
+        assert built == [np.count_nonzero(xs < 0.0) + 1]
 
     @pytest.mark.parametrize("x_grid,times,shape", [
         ([], [0.0, 1.0], (2, 0)),
