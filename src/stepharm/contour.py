@@ -73,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .special import log_gamma
+from .special import reciprocal_gamma
 
 _TWO_PI = 2.0 * math.pi
 _CIRCLE_RADIUS = 1.0
@@ -345,9 +345,9 @@ def j_beta(beta):
     equivalent to sin(pi beta) Gamma((1-beta)/2) / (i e^{i pi beta}) by the
     reflection formula but free of the 0 * inf cancellations of the latter
     at odd integer beta.  J is entire; where 1/Gamma vanishes the value is
-    exactly zero.  1/Gamma is real, so only the real part of the complex
-    exponential is kept: each element then gets the same bits whatever the
-    shape of the call.  A scalar argument returns a complex.
+    exactly zero.  1/Gamma is evaluated in real arithmetic by
+    special.reciprocal_gamma, so each element gets the same bits whatever
+    the shape of the call.  A scalar argument returns a complex.
     """
     b = np.asarray(beta, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -358,12 +358,9 @@ def j_beta(beta):
 
 def _j_and_scale(b: np.ndarray):
     """J(b) and 2 pi / Gamma((b+1)/2), both from one evaluation of 1/Gamma (see j_beta)."""
-    half = 0.5 * (b + 1.0)
-    zero = (half <= 0) & (half == np.floor(half))  # zeros of 1/Gamma
-    inv_gamma = np.exp(-log_gamma(np.where(zero, 1.0, half))).real
-    value = np.where(zero, 0j, _TWO_PI * np.sin(np.pi * b / 2.0)
-                     * np.exp(-1j * np.pi * b) * inv_gamma / 1j)
-    return value, np.where(zero, 0.0, _TWO_PI * inv_gamma)
+    inv_gamma = reciprocal_gamma(0.5 * (b + 1.0))
+    return (_TWO_PI * np.sin(np.pi * b / 2.0) * np.exp(-1j * np.pi * b) * inv_gamma / 1j,
+            _TWO_PI * inv_gamma)
 
 
 def interior_rows(betas, y: np.ndarray) -> np.ndarray:

@@ -82,8 +82,8 @@ class PotentialConfig:
         """Classical oscillator period T = 2*pi/omega."""
         return 2.0 * math.pi / self.omega
 
-    def energy(self, beta: float) -> float:
-        """Absolute energy E = hbar*omega*(beta - 1/2)."""
+    def energy(self, beta: float | np.ndarray) -> float | np.ndarray:
+        """Absolute energy E = hbar*omega*(beta - 1/2), elementwise for an array."""
         return self.hbar * self.omega * (beta - 0.5)
 
     def beta_from_energy(self, energy: float) -> float:

@@ -122,7 +122,8 @@ def pi_coefficient(beta, config: PotentialConfig):
     beta0 = config.beta0
     _require_continuum(beta, beta0)
     b = np.asarray(beta, dtype=float)
-    den = contour.j_beta(b) + 1j * np.sqrt(2.0 / (b - beta0)) * contour.j_beta(b - 1.0)
+    j, j_below = contour._j_and_scale(np.stack([b, b - 1.0]))[0]
+    den = j + 1j * np.sqrt(2.0 / (b - beta0)) * j_below
     vanished = np.abs(den) < 1e-300
     if vanished.any():
         raise SingularityError(

@@ -34,7 +34,7 @@ import numpy as np
 from . import contour
 from .errors import BracketError, DomainError
 from .potential import PotentialConfig
-from .special import digamma, gamma_half_ratio
+from .special import gamma_half_ratio, half_ratio_digamma
 
 
 @dataclass(frozen=True)
@@ -88,13 +88,11 @@ def level_equation_residual(beta, config: PotentialConfig):
 def _ratio_and_slope(beta: np.ndarray):
     """R = Gamma((beta+1)/2) / Gamma(beta/2) and R' = (R/2) [psi((beta+1)/2) - psi(beta/2)].
 
-    One gamma_half_ratio call and one digamma call on the joined arguments;
-    digamma evaluates each argument on its own, so a value does not depend
-    on the other betas of the call.
+    R and both digammas come from one Lanczos pass on beta/2 + 1/2 and
+    beta/2, each value as from its own gamma_half_ratio or digamma call.
     """
-    ratio = gamma_half_ratio(beta / 2.0)
-    psi = digamma(np.concatenate([(beta + 1.0) / 2.0, beta / 2.0]))
-    return ratio, 0.5 * ratio * (psi[:beta.size] - psi[beta.size:])
+    ratio, psi_upper, psi_lower = half_ratio_digamma(beta / 2.0)
+    return ratio, 0.5 * ratio * (psi_upper - psi_lower)
 
 
 def _level_phase(beta: np.ndarray, odd: np.ndarray, config: PotentialConfig):
@@ -169,9 +167,10 @@ def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLeve
         live, x = live[~done], step_to[~done]
         if live.size:
             g, slope = _level_phase(x, odd[live], config)
-    return [EnergyLevel(n=n, beta_n=root, energy=config.energy(root),
-                        k_n=config.k_bound(root))
-            for n, root in enumerate(roots.tolist())]
+    return [EnergyLevel(n=n, beta_n=root, energy=energy, k_n=k_n)
+            for n, (root, energy, k_n) in enumerate(zip(
+                roots.tolist(), config.energy(roots).tolist(),
+                config.k_bound(roots).tolist()))]
 
 
 def _norm_over_j2(level: EnergyLevel, config: PotentialConfig,

@@ -401,3 +401,17 @@ class TestVerify:
         monkeypatch.setattr("stepharm.special._LANCZOS_COEFFS", corrupted)
         assert run_cli("verify") == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_corrupted_gamma_constant_fails_the_digamma_check(self, capsys, tmp_path,
+                                                               monkeypatch):
+        # digamma is the derivative of the same Lanczos series, so the
+        # corruption also breaks psi(x+1) - psi(x) = 1/x
+        monkeypatch.chdir(tmp_path)
+        corrupted = list(_LANCZOS_COEFFS)
+        corrupted[3] *= 1.000001
+        monkeypatch.setattr("stepharm.special._LANCZOS_COEFFS", corrupted)
+        assert run_cli("verify") == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        (check,) = [item for item in report["data"] if item["name"] == "digamma_recurrence"]
+        assert not check["passed"]
+        assert "FAIL  digamma_recurrence:" in capsys.readouterr().out

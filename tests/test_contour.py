@@ -59,6 +59,16 @@ class TestJBeta:
         assert type(j_beta(2.5)) is complex
         assert type(j_beta(-3.0)) is complex
 
+    def test_against_mpmath_through_the_reflection(self):
+        # (beta + 1)/2 < 1/2 for beta < 0: 1/Gamma reflected, its sign from sin(pi x)
+        betas = np.linspace(-9.5, 0.9, 521)
+        with mp.workdps(40):
+            exact = np.array([complex(2 * mp.pi * mp.sin(mp.pi * b / 2) * mp.exp(-1j * mp.pi * b)
+                                      * mp.rgamma((b + 1) / 2) / 1j)
+                              for b in map(mp.mpf, betas.tolist())])
+        error = np.abs(j_beta(betas) - exact)
+        assert np.all(error <= 1e-13 * np.maximum(1.0, np.abs(exact)))
+
 
 class TestFEpsilon:
     def test_boundary_value_is_j(self):

@@ -195,10 +195,23 @@ class TestPiCoefficient:
         assert np.array_equal(values, reference)
         assert pi_coefficient(float(betas[7]), config) == values[7]
 
+    def test_one_boundary_value_call_for_both_shifts(self, cfg15, monkeypatch):
+        # J(beta) and J(beta - 1) come from one call on the joined array
+        calls = []
+        real = contour._j_and_scale
+        monkeypatch.setattr(contour, "_j_and_scale",
+                            lambda b: calls.append(b.shape) or real(b))
+        betas = np.linspace(1.6, 30.0, 50)
+        values = pi_coefficient(betas, cfg15)
+        scalar = pi_coefficient(7.25, cfg15)
+        assert calls == [(2, 50), (2,)]
+        assert np.array_equal(values, [pi_per_point(b, 1.5) for b in betas.tolist()])
+        assert scalar == pi_per_point(7.25, 1.5)
+
     def test_vanishing_denominator_names_first_beta(self, cfg15, monkeypatch):
         # J(b) = J(b - 1) = 0 from b = 3 on
-        monkeypatch.setattr(contour, "j_beta",
-                            lambda b: np.where(np.asarray(b) >= 2.0, 0j, 1.0 + 0j))
+        monkeypatch.setattr(contour, "_j_and_scale",
+                            lambda b: (np.where(b >= 2.0, 0j, 1.0 + 0j), np.ones_like(b)))
         with pytest.raises(SingularityError, match=r"beta=3\.5$"):
             pi_coefficient(np.array([1.7, 2.5, 3.5, 4.5]), cfg15)
 

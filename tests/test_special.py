@@ -5,6 +5,7 @@ package itself never imports it.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -12,9 +13,21 @@ import pytest
 import scipy.special as sps
 
 from stepharm import DomainError, GammaPoleError
-from stepharm.special import digamma, gamma, gamma_half_ratio, log_gamma
+from stepharm import special
+from stepharm.special import (digamma, gamma, gamma_half_ratio, half_ratio_digamma,
+                              log_gamma, reciprocal_gamma)
 
 EULER_GAMMA = 0.57721566490153286
+
+
+def lanczos_log_gamma_loop(z):
+    """The Lanczos series for log Gamma term by term, Re z >= 1/2; a bit-level reference."""
+    zz = z - 1.0
+    acc = np.full_like(zz, special._LANCZOS_COEFFS[0])
+    for i, c in enumerate(special._LANCZOS_COEFFS[1:], start=1):
+        acc = acc + c / (zz + i)
+    t = zz + special._LANCZOS_G + 0.5
+    return special._LOG_SQRT_TWO_PI + (zz + 0.5) * np.log(t) - t + np.log(acc)
 
 
 class TestLogGamma:
@@ -52,6 +65,14 @@ class TestLogGamma:
         zs = np.array([0.25, 1.0, 3.5, 17.2])
         vec = log_gamma(zs)
         assert np.allclose(vec, [log_gamma(z) for z in zs], rtol=0, atol=1e-14)
+
+    def test_equals_the_term_by_term_series_bit_for_bit(self):
+        # the one-pass kernel sums the partial fractions in the series' order
+        zs = np.concatenate([np.geomspace(0.5, 1e6, 2000), np.linspace(0.5, 60.0, 500)])
+        assert np.array_equal(log_gamma(zs), lanczos_log_gamma_loop(zs.astype(complex)))
+        zc = zs[:500] + 1j * np.linspace(-8.0, 8.0, 500)
+        assert np.array_equal(log_gamma(zc), lanczos_log_gamma_loop(zc))
+        assert log_gamma(3.7) == complex(lanczos_log_gamma_loop(np.array([3.7 + 0j]))[0])
 
     def test_reflection_identity_grid(self):
         zs = np.array([z for z in np.arange(-4.9, 4.95, 0.1)
@@ -97,7 +118,6 @@ class TestDigamma:
 
     @pytest.mark.parametrize("x", [1e-8, 0.5, 11.999999, 12.0, 12.000001, 40.0])
     def test_against_mpmath_around_the_shift(self, x):
-        # below 12 the argument is shifted by its own count, at 12 and above not at all
         with mpmath.workdps(40):
             exact = float(mpmath.digamma(mpmath.mpf(x)))
         assert abs(digamma(x) - exact) <= 2e-15 * max(1.0, abs(exact))
@@ -106,6 +126,20 @@ class TestDigamma:
         xs = np.concatenate([np.geomspace(1e-8, 30.0, 400),
                              np.linspace(11.999, 12.001, 101)])
         assert np.array_equal(digamma(xs), [digamma(float(x)) for x in xs])
+
+    def test_long_array_matches_scalars(self):
+        # past special._MATRIX_POINTS the fractions are formed term by term
+        xs = np.geomspace(1e-3, 1e4, 3 * special._MATRIX_POINTS)
+        assert np.array_equal(digamma(xs), [digamma(float(x)) for x in xs])
+
+    def test_against_mpmath_geometric_grid(self):
+        # below 1/2 the Lanczos pass runs on x + 1, at 1/2 and above on x
+        xs = np.concatenate([np.geomspace(1e-8, 1e6, 400),
+                             [np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0),
+                              1.4616321449683623]])  # the zero of psi
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.digamma(mpmath.mpf(float(x)))) for x in xs])
+        assert np.all(np.abs(digamma(xs) - exact) <= 2e-15 * np.maximum(1.0, np.abs(exact)))
 
 
 class TestGammaHalfRatio:
@@ -158,3 +192,67 @@ class TestGammaHalfRatio:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             gamma_half_ratio(-1.0)
+
+
+class TestHalfRatioDigamma:
+    def test_equals_the_separate_calls_bit_for_bit(self):
+        zs = np.concatenate([np.geomspace(1e-6, 0.5, 50, endpoint=False),
+                             np.linspace(0.5, 200.0, 400), [999.9, 1e3, 4e4]])
+        ratio, upper, lower = half_ratio_digamma(zs)
+        assert np.array_equal(ratio, gamma_half_ratio(zs))
+        assert np.array_equal(upper, digamma(zs + 0.5))
+        assert np.array_equal(lower, digamma(zs))
+        assert half_ratio_digamma(3.25) == (gamma_half_ratio(3.25), digamma(3.75),
+                                            digamma(3.25))
+
+    def test_domain_error(self):
+        with pytest.raises(DomainError):
+            half_ratio_digamma(np.array([1.0, 0.0]))
+
+
+class TestReciprocalGamma:
+    def test_against_mpmath(self):
+        # reflected below 1/2: the sign of sin(pi x) carries the sign of 1/Gamma
+        xs = np.concatenate([np.linspace(-9.7, 0.45, 204), np.geomspace(0.5, 170.0, 200)])
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.rgamma(mpmath.mpf(float(x)))) for x in xs])
+        error = np.abs(reciprocal_gamma(xs) - exact)
+        assert np.all(error <= 1e-13 * np.maximum(1.0, np.abs(exact)))
+
+    def test_exact_zeros_at_the_poles_of_gamma(self):
+        poles = -np.arange(10.0)
+        assert np.all(reciprocal_gamma(poles) == 0.0)
+        assert reciprocal_gamma(-3.0) == 0.0
+
+    def test_array_matches_scalars(self):
+        xs = np.linspace(-7.3, 40.0, 731)
+        assert np.array_equal(reciprocal_gamma(xs), [reciprocal_gamma(float(x)) for x in xs])
+        assert type(reciprocal_gamma(2.5)) is float
+
+
+class TestHugeArguments:
+    def test_finite_without_warning(self):
+        # log Gamma overflows above z = 2.6e305 and is not formed where unused
+        zs = np.array([0.3, 5.0, 2e3, 1e306, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ratio, upper, lower = half_ratio_digamma(zs)
+            results = [gamma_half_ratio(1e306), digamma(1e306), gamma_half_ratio(zs),
+                       digamma(zs), ratio, upper, lower]
+            assert np.isinf(gamma_half_ratio(np.inf)) and np.isinf(digamma(np.inf))
+        assert all(np.all(np.isfinite(r)) for r in results)
+        assert gamma_half_ratio(1e306) == pytest.approx(1e153, rel=1e-15)
+        assert digamma(1e306) == pytest.approx(math.log(1e306), rel=1e-15)
+
+
+class TestLanczosCoefficientsReadPerCall:
+    def test_corrupted_coefficient_moves_every_function(self, monkeypatch):
+        # the kernel must not hold a copy of the table made at import
+        xs = np.array([0.3, 1.3, 2.7, 15.5])
+        before = (log_gamma(xs), digamma(xs), gamma_half_ratio(xs), reciprocal_gamma(-xs))
+        corrupted = list(special._LANCZOS_COEFFS)
+        corrupted[3] *= 1.000001
+        monkeypatch.setattr(special, "_LANCZOS_COEFFS", corrupted)
+        after = (log_gamma(xs), digamma(xs), gamma_half_ratio(xs), reciprocal_gamma(-xs))
+        for old, new in zip(before, after):
+            assert np.all(np.abs(new - old) > 1e-9 * np.abs(old))

@@ -221,6 +221,32 @@ class TestSolveLevels:
                 expected = -d_slope / (2.0 * config.alpha) + 1.0 / (2.0 * level.k_n)
                 assert spectrum._norm_over_j2(level, config, xs) == expected
 
+    def test_slope_over_ratio_against_mpmath(self):
+        # R'/R = [psi((beta+1)/2) - psi(beta/2)] / 2, a difference of two
+        # digammas near log(beta/2): its error is theirs, eps-sized against |psi|
+        betas = np.linspace(1.0, 200.0, 996)
+        ratio, slope = spectrum._ratio_and_slope(betas)
+        with mpmath.workdps(40):
+            half = [mpmath.mpf(b) / 2 for b in betas.tolist()]
+            exact = np.array([float((mpmath.digamma(h + 0.5) - mpmath.digamma(h)) / 2)
+                              for h in half])
+            psi = np.array([float(mpmath.digamma(h)) for h in half])
+        error = np.abs(slope / ratio - exact)
+        assert np.all(error <= 2e-15 * np.maximum(1.0, np.abs(psi)))
+        assert np.all(error[betas <= 20.0] <= 1e-13 * exact[betas <= 20.0])
+
+    def test_energies_and_decay_constants_as_per_level_calls(self):
+        # the table's energies and k_n come from one array call each, with
+        # the bits of the scalar config.energy and config.k_bound calls
+        for config in (make_config(2.5), make_config(60.0),
+                       PotentialConfig(hbar=1.3, mass=0.7, kappa=2.1, u0=17.0)):
+            levels = solve_levels(config)
+            assert levels
+            for level in levels:
+                assert level.energy == config.energy(level.beta_n)
+                assert level.k_n == config.k_bound(level.beta_n)
+                assert type(level.energy) is float and type(level.k_n) is float
+
     def test_no_sign_change_raises_bracket_error(self, monkeypatch):
         # the phase form is negative at 2n+1 and positive at the upper end by
         # construction; a residual without that sign change is refused
