@@ -1,7 +1,8 @@
 """Gamma-family special functions used by every closed-form expression.
 
-Everything here is self-contained double-precision code on one kernel: a
-single pass of the Lanczos series (g = 7, n = 9; Lanczos, SIAM J. Numer.
+Everything here is self-contained double-precision code on two kernels.
+
+A single pass of the Lanczos series (g = 7, n = 9; Lanczos, SIAM J. Numer.
 Anal. B 1, 86 (1964)) gives log Gamma and its derivative psi together
 (DLMF 5.2).  For Re z >= 1/2, with t = z + g - 1/2 and the partial
 fractions p_i = c_i / (z - 1 + i), i = 1..8, formed as one (8 x points)
@@ -11,19 +12,23 @@ array (term by term for long arrays),
     psi(z)       = log t - g / t - (sum_i p_i / (z - 1 + i)) / A,
     A            = c_0 + sum_i p_i,
 
-both sums taken left to right.
+both sums taken left to right.  Below 1/2 the complex log_gamma reflects,
+digamma shifts by one, psi(x) = psi(x+1) - 1/x, and reciprocal_gamma
+reflects in real arithmetic.  A pass forms log Gamma only where a result
+uses it.  log_gamma, gamma, reciprocal_gamma and digamma use this kernel.
 
-Below 1/2 the complex log_gamma reflects; the functions of a positive real
-argument shift by one instead, psi(x) = psi(x+1) - 1/x and
-log Gamma(x) = log Gamma(x+1) - log x, and reciprocal_gamma reflects in
-real arithmetic.  gamma_half_ratio, Gamma(z + 1/2) / Gamma(z), takes its
-logarithms from the pass on z + 1/2 and z below z = 1e3 and uses its
-asymptotic series above, so that it stays finite and accurate for very
-large z; half_ratio_digamma returns it together with the two digammas of
-the same pass.  A pass forms log Gamma only where a result uses it.
+The Gamma half-ratio R(z) = Gamma(z + 1/2) / Gamma(z) and
+D(z) = psi(z + 1/2) - psi(z) = R'(z)/R(z) come from a second kernel, one
+route for every z > 0 with no difference of large values: below z = 16 the
+argument is moved up to w = z + 16, where the asymptotic series of log R
+(DLMF 5.11.8) and its derivative hold to rounding, and brought back by
+products and sums of positive terms.  gamma_half_ratio is its first
+output; the level solver and the bound-state norm take R and D from it
+directly.
 
 All functions accept scalars or numpy arrays and are pure, so they are safe
-to call concurrently.  The Lanczos coefficients are read on every call.
+to call concurrently.  The Lanczos coefficients and the series coefficients
+of log R are read on every call.
 """
 
 from __future__ import annotations
@@ -55,8 +60,21 @@ _FRACTION_STEPS = np.arange(1.0, len(_LANCZOS_COEFFS))  # i of the fractions c_i
 # array is 128 KiB or more, and the matrix form measured 2.5x slower there.
 _MATRIX_POINTS = 1024
 
-# gamma_half_ratio switches from log-Gamma differences to its asymptotic series here.
-_HALF_RATIO_SERIES_FROM = 1e3
+# log R(w) = (1/2) log w + sum over odd k of d_k w^-k, R(w) = Gamma(w + 1/2) / Gamma(w)
+# (DLMF 5.11.8 at h = 1/2 minus h = 0), d_k = (-1)^(k+1) [B_{k+1}(1/2) - B_{k+1}(0)] / (k (k+1)),
+# k = 1, 3, ..., 11.  From w = 16 on, the first term left out (k = 13) is
+# below 3e-18 in log R and 1e-16 relative in its derivative.
+_RATIO_SERIES = [
+    -0.125,  # -1/8
+    0.005208333333333333,  # 1/192
+    -0.0015625,  # -1/640
+    0.0011858258928571428,  # 17/14336
+    -0.001681857638888889,  # -31/18432
+    0.0038341175426136365,  # 691/180224
+]
+# _ratio_and_psi_gap moves every z below this up by this many unit steps.
+_RATIO_SHIFT = 16.0
+_RATIO_STEPS = np.arange(_RATIO_SHIFT)[:, None]  # j of the factors and terms of the shift
 
 
 def _fraction_terms(zz, coeffs):
@@ -93,22 +111,6 @@ def _lanczos(z, log_gamma=True):
     if not log_gamma:
         return None, psi
     return _LOG_SQRT_TWO_PI + (zz + 0.5) * log_t - t + np.log(acc), psi
-
-
-def _lanczos_positive(x, log_gamma=True):
-    """log Gamma(x) and psi(x) of a 1-d array of x > 0, from one Lanczos pass (see _lanczos).
-
-    Below 1/2 the pass runs on x + 1 and both values are shifted back.
-    """
-    low = x < 0.5
-    if not low.any():
-        return _lanczos(x, log_gamma)
-    log_g, psi = _lanczos(np.where(low, x + 1.0, x), log_gamma)
-    below = x[low]
-    if log_gamma:
-        log_g[low] -= np.log(below)
-    psi[low] -= 1.0 / below
-    return log_g, psi
 
 
 def _positive(x, name: str) -> np.ndarray:
@@ -186,48 +188,60 @@ def digamma(x):
         If any argument is <= 0.
     """
     arr = _positive(x, "digamma")
-    _, psi = _lanczos_positive(arr.ravel(), log_gamma=False)
+    work = arr.ravel()
+    low = work < 0.5
+    if not low.any():
+        return _shaped(_lanczos(work, log_gamma=False)[1], arr)
+    _, psi = _lanczos(np.where(low, work + 1.0, work), log_gamma=False)
+    psi[low] -= 1.0 / work[low]
     return _shaped(psi, arr)
 
 
-def _half_ratio(z):
-    """Gamma(z + 1/2) / Gamma(z) of a 1-d array of z > 0 (see gamma_half_ratio)."""
-    ratio = np.empty_like(z)
-    large = z >= _HALF_RATIO_SERIES_FROM
-    small = z[~large]
-    log_g, _ = _lanczos_positive(np.concatenate([small + 0.5, small]))
-    ratio[~large] = np.exp(log_g[:small.size] - log_g[small.size:])
-    if large.any():
-        w = 1.0 / z[large]
-        series = 1.0 + w * (-1.0 / 8.0 + w * (1.0 / 128.0 + w * (5.0 / 1024.0
-                                                               - w * 21.0 / 32768.0)))
-        ratio[large] = np.sqrt(z[large]) * series
-    return ratio
+def _ratio_and_psi_gap(z):
+    """R(z) = Gamma(z + 1/2) / Gamma(z) and D(z) = psi(z + 1/2) - psi(z) of a 1-d array of z > 0.
 
+    At w = z (z >= 16) or w = z + 16 (z < 16), log R(w) - (1/2) log w is
+    the series of _RATIO_SERIES and D(w) = 1/(2w) plus its derivative, both
+    summed by Horner's rule in w^-2.  The shift is undone by
 
-def _half_ratio_pass(z):
-    """Gamma(z+1/2)/Gamma(z), psi(z+1/2) and psi(z) of a 1-d array of z > 0.
+        R(z) = R(w) prod_j (z + j) / (z + j + 1/2),
+        D(z) = D(w) + sum_j 1 / (2 (z + j) (z + j + 1/2)),    j = 0..15,
 
-    One Lanczos pass on z + 1/2 and z when every z is below the series
-    switch; otherwise the pass gives only the digammas, and _half_ratio
-    makes a second one on the z below the switch.
+    whose factors and terms are all positive.  Whether a point is shifted
+    depends on that point alone, and the rows j are multiplied and added in
+    order, so each value has the bits of a one-point call.
     """
-    n = z.size
-    below = bool(np.all(z < _HALF_RATIO_SERIES_FROM))
-    log_g, psi = _lanczos_positive(np.concatenate([z + 0.5, z]), log_gamma=below)
-    ratio = np.exp(log_g[:n] - log_g[n:]) if below else _half_ratio(z)
-    return ratio, psi[:n], psi[n:]
+    d = _RATIO_SERIES
+    low = z < _RATIO_SHIFT
+    w = z + _RATIO_SHIFT * low
+    u = 1.0 / w
+    u2 = u * u
+    series = d[-1]  # sum_k d_k u^(k-1)
+    slope = (2 * len(d) - 1) * d[-1]  # sum_k k d_k u^(k-1)
+    for i in range(len(d) - 2, -1, -1):
+        series = d[i] + u2 * series
+        slope = (2 * i + 1) * d[i] + u2 * slope
+    ratio = np.sqrt(w) * np.exp(u * series)
+    gap = u * (0.5 - u * slope)
+    shifted = np.count_nonzero(low)
+    if shifted:
+        # a level table or a norm has every z below the shift: no subset copy
+        part = slice(None) if shifted == z.size else low
+        zj = z[part] + _RATIO_STEPS
+        zh = zj + 0.5
+        ratio[part] *= np.multiply.reduce(zj / zh)
+        gap[part] += np.add.accumulate(0.5 / (zj * zh))[-1]
+    return ratio, gap
 
 
 def gamma_half_ratio(z):
     """Ratio Gamma(z + 1/2) / Gamma(z) for z > 0.
 
-    Below z = 1e3 it is ``exp(log Gamma(z + 1/2) - log Gamma(z))``, both
-    logarithms from one Lanczos pass, which never overflows.  Above, that
-    difference of large logarithms loses digits (2e-10 relative at z = 1e5),
-    so the asymptotic series
-    sqrt(z) (1 - 1/(8z) + 1/(128z^2) + 5/(1024z^3) - 21/(32768z^4)) is used
-    instead; its truncation error is about 1e-18 at z = 1e3.
+    One route for every z: the asymptotic series of the logarithm at
+    w = z + 16 (w = z from z = 16 on), brought back by the product of the
+    positive factors (z + j) / (z + j + 1/2), j = 0..15 (see
+    _ratio_and_psi_gap).  Nothing cancels, so the result is within a few
+    ulps for every z, and it stays finite up to the largest double.
 
     Raises
     ------
@@ -235,20 +249,5 @@ def gamma_half_ratio(z):
         If any argument is <= 0.
     """
     arr = _positive(z, "gamma_half_ratio")
-    return _shaped(_half_ratio(arr.ravel()), arr)
-
-
-def half_ratio_digamma(z):
-    """gamma_half_ratio(z), digamma(z + 1/2) and digamma(z) from one Lanczos pass.
-
-    Each value equals the one of the separate call bit for bit.  A second
-    pass is made only when some z is at or above 1e3, the series switch of
-    gamma_half_ratio.
-
-    Raises
-    ------
-    DomainError
-        If any argument is <= 0.
-    """
-    arr = _positive(z, "half_ratio_digamma")
-    return tuple(_shaped(v, arr) for v in _half_ratio_pass(arr.ravel()))
+    ratio, _ = _ratio_and_psi_gap(arr.ravel())
+    return _shaped(ratio, arr)

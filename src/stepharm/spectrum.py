@@ -34,7 +34,7 @@ import numpy as np
 from . import contour
 from .errors import BracketError, DomainError
 from .potential import PotentialConfig
-from .special import gamma_half_ratio, half_ratio_digamma
+from .special import _ratio_and_psi_gap, gamma_half_ratio
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,11 @@ def level_equation_residual(beta, config: PotentialConfig):
 def _ratio_and_slope(beta: np.ndarray):
     """R = Gamma((beta+1)/2) / Gamma(beta/2) and R' = (R/2) [psi((beta+1)/2) - psi(beta/2)].
 
-    R and both digammas come from one Lanczos pass on beta/2 + 1/2 and
-    beta/2, each value as from its own gamma_half_ratio or digamma call.
+    R and the digamma difference come from one pass of the Gamma-ratio
+    kernel on beta/2, which forms the difference without cancellation.
     """
-    ratio, psi_upper, psi_lower = half_ratio_digamma(beta / 2.0)
-    return ratio, 0.5 * ratio * (psi_upper - psi_lower)
+    ratio, gap = _ratio_and_psi_gap(beta / 2.0)
+    return ratio, 0.5 * ratio * gap
 
 
 def _level_phase(beta: np.ndarray, odd: np.ndarray, config: PotentialConfig):

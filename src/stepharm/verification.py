@@ -14,7 +14,7 @@ import numpy as np
 
 from . import contour, oracle, scattering, spectrum, wavepacket
 from .potential import PotentialConfig
-from .special import digamma, gamma, gamma_half_ratio
+from .special import _ratio_and_psi_gap, digamma, gamma, gamma_half_ratio, log_gamma
 
 _PHASE_SPAN = 20.0  # width of the beta window of phase_derivative_residual
 _PHASE_STEP = 1e-3  # its finite-difference step
@@ -50,7 +50,23 @@ def check_gamma_duplication() -> CheckResult:
     zs = np.linspace(0.1, 60.0, 241)
     residual = float(np.max(np.abs(
         gamma_half_ratio(zs) * gamma_half_ratio(zs + 0.5) / zs - 1.0)))
-    return _check("gamma_half_ratio_duplication", residual, 1e-10)
+    return _check("gamma_half_ratio_duplication", residual, 1e-14)
+
+
+def check_gamma_ratio_routes() -> CheckResult:
+    """The ratio kernel's R and psi(z+1/2) - psi(z) against the Lanczos pass.
+
+    The two kernels share no code, so each route checks the other.  The
+    Lanczos values are differences of two log Gamma or two digamma values,
+    which lose a few digits; the threshold allows for that.
+    """
+    zs = np.linspace(0.5, 20.0, 196)
+    ratio, gap = _ratio_and_psi_gap(zs)
+    lanczos_ratio = np.exp(log_gamma(zs + 0.5).real - log_gamma(zs).real)
+    lanczos_gap = digamma(zs + 0.5) - digamma(zs)
+    residual = max(float(np.max(np.abs(lanczos_ratio / ratio - 1.0))),
+                   float(np.max(np.abs(lanczos_gap / gap - 1.0))))
+    return _check("gamma_ratio_routes", residual, 1e-13)
 
 
 def check_digamma_recurrence() -> CheckResult:
@@ -193,6 +209,7 @@ def check_wavepacket_delay() -> CheckResult:
 _ALL_CHECKS = [
     check_gamma_reflection,
     check_gamma_duplication,
+    check_gamma_ratio_routes,
     check_digamma_recurrence,
     check_j_route_independence,
     check_hermite_degeneracy,

@@ -8,7 +8,7 @@ import pytest
 
 from stepharm import (BracketError, PotentialConfig, SingularityError, WavePacketSpec, cli,
                       evolve, measure_delay, scattering)
-from stepharm.special import _LANCZOS_COEFFS
+from stepharm.special import _LANCZOS_COEFFS, _RATIO_SERIES
 
 
 def run_cli(*argv):
@@ -415,3 +415,17 @@ class TestVerify:
         (check,) = [item for item in report["data"] if item["name"] == "digamma_recurrence"]
         assert not check["passed"]
         assert "FAIL  digamma_recurrence:" in capsys.readouterr().out
+
+    def test_corrupted_ratio_series_fails_the_ratio_route_check(self, capsys, tmp_path,
+                                                                 monkeypatch):
+        # the Gamma-ratio kernel shares no constant with the Lanczos pass, so
+        # a wrong series coefficient shows against the Lanczos route
+        monkeypatch.chdir(tmp_path)
+        corrupted = list(_RATIO_SERIES)
+        corrupted[0] *= 1.000001
+        monkeypatch.setattr("stepharm.special._RATIO_SERIES", corrupted)
+        assert run_cli("verify") == 1
+        report = json.loads((tmp_path / "verify_report.json").read_text())
+        (check,) = [item for item in report["data"] if item["name"] == "gamma_ratio_routes"]
+        assert not check["passed"]
+        assert "FAIL  gamma_ratio_routes:" in capsys.readouterr().out

@@ -14,8 +14,8 @@ import scipy.special as sps
 
 from stepharm import DomainError, GammaPoleError
 from stepharm import special
-from stepharm.special import (digamma, gamma, gamma_half_ratio, half_ratio_digamma,
-                              log_gamma, reciprocal_gamma)
+from stepharm.special import (digamma, gamma, gamma_half_ratio, log_gamma,
+                              reciprocal_gamma)
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -164,7 +164,7 @@ class TestGammaHalfRatio:
     def test_duplication_consequence(self):
         zs = np.linspace(0.05, 80.0, 801)
         product = gamma_half_ratio(zs) * gamma_half_ratio(zs + 0.5)
-        assert np.max(np.abs(product / zs - 1.0)) < 1e-10
+        assert np.max(np.abs(product / zs - 1.0)) < 1e-14
 
     @pytest.mark.parametrize("z", [1e3, 1e5, 1e7])
     def test_large_argument_against_mpmath(self, z):
@@ -173,41 +173,57 @@ class TestGammaHalfRatio:
         assert abs(gamma_half_ratio(z) / exact - 1.0) < 1e-14
 
     def test_against_mpmath_below_series(self):
-        # the real-arithmetic Lanczos route, reflected below z = 1/2
+        # one route for every z: the shift below z = 16 and the series above
         zs = np.concatenate([np.geomspace(1e-6, 0.5, 50, endpoint=False),
                              np.linspace(0.5, 6.0, 50, endpoint=False),
-                             np.geomspace(6.0, 999.0, 100)])
+                             np.geomspace(6.0, 1e6, 300),
+                             np.nextafter(special._RATIO_SHIFT, [0.0, np.inf])])
         with mpmath.workdps(40):
-            exact = np.array([float(mpmath.gamma(mpmath.mpf(z) + 0.5)
-                                    / mpmath.gamma(mpmath.mpf(z))) for z in zs])
+            exact = np.array([float(mpmath.exp(mpmath.loggamma(mpmath.mpf(z) + 0.5)
+                                               - mpmath.loggamma(mpmath.mpf(z))))
+                              for z in zs.tolist()])
         error = np.abs(gamma_half_ratio(zs) / exact - 1.0)
-        assert error[zs < 6.0].max() <= 1e-14
-        assert error.max() <= 2e-12
+        assert error.max() <= 2e-15
         assert np.array_equal(gamma_half_ratio(zs), [gamma_half_ratio(float(z)) for z in zs])
 
     def test_continuous_across_series_crossover(self):
-        below = gamma_half_ratio(np.nextafter(1e3, 0.0))
-        assert abs(below / gamma_half_ratio(1e3) - 1.0) < 1e-12
+        # below z = 16 the series is summed at z + 16 and the shift undone
+        below = gamma_half_ratio(np.nextafter(special._RATIO_SHIFT, 0.0))
+        assert abs(below / gamma_half_ratio(special._RATIO_SHIFT) - 1.0) < 1e-15
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
             gamma_half_ratio(-1.0)
 
 
-class TestHalfRatioDigamma:
-    def test_equals_the_separate_calls_bit_for_bit(self):
-        zs = np.concatenate([np.geomspace(1e-6, 0.5, 50, endpoint=False),
-                             np.linspace(0.5, 200.0, 400), [999.9, 1e3, 4e4]])
-        ratio, upper, lower = half_ratio_digamma(zs)
-        assert np.array_equal(ratio, gamma_half_ratio(zs))
-        assert np.array_equal(upper, digamma(zs + 0.5))
-        assert np.array_equal(lower, digamma(zs))
-        assert half_ratio_digamma(3.25) == (gamma_half_ratio(3.25), digamma(3.75),
-                                            digamma(3.25))
+class TestRatioKernel:
+    """R = Gamma(z + 1/2)/Gamma(z) and D = psi(z + 1/2) - psi(z) from special._ratio_and_psi_gap."""
 
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            half_ratio_digamma(np.array([1.0, 0.0]))
+    ZS = np.concatenate([np.geomspace(1e-6, 1e6, 1200),
+                         np.linspace(0.5, 40.0, 157),
+                         np.nextafter(special._RATIO_SHIFT, [0.0, np.inf])])
+
+    def test_psi_gap_against_mpmath(self):
+        # R itself is checked through gamma_half_ratio above
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.digamma(z + 0.5) - mpmath.digamma(z))
+                              for z in map(mpmath.mpf, self.ZS.tolist())])
+        _, gap = special._ratio_and_psi_gap(self.ZS)
+        assert np.max(np.abs(gap / exact - 1.0)) <= 2e-15
+
+    def test_array_matches_scalars(self):
+        ratio, gap = special._ratio_and_psi_gap(self.ZS)
+        alone = [special._ratio_and_psi_gap(np.array([z])) for z in self.ZS]
+        assert np.array_equal(ratio, [r[0] for r, _ in alone])
+        assert np.array_equal(gap, [g[0] for _, g in alone])
+
+    def test_series_coefficients_are_the_bernoulli_differences(self):
+        # d_k = (-1)^(k+1) [B_{k+1}(1/2) - B_{k+1}(0)] / (k (k+1)), DLMF 5.11.8
+        with mpmath.workdps(40):
+            exact = [float((-1) ** (k + 1) * (mpmath.bernpoly(k + 1, mpmath.mpf(1) / 2)
+                                              - mpmath.bernpoly(k + 1, 0)) / (k * (k + 1)))
+                     for k in range(1, 2 * len(special._RATIO_SERIES), 2)]
+        assert special._RATIO_SERIES == exact
 
 
 class TestReciprocalGamma:
@@ -232,16 +248,19 @@ class TestReciprocalGamma:
 
 class TestHugeArguments:
     def test_finite_without_warning(self):
-        # log Gamma overflows above z = 2.6e305 and is not formed where unused
+        # log Gamma overflows above z = 2.6e305: neither kernel forms it for these
         zs = np.array([0.3, 5.0, 2e3, 1e306, 1.7e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            ratio, upper, lower = half_ratio_digamma(zs)
+            ratio, gap = special._ratio_and_psi_gap(zs)
             results = [gamma_half_ratio(1e306), digamma(1e306), gamma_half_ratio(zs),
-                       digamma(zs), ratio, upper, lower]
+                       digamma(zs), ratio, gap]
             assert np.isinf(gamma_half_ratio(np.inf)) and np.isinf(digamma(np.inf))
+            ratio_inf, gap_inf = special._ratio_and_psi_gap(np.array([np.inf]))
         assert all(np.all(np.isfinite(r)) for r in results)
+        assert np.isinf(ratio_inf[0]) and gap_inf[0] == 0.0
         assert gamma_half_ratio(1e306) == pytest.approx(1e153, rel=1e-15)
+        assert gap[3] == pytest.approx(0.5e-306, rel=1e-15)
         assert digamma(1e306) == pytest.approx(math.log(1e306), rel=1e-15)
 
 
@@ -249,10 +268,10 @@ class TestLanczosCoefficientsReadPerCall:
     def test_corrupted_coefficient_moves_every_function(self, monkeypatch):
         # the kernel must not hold a copy of the table made at import
         xs = np.array([0.3, 1.3, 2.7, 15.5])
-        before = (log_gamma(xs), digamma(xs), gamma_half_ratio(xs), reciprocal_gamma(-xs))
+        before = (log_gamma(xs), digamma(xs), reciprocal_gamma(-xs))
         corrupted = list(special._LANCZOS_COEFFS)
         corrupted[3] *= 1.000001
         monkeypatch.setattr(special, "_LANCZOS_COEFFS", corrupted)
-        after = (log_gamma(xs), digamma(xs), gamma_half_ratio(xs), reciprocal_gamma(-xs))
+        after = (log_gamma(xs), digamma(xs), reciprocal_gamma(-xs))
         for old, new in zip(before, after):
             assert np.all(np.abs(new - old) > 1e-9 * np.abs(old))

@@ -14,7 +14,6 @@ import scipy.special as sps
 from stepharm import (BracketError, ConvergenceError, DomainError, PotentialConfig,
                       contour, j_beta, bound_eigenfunction, level_count,
                       level_equation_residual, solve_levels, spectrum)
-from stepharm.special import digamma, gamma_half_ratio
 from tests.conftest import make_config
 
 # roots of the level equation computed independently at 30-digit precision
@@ -206,34 +205,34 @@ class TestSolveLevels:
                 assert d_value == pytest.approx(exact, rel=1e-12)
                 assert d_value >= 1.0
 
-    def test_norm_bit_identical_to_two_digamma_calls(self):
-        # _norm_over_j2 takes R and R' from the solver's helper; the values
-        # equal the formula with two scalar digamma calls bit for bit
+    def test_closed_form_norm_against_mpmath(self):
+        # -s'(beta)/(2 alpha) + 1/(2 k_n), s' = 2 [R' cot - (pi/2) R csc^2] at
+        # beta_n, with R' = (R/2) [psi((beta+1)/2) - psi(beta/2)], at 30 digits
+        xs = np.linspace(-1.0, 1.0, 5)
         for beta0 in (2.5, 9.7, 60.0, 200.0):
             config = make_config(beta0)
-            xs = np.linspace(-1.0, 1.0, 5)
             for level in solve_levels(config):
-                beta = level.beta_n
-                sin, cos = math.sin(math.pi * beta / 2.0), math.cos(math.pi * beta / 2.0)
-                ratio = gamma_half_ratio(beta / 2.0)
-                d_ratio = 0.5 * ratio * (digamma((beta + 1.0) / 2.0) - digamma(beta / 2.0))
-                d_slope = 2.0 * (d_ratio * cos / sin - 0.5 * math.pi * ratio / (sin * sin))
-                expected = -d_slope / (2.0 * config.alpha) + 1.0 / (2.0 * level.k_n)
-                assert spectrum._norm_over_j2(level, config, xs) == expected
+                with mpmath.workdps(30):
+                    beta = mpmath.mpf(level.beta_n)
+                    ratio = mpmath.gamma((beta + 1) / 2) / mpmath.gamma(beta / 2)
+                    d_ratio = ratio / 2 * (mpmath.digamma((beta + 1) / 2)
+                                           - mpmath.digamma(beta / 2))
+                    sin, cos = mpmath.sin(mpmath.pi * beta / 2), mpmath.cos(mpmath.pi * beta / 2)
+                    d_slope = 2 * (d_ratio * cos / sin - mpmath.pi / 2 * ratio / sin ** 2)
+                    exact = float(-d_slope / (2 * mpmath.mpf(config.alpha))
+                                  + 1 / (2 * mpmath.mpf(level.k_n)))
+                norm = spectrum._norm_over_j2(level, config, xs)
+                assert norm == pytest.approx(exact, rel=1e-13), (beta0, level.n)
 
     def test_slope_over_ratio_against_mpmath(self):
-        # R'/R = [psi((beta+1)/2) - psi(beta/2)] / 2, a difference of two
-        # digammas near log(beta/2): its error is theirs, eps-sized against |psi|
+        # R'/R = [psi((beta+1)/2) - psi(beta/2)] / 2, formed by the ratio kernel
+        # as a sum of positive terms, so it keeps its relative accuracy at every beta
         betas = np.linspace(1.0, 200.0, 996)
         ratio, slope = spectrum._ratio_and_slope(betas)
         with mpmath.workdps(40):
-            half = [mpmath.mpf(b) / 2 for b in betas.tolist()]
             exact = np.array([float((mpmath.digamma(h + 0.5) - mpmath.digamma(h)) / 2)
-                              for h in half])
-            psi = np.array([float(mpmath.digamma(h)) for h in half])
-        error = np.abs(slope / ratio - exact)
-        assert np.all(error <= 2e-15 * np.maximum(1.0, np.abs(psi)))
-        assert np.all(error[betas <= 20.0] <= 1e-13 * exact[betas <= 20.0])
+                              for h in (mpmath.mpf(b) / 2 for b in betas.tolist())])
+        assert np.all(np.abs(slope / ratio - exact) <= 2e-15 * exact)
 
     def test_energies_and_decay_constants_as_per_level_calls(self):
         # the table's energies and k_n come from one array call each, with
