@@ -9,6 +9,10 @@ inside the JSON document or in a sidecar file next to the CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 bad arguments,
 3 requested level does not exist, 4 numerical failure or out of memory.
+
+Importing this module loads the standard library and ``errors`` only.
+Each subcommand imports numpy and the layers it runs when it runs, so
+``--help`` and argument errors load no numerical module.
 """
 
 from __future__ import annotations
@@ -16,15 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from datetime import datetime, timezone
 
-import numpy as np
-
-from . import __version__, scattering, spectrum, verification, wavepacket
+from . import __version__
 from .errors import (BracketError, ConvergenceError, DispersionError, DomainError,
                      SingularityError)
-from .potential import PotentialConfig
 
 _EXIT_OK = 0
 _EXIT_VERIFY_FAILED = 1
@@ -36,9 +38,12 @@ _PHYSICAL_FLAGS = ("hbar", "mass", "kappa", "u0")
 
 
 def _fmt(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.12g}"
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    # numpy registers its integer types as numbers.Integral
+    if isinstance(value, numbers.Integral):
         return str(int(value))
     return f"{float(value):.12g}"
 
@@ -118,7 +123,8 @@ def _add_common(parser: argparse.ArgumentParser):
                         help="output file (default: stdout)")
 
 
-def _resolve_config(args, parser: argparse.ArgumentParser) -> PotentialConfig:
+def _resolve_config(args, parser: argparse.ArgumentParser):
+    """The ``PotentialConfig`` of the options; numpy loads only once they are valid."""
     physical = {name: getattr(args, name) for name in _PHYSICAL_FLAGS
                 if getattr(args, name) is not None}
     if args.beta0 is not None:
@@ -127,10 +133,13 @@ def _resolve_config(args, parser: argparse.ArgumentParser) -> PotentialConfig:
                          "--hbar/--mass/--kappa/--u0")
         if args.beta0 < 0.5:
             parser.error("--beta0 must be >= 0.5")
-        return PotentialConfig.from_beta0(args.beta0)
-    if "u0" not in physical:
+    elif "u0" not in physical:
         parser.error("provide either --beta0 or --u0 (with optional "
                      "--hbar/--mass/--kappa)")
+    from .potential import PotentialConfig
+
+    if args.beta0 is not None:
+        return PotentialConfig.from_beta0(args.beta0)
     return PotentialConfig(hbar=physical.get("hbar", 1.0),
                            mass=physical.get("mass", 1.0),
                            kappa=physical.get("kappa", 1.0),
@@ -139,6 +148,8 @@ def _resolve_config(args, parser: argparse.ArgumentParser) -> PotentialConfig:
 
 def cmd_levels(args, parser) -> int:
     config = _resolve_config(args, parser)
+    from . import spectrum
+
     levels = spectrum.solve_levels(config)
     header = ["n", "beta_n", "energy_over_hbar_omega", "k_n", "marginal"]
     scale = config.hbar * config.omega
@@ -154,6 +165,10 @@ def cmd_delay(args, parser) -> int:
         parser.error("--beta-min must exceed beta0")
     if args.steps < 2:
         parser.error("--steps must be >= 2")
+    import numpy as np
+
+    from . import scattering
+
     betas = np.linspace(args.beta_min, args.beta_max, args.steps)
     taus = scattering.delay_time(betas, config)
     half_period = np.pi / config.omega
@@ -164,6 +179,10 @@ def cmd_delay(args, parser) -> int:
 
 def cmd_eigenfunction(args, parser) -> int:
     config = _resolve_config(args, parser)
+    import numpy as np
+
+    from . import spectrum
+
     levels = spectrum.solve_levels(config)
     matches = [lv for lv in levels if lv.n == args.n]
     if not matches:
@@ -182,6 +201,10 @@ def cmd_eigenfunction(args, parser) -> int:
 
 def cmd_wavepacket(args, parser) -> int:
     config = _resolve_config(args, parser)
+    import numpy as np
+
+    from . import scattering, wavepacket
+
     try:
         k_center = (args.k_center if args.k_center is not None
                     else config.k_continuum(args.beta_center))
@@ -218,14 +241,18 @@ def cmd_resonances(args, parser) -> int:
     config = _resolve_config(args, parser)
     if args.beta_max <= config.beta0 + 1.0:
         parser.error("--beta-max must exceed beta0 + 1")
+    from . import scattering
+
     found = scattering.find_resonances(config, args.beta_max)
-    half_period = np.pi / config.omega
+    half_period = math.pi / config.omega
     rows = [(r.beta_peak, r.tau_peak / half_period, r.width) for r in found]
     _emit(args, ["beta_peak", "tau_peak_over_half_period", "width"], rows)
     return _EXIT_OK
 
 
 def cmd_verify(args, parser) -> int:
+    from . import verification
+
     results = verification.run_all()
     for res in results:
         status = "PASS" if res.passed else "FAIL"

@@ -185,7 +185,10 @@ def _norm_over_j2(level: EnergyLevel, config: PotentialConfig,
         inside = (math.erf(alpha * min(hi, 0.0)) - math.erf(alpha * min(lo, 0.0)))
         return math.sqrt(math.pi) / (2.0 * alpha) * inside + max(hi, 0.0) - max(lo, 0.0)
     beta = level.beta_n
-    sin, cos = math.sin(math.pi * beta / 2.0), math.cos(math.pi * beta / 2.0)
+    # cot and sin^2 of pi beta / 2 have period 2 in beta: reduce beta exactly
+    # to [-1, 1] first, so that the angle carries no rounding of pi beta / 2
+    angle = 0.5 * math.pi * (beta - 2.0 * round(beta / 2.0))
+    sin, cos = math.sin(angle), math.cos(angle)
     [ratio], [d_ratio] = _ratio_and_slope(np.array([beta]))
     d_slope = 2.0 * (d_ratio * cos / sin - 0.5 * math.pi * ratio / (sin * sin))
     return -d_slope / (2.0 * alpha) + 1.0 / (2.0 * level.k_n)

@@ -1,13 +1,18 @@
 """Command-line surface: tables, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stepharm
 from stepharm import (BracketError, PotentialConfig, SingularityError, WavePacketSpec, cli,
-                      evolve, measure_delay, scattering)
+                      contour, evolve, measure_delay, scattering)
 from stepharm.special import _LANCZOS_COEFFS, _RATIO_SERIES
 
 
@@ -429,3 +434,114 @@ class TestVerify:
         (check,) = [item for item in report["data"] if item["name"] == "gamma_ratio_routes"]
         assert not check["passed"]
         assert "FAIL  gamma_ratio_routes:" in capsys.readouterr().out
+
+
+# Run in a fresh interpreter, since this one has every layer loaded: calls
+# ``cli.main`` on the arguments, if any, and prints the exit status and the
+# numpy and stepharm modules loaded by then.
+_LOAD_PROBE = """
+import contextlib, io, json, sys
+from stepharm import cli
+status = 0
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            status = cli.main(sys.argv[1:])
+        except SystemExit as exc:
+            status = exc.code
+print(json.dumps([status, sorted(m for m in sys.modules
+                                 if m.split(".")[0] in ("numpy", "stepharm"))]))
+"""
+
+
+def fresh_interpreter(code, *argv):
+    """Last stdout line of ``code`` run with ``argv`` in a new Python process."""
+    src = str(Path(stepharm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
+                          capture_output=True, text=True)
+    return done.stdout.splitlines()[-1]
+
+
+def loaded_by(*argv):
+    """Exit status, whether numpy was loaded, and the stepharm modules loaded."""
+    status, modules = json.loads(fresh_interpreter(_LOAD_PROBE, *argv))
+    layers = {m.split(".", 1)[1] for m in modules if m.startswith("stepharm.")}
+    return status, "numpy" in modules, layers
+
+
+_NO_SCATTERING = {"scattering", "runtime", "wavepacket", "verification", "oracle"}
+_NO_SPECTRUM = {"spectrum", "wavepacket", "verification", "oracle"}
+# each subcommand with the stepharm modules it must not load
+_SUBCOMMAND_RUNS = [
+    (["levels", "--beta0", "4.5"], _NO_SCATTERING),
+    (["eigenfunction", "--beta0", "4.5", "--n", "1", "--points", "9"], _NO_SCATTERING),
+    (["delay", "--beta0", "2.5", "--beta-min", "3", "--beta-max", "6", "--steps", "9"],
+     _NO_SPECTRUM),
+    (["resonances", "--beta0", "2.5", "--beta-max", "6"], _NO_SPECTRUM),
+    (["wavepacket", "--beta0", "2.5", "--beta-center", "6", "--frames", "2",
+      "--x-points", "9"], {"spectrum", "verification", "oracle"}),
+]
+
+
+class TestLoading:
+    def test_import_loads_no_numerical_module(self):
+        assert loaded_by() == (0, False, {"cli", "errors"})
+
+    @pytest.mark.parametrize("argv, status", [
+        (["--help"], 0),
+        (["levels", "--beta0", "0.1"], 2),
+        (["levels", "--beta0", "2", "--u0", "1"], 2),
+    ], ids=["help", "beta0-below-half", "mixed-unit-modes"])
+    def test_help_and_argument_errors_load_no_numpy(self, argv, status):
+        assert loaded_by(*argv) == (status, False, {"cli", "errors"})
+
+    @pytest.mark.parametrize("argv, unused", [pytest.param(argv, unused, id=argv[0])
+                                              for argv, unused in _SUBCOMMAND_RUNS])
+    def test_each_subcommand_loads_only_its_layers(self, argv, unused):
+        status, numpy_loaded, layers = loaded_by(*argv)
+        assert status == 0 and numpy_loaded
+        assert not layers & unused
+
+    def test_numbers_format_as_with_numpy_types(self):
+        values = [True, np.bool_(False), 7, np.int64(-3), np.uint8(200), 0.1,
+                  np.float64(1 / 3), np.float32(0.1), 1e-300]
+        assert [cli._fmt(v) for v in values] == [
+            "true", "0", "7", "-3", "200", "0.1", "0.333333333333", "0.10000000149",
+            "1e-300"]
+
+
+class TestPackage:
+    def test_every_export_is_its_defining_modules_object(self):
+        assert stepharm.__all__[0] == "__version__"
+        for name in stepharm.__all__[1:]:
+            value = getattr(stepharm, name)
+            assert value.__module__.startswith("stepharm.")
+            assert getattr(sys.modules[value.__module__], name) is value
+
+    def test_star_import_binds_every_export(self):
+        namespace = {}
+        exec("from stepharm import *", namespace)
+        for name in stepharm.__all__:
+            assert namespace[name] is getattr(stepharm, name)
+
+    def test_dir_lists_the_exports(self):
+        assert set(stepharm.__all__) <= set(dir(stepharm))
+
+    def test_bare_import_loads_a_submodule_on_access(self):
+        code = ("import sys, stepharm; before = sorted(sys.modules); "
+                "print(stepharm.contour.__name__, 'numpy' in before, "
+                "[m for m in before if m.startswith('stepharm.')])")
+        assert fresh_interpreter(code) == "stepharm.contour False []"
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+            stepharm.no_such_name
+        assert not hasattr(stepharm, "oracle_of_delphi")
+
+    def test_access_binds_nothing_and_follows_a_rebinding(self, monkeypatch):
+        assert stepharm.f_epsilon is contour.f_epsilon
+        assert not set(stepharm.__all__[1:]) & set(vars(stepharm))
+        monkeypatch.setattr(contour, "f_epsilon", len)
+        assert stepharm.f_epsilon is len

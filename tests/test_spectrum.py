@@ -222,7 +222,7 @@ class TestSolveLevels:
                     exact = float(-d_slope / (2 * mpmath.mpf(config.alpha))
                                   + 1 / (2 * mpmath.mpf(level.k_n)))
                 norm = spectrum._norm_over_j2(level, config, xs)
-                assert norm == pytest.approx(exact, rel=1e-13), (beta0, level.n)
+                assert norm == pytest.approx(exact, rel=5e-15), (beta0, level.n)
 
     def test_slope_over_ratio_against_mpmath(self):
         # R'/R = [psi((beta+1)/2) - psi(beta/2)] / 2, formed by the ratio kernel
