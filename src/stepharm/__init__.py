@@ -25,8 +25,7 @@ _EXPORTS = {
     "errors": ("StepharmError", "DomainError", "GammaPoleError",
                "ConvergenceError", "BracketError", "SingularityError",
                "DispersionError"),
-    "contour": ("j_beta", "f_epsilon", "f_epsilon_derivative", "hermite_poly",
-                "asymptotic_f2"),
+    "contour": ("j_beta", "f_epsilon", "f_epsilon_derivative", "hermite_poly"),
     "spectrum": ("EnergyLevel", "level_count", "level_equation_residual",
                  "solve_levels", "bound_eigenfunction"),
     "scattering": ("Resonance", "zeta", "phase_shift", "delta_prime",

@@ -73,7 +73,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
-from .special import reciprocal_gamma
+from .special import _sin_cos_pi, reciprocal_gamma
 
 _TWO_PI = 2.0 * math.pi
 _CIRCLE_RADIUS = 1.0
@@ -218,7 +218,8 @@ def _circle_part(beta: np.ndarray, y: np.ndarray, radius: float, tol: float):
     # edge's e^{-i pi beta} sin(pi beta) is e^{-i pi f} sin(pi f), zero there too.
     whole = np.round(beta)
     frac = (beta - whole)[:, None]
-    sine, phase = np.sin(np.pi * frac), np.exp(-1j * np.pi * frac)
+    sine, cosine = _sin_cos_pi(frac)
+    phase = cosine - 1j * sine
     a = (np.arange(n + 1) + (1.0 - whole)[:, None]) - frac
     d = np.divide(-sine, np.pi * a, out=np.ones_like(a), where=a != 0.0)
     scale = _TWO_PI * prefactor[:, None]
@@ -344,10 +345,11 @@ def j_beta(beta):
 
     equivalent to sin(pi beta) Gamma((1-beta)/2) / (i e^{i pi beta}) by the
     reflection formula but free of the 0 * inf cancellations of the latter
-    at odd integer beta.  J is entire; where 1/Gamma vanishes the value is
-    exactly zero.  1/Gamma is evaluated in real arithmetic by
-    special.reciprocal_gamma, so each element gets the same bits whatever
-    the shape of the call.  A scalar argument returns a complex.
+    at odd integer beta.  J is entire and exactly zero at its zeros: even
+    beta, where special._sin_cos_pi gives sin(pi beta / 2) = 0, and negative
+    odd beta, where 1/Gamma vanishes.  Both are real arithmetic, so each
+    element gets the same bits whatever the shape of the call.  A scalar
+    argument returns a complex.
     """
     b = np.asarray(beta, dtype=float)
     if not np.all(np.isfinite(b)):
@@ -357,10 +359,15 @@ def j_beta(beta):
 
 
 def _j_and_scale(b: np.ndarray):
-    """J(b) and 2 pi / Gamma((b+1)/2), both from one evaluation of 1/Gamma (see j_beta)."""
-    inv_gamma = reciprocal_gamma(0.5 * (b + 1.0))
-    return (_TWO_PI * np.sin(np.pi * b / 2.0) * np.exp(-1j * np.pi * b) * inv_gamma / 1j,
-            _TWO_PI * inv_gamma)
+    """J(b) and 2 pi / Gamma((b+1)/2), both from one evaluation of 1/Gamma (see j_beta).
+
+    With s, c = sin, cos(pi b / 2), e^{-i pi b} / i = -sin(pi b) - i cos(pi b)
+    = -2sc - i (c - s)(c + s): each part of J is a product of reals.
+    """
+    scale = _TWO_PI * reciprocal_gamma(0.5 * (b + 1.0))
+    s, c = _sin_cos_pi(b / 2.0)
+    amplitude = scale * s
+    return amplitude * (-2.0 * s * c) - 1j * (amplitude * ((c - s) * (c + s))), scale
 
 
 def interior_rows(betas, y: np.ndarray) -> np.ndarray:
@@ -402,21 +409,3 @@ def hermite_poly(n: int, y):
         h_prev, h = h, 2.0 * y_arr * h - 2.0 * k * h_prev
     return float(h) if y_arr.ndim == 0 else h
 
-
-def asymptotic_f2(beta: float, y):
-    """Large-y reference -2i e^{-i pi beta} sqrt(pi) sin(pi beta) e^{y^2} / y^beta.
-
-    Only meaningful for y > 0 and non-degenerate beta: at integer beta the
-    loop solution is a polynomial times the residue factor and this
-    expression (identically zero there) does not describe it, so those
-    arguments are rejected.
-    """
-    beta = float(beta)
-    if beta >= 1.0 and beta == math.floor(beta):
-        raise DomainError("asymptotic form is invalid at Hermite-degenerate integer beta")
-    y_arr = np.asarray(y, dtype=float)
-    if np.any(y_arr <= 0):
-        raise DomainError("asymptotic form requires y > 0")
-    value = (-2j * np.exp(-1j * math.pi * beta) * math.sqrt(math.pi)
-             * math.sin(math.pi * beta) * np.exp(y_arr**2) / y_arr**beta)
-    return complex(value) if y_arr.ndim == 0 else value

@@ -20,7 +20,7 @@ from . import contour
 from .errors import BracketError, DomainError, SingularityError
 from .potential import PotentialConfig
 from .runtime import parallel_map
-from .special import digamma, gamma_half_ratio
+from .special import _sin_cos_pi, digamma, gamma_half_ratio
 
 _SQRT2 = math.sqrt(2.0)
 _RESONANCE_SCAN_STEP = 0.01
@@ -59,21 +59,23 @@ def zeta(beta, config: PotentialConfig):
             * cos(pi beta / 2),
 
     which is an explicit ratio of complex conjugates (so |zeta| = 1 to
-    rounding) and contains no Gamma poles for beta > beta0.
+    rounding) and contains no Gamma poles for beta > beta0.  With the sine
+    and cosine of special._sin_cos_pi, zeta is exactly 1 at odd beta.
     """
     beta0 = config.beta0
     _require_continuum(beta, beta0)
     b_arr = np.asarray(beta, dtype=float)
-    a = np.sin(np.pi * b_arr / 2.0)
-    b = (np.sqrt(2.0 / (b_arr - beta0)) * gamma_half_ratio(b_arr / 2.0)
-         * np.cos(np.pi * b_arr / 2.0))
+    a, cos = _sin_cos_pi(b_arr / 2.0)
+    b = np.sqrt(2.0 / (b_arr - beta0)) * gamma_half_ratio(b_arr / 2.0) * cos
     value = (a - 1j * b) / (a + 1j * b)
     return complex(value) if np.ndim(beta) == 0 else value
 
 
 def phase_shift(beta, config: PotentialConfig):
     """Principal-value phase shift delta = arg(zeta) in (-pi, pi]."""
+    # at even beta zeta is -1 - 0j, whose angle is -pi: the principal value is pi
     value = np.angle(zeta(beta, config))
+    value = np.where(value == -np.pi, np.pi, value)
     return float(value) if np.ndim(beta) == 0 else value
 
 
@@ -97,11 +99,11 @@ def delta_prime(beta, config: PotentialConfig):
     b = np.asarray(beta, dtype=float)
     x = b - beta0
     ratio = gamma_half_ratio(b / 2.0)
+    sin, cos = _sin_cos_pi(b / 2.0)  # of pi beta / 2; sin(pi beta) = 2 sin cos
     num = 0.5 * np.sqrt(x) * (
-        np.sin(np.pi * b) * (1.0 / x + digamma(b / 2.0) - digamma((b + 1.0) / 2.0))
+        2.0 * sin * cos * (1.0 / x + digamma(b / 2.0) - digamma((b + 1.0) / 2.0))
         + 2.0 * np.pi)
-    den = (x / (ratio * _SQRT2) * np.sin(np.pi * b / 2.0) ** 2
-           + ratio * _SQRT2 * np.cos(np.pi * b / 2.0) ** 2)
+    den = x / (ratio * _SQRT2) * sin ** 2 + ratio * _SQRT2 * cos ** 2
     value = num / den
     return float(value) if np.ndim(beta) == 0 else value
 

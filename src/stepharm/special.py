@@ -16,6 +16,8 @@ both sums taken left to right.  Below 1/2 the complex log_gamma reflects,
 digamma shifts by one, psi(x) = psi(x+1) - 1/x, and reciprocal_gamma
 reflects in real arithmetic.  A pass forms log Gamma only where a result
 uses it.  log_gamma, gamma, reciprocal_gamma and digamma use this kernel.
+Every real sine and cosine of pi x in the closed forms comes from
+_sin_cos_pi, which reduces x exactly to [-1/2, 1/2] first.
 
 The Gamma half-ratio R(z) = Gamma(z + 1/2) / Gamma(z) and
 D(z) = psi(z + 1/2) - psi(z) = R'(z)/R(z) come from a second kernel, one
@@ -155,13 +157,25 @@ def gamma(z):
     return np.exp(log_gamma(z))
 
 
+def _sin_cos_pi(x):
+    """sin(pi x) and cos(pi x) of real x, elementwise, the argument reduced exactly.
+
+    With n = round(x) and r = x - n, which is exact, sin(pi x) = (-1)^n sin(pi r)
+    and cos(pi x) = (-1)^n sin(pi (1/2 - |r|)): both vanish exactly at their
+    zeros and keep their relative accuracy next to them, for every x.
+    """
+    n = np.round(x)
+    r = x - n
+    signed_pi = np.pi - 2.0 * np.pi * (n % 2.0)  # (-1)^n pi, moved into the odd sine
+    return np.sin(signed_pi * r), np.sin(signed_pi * (0.5 - np.abs(r)))
+
+
 def reciprocal_gamma(x):
     """1/Gamma(x) for real x, in real arithmetic; exactly 0 at the poles of Gamma.
 
     exp(-log Gamma(x)) for x >= 1/2 and, by reflection,
-    sin(pi x) Gamma(1 - x) / pi below, with sin(pi x) = (-1)^n sin(pi (x - n))
-    for the nearest integer n: x - n is exact, so 1/Gamma keeps its relative
-    accuracy next to its zeros.
+    sin(pi x) Gamma(1 - x) / pi below, sin(pi x) from _sin_cos_pi, so 1/Gamma
+    keeps its relative accuracy next to its zeros.
     """
     arr = np.asarray(x, dtype=float)
     work = arr.ravel()
@@ -169,9 +183,7 @@ def reciprocal_gamma(x):
     log_g, _ = _lanczos(np.where(reflect, 1.0 - work, work))
     out = np.exp(np.where(reflect, log_g, -log_g))
     if reflect.any():
-        below = work[reflect]
-        n = np.round(below)
-        out[reflect] *= np.sin(np.pi * (below - n)) * (1.0 - 2.0 * (n % 2.0)) / np.pi
+        out[reflect] *= _sin_cos_pi(work[reflect])[0] / np.pi
         out[reflect & (work == np.floor(work))] = 0.0  # also where Gamma(1 - x) overflows
     return _shaped(out, arr)
 

@@ -34,7 +34,7 @@ import numpy as np
 from . import contour
 from .errors import BracketError, DomainError
 from .potential import PotentialConfig
-from .special import _ratio_and_psi_gap, gamma_half_ratio
+from .special import _ratio_and_psi_gap, _sin_cos_pi, gamma_half_ratio
 
 
 @dataclass(frozen=True)
@@ -79,9 +79,9 @@ def level_equation_residual(beta, config: PotentialConfig):
     b = np.asarray(beta, dtype=float)
     if np.any((b <= 0.0) | (b > beta0)):
         raise DomainError("level equation is defined on 0 < beta <= beta0")
+    sin, cos = _sin_cos_pi(b / 2.0)
     with np.errstate(divide="ignore"):
-        cot = np.cos(np.pi * b / 2.0) / np.sin(np.pi * b / 2.0)
-        g = gamma_half_ratio(b / 2.0) * cot + np.sqrt((beta0 - b) / 2.0)
+        g = gamma_half_ratio(b / 2.0) * (cos / sin) + np.sqrt((beta0 - b) / 2.0)
     return float(g) if np.ndim(beta) == 0 else g
 
 
@@ -185,10 +185,7 @@ def _norm_over_j2(level: EnergyLevel, config: PotentialConfig,
         inside = (math.erf(alpha * min(hi, 0.0)) - math.erf(alpha * min(lo, 0.0)))
         return math.sqrt(math.pi) / (2.0 * alpha) * inside + max(hi, 0.0) - max(lo, 0.0)
     beta = level.beta_n
-    # cot and sin^2 of pi beta / 2 have period 2 in beta: reduce beta exactly
-    # to [-1, 1] first, so that the angle carries no rounding of pi beta / 2
-    angle = 0.5 * math.pi * (beta - 2.0 * round(beta / 2.0))
-    sin, cos = math.sin(angle), math.cos(angle)
+    sin, cos = _sin_cos_pi(beta / 2.0)
     [ratio], [d_ratio] = _ratio_and_slope(np.array([beta]))
     d_slope = 2.0 * (d_ratio * cos / sin - 0.5 * math.pi * ratio / (sin * sin))
     return -d_slope / (2.0 * alpha) + 1.0 / (2.0 * level.k_n)

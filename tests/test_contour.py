@@ -11,8 +11,8 @@ import pytest
 import scipy.special as sps
 
 from stepharm import (ConvergenceError, DomainError, PotentialConfig, WavePacketSpec,
-                      asymptotic_f2, contour, f_epsilon, f_epsilon_derivative, hermite_poly,
-                      j_beta, wavepacket)
+                      contour, f_epsilon, f_epsilon_derivative, hermite_poly, j_beta,
+                      wavepacket)
 
 EPS = np.finfo(float).eps
 
@@ -23,6 +23,18 @@ def j_literal(beta: float) -> complex:
     """Textbook form sin(pi b) Gamma((1-b)/2) / (i e^{i pi b}); poles at odd b."""
     return (math.sin(math.pi * beta) / (1j * np.exp(1j * math.pi * beta))
             * sps.gamma((1.0 - beta) / 2.0))
+
+
+def f_parabolic_cylinder(beta: float, y: float) -> complex:
+    """F(beta, y) = -2 pi i e^{-i pi beta} G / Gamma(beta) at 30 digits.
+
+    G = 2^((beta-1)/2) e^{y^2/2} D_{beta-1}(-sqrt(2) y) solves the Hermite
+    equation; at y = 0 this F is J(beta), by the duplication formula.
+    """
+    with mp.workdps(30):
+        b, t = mp.mpf(beta), mp.mpf(y)
+        g = 2 ** ((b - 1) / 2) * mp.exp(t * t / 2) * mp.pcfd(b - 1, -mp.sqrt(2) * t)
+        return complex(-2j * mp.pi * mp.expjpi(-b) * g / mp.gamma(b))
 
 
 class TestJBeta:
@@ -54,6 +66,22 @@ class TestJBeta:
         assert values.shape == betas.shape
         assert np.array_equal(values.view(np.uint64), scalars.view(np.uint64))
         assert np.all(values[np.isin(betas, [-1.0, -3.0, -5.0])] == 0.0)
+
+    def test_exactly_zero_at_even_beta(self):
+        evens = np.arange(-40.0, 41.0, 2.0)
+        assert np.all(j_beta(evens) == 0.0)
+        assert all(j_beta(b) == 0.0 for b in evens.tolist())
+
+    def test_relative_accuracy_next_to_even_zeros(self):
+        # sin(pi beta / 2) of an exactly reduced argument keeps J's relative
+        # accuracy where it vanishes
+        evens = np.arange(2.0, 41.0, 2.0)
+        betas = np.concatenate([np.linspace(0.05, 60.0, 1200), evens + 1e-9, evens - 3e-12])
+        with mp.workdps(40):
+            exact = np.array([complex(2 * mp.pi * mp.sinpi(b / 2) * mp.expjpi(-b)
+                                      * mp.rgamma((b + 1) / 2) / 1j)
+                              for b in map(mp.mpf, betas.tolist())])
+        assert np.all(np.abs(j_beta(betas) - exact) <= 1e-13 * np.abs(exact))
 
     def test_scalar_returns_python_complex(self):
         assert type(j_beta(2.5)) is complex
@@ -527,21 +555,27 @@ class TestHermitePoly:
             hermite_poly(-1, 0.0)
 
 
+def leading_large_y(beta: float, y: float) -> complex:
+    """Leading large-y form -2i e^{-i pi beta} sqrt(pi) sin(pi beta) e^{y^2} / y^beta."""
+    return (-2j * np.exp(-1j * math.pi * beta) * math.sqrt(math.pi)
+            * math.sin(math.pi * beta) * math.exp(y * y) / y**beta)
+
+
 class TestAsymptoticForm:
     def test_ten_percent_at_y4(self):
-        ratio = f_epsilon(1.5, 4.0) / asymptotic_f2(1.5, 4.0)
+        ratio = f_epsilon(1.5, 4.0) / leading_large_y(1.5, 4.0)
         assert abs(ratio - 1.0) < 0.10
 
     def test_ratio_monotone_to_one(self):
-        devs = [abs(abs(f_epsilon(1.5, y) / asymptotic_f2(1.5, y)) - 1.0)
+        devs = [abs(abs(f_epsilon(1.5, y) / leading_large_y(1.5, y)) - 1.0)
                 for y in (3.0, 4.0, 5.0, 6.0)]
         assert devs == sorted(devs, reverse=True)
 
-    def test_rejected_at_degenerate_beta(self):
-        with pytest.raises(DomainError):
-            asymptotic_f2(3.0, 4.0)
 
-    def test_rejected_at_nonpositive_y(self):
-        with pytest.raises(DomainError):
-            asymptotic_f2(1.5, -1.0)
-
+class TestLargeY:
+    @pytest.mark.parametrize("beta", [1.5, 2.6, 7.7])
+    def test_matches_parabolic_cylinder_route(self, beta):
+        # |F| grows like e^{y^2}, to 1e15 at y = 6, where the cut edge carries it
+        for y in (3.0, 4.0, 5.0, 6.0):
+            value = f_epsilon(beta, y)
+            assert abs(value - f_parabolic_cylinder(beta, y)) <= 1e-12 * (1.0 + abs(value))

@@ -12,7 +12,7 @@ from stepharm import (BracketError, DomainError, PotentialConfig, SingularityErr
                       delay_time, delta_prime, find_resonances, phase_shift,
                       pi_coefficient, zeta, j_beta)
 from stepharm import contour, scattering
-from stepharm.special import digamma, gamma_half_ratio
+from stepharm.special import _sin_cos_pi, digamma, gamma_half_ratio
 from stepharm.verification import phase_derivative_residual
 from tests.conftest import make_config
 
@@ -36,12 +36,37 @@ def delta_prime_two_digamma_calls(b, beta0):
     """delta' with one digamma call per argument, as a bit-level reference."""
     x = b - beta0
     ratio = gamma_half_ratio(b / 2.0)
+    sin, cos = _sin_cos_pi(b / 2.0)
     num = 0.5 * np.sqrt(x) * (
-        np.sin(np.pi * b) * (1.0 / x + digamma(b / 2.0) - digamma((b + 1.0) / 2.0))
+        2.0 * sin * cos * (1.0 / x + digamma(b / 2.0) - digamma((b + 1.0) / 2.0))
         + 2.0 * np.pi)
-    den = (x / (ratio * math.sqrt(2.0)) * np.sin(np.pi * b / 2.0) ** 2
-           + ratio * math.sqrt(2.0) * np.cos(np.pi * b / 2.0) ** 2)
+    den = (x / (ratio * math.sqrt(2.0)) * sin ** 2
+           + ratio * math.sqrt(2.0) * cos ** 2)
     return num / den
+
+
+def mpmath_phase(beta: float, beta0: float) -> float:
+    """delta = arg(zeta) at 50 digits, sin and cos of pi beta / 2 taken without rounding pi beta."""
+    with mpmath.workdps(50):
+        b = mpmath.mpf(beta)
+        ratio = mpmath.exp(mpmath.loggamma((b + 1) / 2) - mpmath.loggamma(b / 2))
+        a = mpmath.sinpi(b / 2)
+        c = mpmath.sqrt(2 / (b - beta0)) * ratio * mpmath.cospi(b / 2)
+        return float(mpmath.arg((a - 1j * c) / (a + 1j * c)))
+
+
+def mpmath_delta_prime(beta: float, beta0: float) -> float:
+    """delta'(beta) of the closed form at 40 digits."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+        x = b - beta0
+        ratio = mpmath.gamma((b + 1) / 2) / mpmath.gamma(b / 2)
+        num = mpmath.sqrt(x) / 2 * (mpmath.sinpi(b) * (1 / x + mpmath.digamma(b / 2)
+                                                       - mpmath.digamma((b + 1) / 2))
+                                    + 2 * mpmath.pi)
+        den = (x / (ratio * mpmath.sqrt(2)) * mpmath.sinpi(b / 2) ** 2
+               + ratio * mpmath.sqrt(2) * mpmath.cospi(b / 2) ** 2)
+        return float(num / den)
 
 
 def zeta_literal(beta, beta0):
@@ -78,6 +103,12 @@ class TestZeta:
         assert zeta(2.0, cfg15) == pytest.approx(-1.0, abs=1e-12)
         assert zeta(4.0, cfg15) == pytest.approx(-1.0, abs=1e-12)
 
+    def test_exactly_one_at_odd_beta(self, cfg15):
+        # cos(pi beta / 2) is exactly zero there
+        odd = np.arange(3.0, 200.0, 2.0)
+        assert np.all(zeta(odd, cfg15) == 1.0)
+        assert zeta(1e6 + 1.0, cfg15) == 1.0
+
     def test_domain(self, cfg15):
         with pytest.raises(DomainError):
             zeta(1.5, cfg15)
@@ -90,6 +121,23 @@ class TestPhaseShift:
         betas = np.linspace(1.6, 20.0, 500)
         deltas = phase_shift(betas, cfg15)
         assert np.all(deltas > -np.pi) and np.all(deltas <= np.pi)
+
+    def test_pi_at_even_beta(self, cfg15):
+        # zeta = -1 - 0j there: the principal value is pi, not -pi
+        even = np.arange(2.0, 200.0, 2.0)
+        assert np.all(phase_shift(even, cfg15) == np.pi)
+        assert phase_shift(1e6, cfg15) == np.pi
+
+    @pytest.mark.parametrize("beta0", [1.5, 2.5, 4.5])
+    def test_against_mpmath_up_to_1e8(self, beta0):
+        # the argument of the sines is reduced exactly, so the error does
+        # not grow like the ulp of pi beta
+        rng = np.random.default_rng(7)
+        betas = np.concatenate([beta0 + np.geomspace(1e-4, 10.0, 20),
+                                10.0 ** rng.uniform(1.0, 8.0, 140)])
+        exact = np.array([mpmath_phase(b, beta0) for b in betas.tolist()])
+        error = np.abs(phase_shift(betas, make_config(beta0)) - exact)
+        assert np.all(np.minimum(error, 2.0 * np.pi - error) <= 1e-14)
 
     def test_unwrapped_continuity(self, cfg15):
         betas = np.arange(1.6, 12.0, 1e-3)
@@ -147,6 +195,15 @@ class TestDeltaPrime:
     def test_domain(self, cfg15):
         with pytest.raises(DomainError):
             delta_prime(1.4, cfg15)
+
+    @pytest.mark.parametrize("beta0", [1.5, 2.5, 4.5])
+    def test_against_mpmath(self, beta0):
+        rng = np.random.default_rng(5)
+        betas = beta0 + np.concatenate([np.geomspace(1e-6, 1e3, 60),
+                                        rng.uniform(1e-3, 200.0, 60)])
+        exact = np.array([mpmath_delta_prime(b, beta0) for b in betas.tolist()])
+        error = np.abs(delta_prime(betas, make_config(beta0)) - exact)
+        assert np.all(error <= 2e-15 * np.maximum(1.0, np.abs(exact)))
 
     @pytest.mark.parametrize("beta0", [1.5, 4.5, 60.0])
     def test_bit_identical_to_two_digamma_calls(self, beta0):

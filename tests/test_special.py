@@ -18,6 +18,7 @@ from stepharm.special import (digamma, gamma, gamma_half_ratio, log_gamma,
                               reciprocal_gamma)
 
 EULER_GAMMA = 0.57721566490153286
+EPS = np.finfo(float).eps
 
 
 def lanczos_log_gamma_loop(z):
@@ -244,6 +245,39 @@ class TestReciprocalGamma:
         xs = np.linspace(-7.3, 40.0, 731)
         assert np.array_equal(reciprocal_gamma(xs), [reciprocal_gamma(float(x)) for x in xs])
         assert type(reciprocal_gamma(2.5)) is float
+
+
+class TestSinCosPi:
+    """special._sin_cos_pi: sin(pi x) and cos(pi x) from an exactly reduced argument."""
+
+    INTEGERS = np.concatenate([np.arange(-6.0, 7.0), [1001.0, 12345.0, 1e8 - 1.0, 1e8]])
+
+    def test_exact_zeros_and_signs(self):
+        n = self.INTEGERS
+        sin, cos = special._sin_cos_pi(n)
+        assert np.all(sin == 0.0)
+        assert np.array_equal(cos, np.where(n % 2.0 == 0.0, 1.0, -1.0))
+        sin, cos = special._sin_cos_pi(n + 0.5)
+        assert np.all(cos == 0.0)
+        assert np.array_equal(sin, np.where(n % 2.0 == 0.0, 1.0, -1.0))
+
+    def test_against_mpmath_near_zeros_and_at_large_x(self):
+        n = self.INTEGERS
+        rng = np.random.default_rng(3)
+        xs = np.concatenate([n + 1e-12, n - 1e-12, n + 0.5 + 1e-12, n + 0.5 - 1e-12,
+                             rng.uniform(-5.0, 5.0, 500), rng.uniform(-1e8, 1e8, 500)])
+        sin, cos = special._sin_cos_pi(xs)
+        with mpmath.workdps(40):
+            exact = np.array([(float(mpmath.sinpi(x)), float(mpmath.cospi(x)))
+                              for x in map(mpmath.mpf, xs.tolist())])
+        for value, ref in zip((sin, cos), exact.T):
+            assert np.all(np.abs(value - ref) <= 1.5 * EPS * np.abs(ref))
+
+    def test_array_matches_scalars(self):
+        xs = np.concatenate([np.linspace(-7.3, 40.0, 731), self.INTEGERS + 0.5])
+        sin, cos = special._sin_cos_pi(xs)
+        scalars = np.array([special._sin_cos_pi(float(x)) for x in xs])
+        assert np.array_equal(sin, scalars[:, 0]) and np.array_equal(cos, scalars[:, 1])
 
 
 class TestHugeArguments:

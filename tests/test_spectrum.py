@@ -90,6 +90,13 @@ class TestLevelEquation:
         with pytest.raises(DomainError):
             level_equation_residual(beta, make_config(4.5))
 
+    def test_infinite_at_the_cotangent_poles(self):
+        # sin(pi beta / 2) is exactly zero at even beta
+        config = make_config(40.5)
+        evens = np.arange(2.0, 41.0, 2.0)
+        assert np.all(np.isinf(level_equation_residual(evens, config)))
+        assert math.isinf(level_equation_residual(4.0, config))
+
 
 @pytest.fixture
 def phase_calls(monkeypatch):
