@@ -60,7 +60,8 @@ evaluation) raises ConvergenceError at once, as do series terms that
 overflow.  No reduction goes through BLAS.
 
 interior_rows gives every interior sample of the package: one block of rows
-on y plus y = 0, each checked against J(beta) = F(0) by its own F(0).
+on y plus y = 0, each checked against J(beta) = F(0) by its own F(0), and
+returns the J(beta) it checked them against.
 """
 
 from __future__ import annotations
@@ -370,8 +371,8 @@ def _j_and_scale(b: np.ndarray):
     return amplitude * (-2.0 * s * c) - 1j * (amplitude * ((c - s) * (c + s))), scale
 
 
-def interior_rows(betas, y: np.ndarray) -> np.ndarray:
-    """Rows F(beta_i, y) of one f_epsilon block on y plus y = 0.
+def interior_rows(betas, y: np.ndarray):
+    """Rows F(beta_i, y) of one f_epsilon block on y plus y = 0, and the J(beta_i).
 
     A row whose own F(0) misses J(beta_i) by more than _JUNCTION_TOL of
     2 pi / Gamma((beta_i+1)/2) (J without its factor sin(pi beta / 2), zero at
@@ -393,7 +394,7 @@ def interior_rows(betas, y: np.ndarray) -> np.ndarray:
             f"contour solution for beta={betas[i]:.12g} misses J(beta) at the "
             f"junction by {mismatch[i]:.3g} relative to 2 pi / Gamma((beta+1)/2) "
             f"(tolerance {_JUNCTION_TOL:g})")
-    return rows[:, :-1]
+    return rows[:, :-1], js
 
 
 def hermite_poly(n: int, y):

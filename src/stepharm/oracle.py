@@ -3,7 +3,10 @@
 Nothing here shares numerical kernels with the analytic modules: the ODE
 integrators are hand-rolled Runge-Kutta 4, the direct loop quadrature uses
 composite Simpson instead of Gauss-Legendre panels, and no Gamma-function
-code is touched.  These routines anchor the cross-checks exposed through
+code is touched but in ``rk4_convergence_order``.  That one seeds its march
+with J(beta) and 2 J(beta - 1) of ``contour.j_beta`` on purpose: from
+arbitrary seeds the growing solution dominates, and the measured slope is
+3.84, not 4.00.  These routines anchor the cross-checks exposed through
 the ``verify`` command.
 """
 

@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import contour
 from .errors import BracketError, DomainError, SingularityError
 from .potential import PotentialConfig
 from .runtime import parallel_map
-from .special import _sin_cos_pi, digamma, gamma_half_ratio
+from .special import _sin_cos_pi, digamma, gamma_half_ratio, reciprocal_gamma
 
 _SQRT2 = math.sqrt(2.0)
 _RESONANCE_SCAN_STEP = 0.01
@@ -48,34 +47,37 @@ def _require_continuum(beta, beta0: float):
         raise DomainError("continuum quantities require beta > beta0")
 
 
+def _junction_pair(beta: np.ndarray, beta0: float):
+    """(u, v) = (a, b) / hypot(a, b) of ``zeta``, hypot(a, b) and sin, cos(pi beta / 2)."""
+    sin, cos = _sin_cos_pi(beta / 2.0)
+    b = np.sqrt(2.0 / (beta - beta0)) * gamma_half_ratio(beta / 2.0) * cos
+    norm = np.hypot(sin, b)
+    return sin / norm, b / norm, norm, sin, cos
+
+
 def zeta(beta, config: PotentialConfig):
     """Unit-modulus reflection coefficient.
 
     Computed in the reflection-identity form
 
-        zeta = (a - i b) / (a + i b),
-        a = sin(pi beta / 2),
-        b = sqrt(2/(beta - beta0)) * [Gamma((beta+1)/2)/Gamma(beta/2)]
-            * cos(pi beta / 2),
+        zeta = (a - i b) / (a + i b) = (u - v)(u + v) - 2i u v,
+        (u, v) = (a, b) / hypot(a, b),    a = sin(pi beta / 2),
+        b = sqrt(2/(beta - beta0)) * [Gamma((beta+1)/2)/Gamma(beta/2)] * cos(pi beta / 2),
 
-    which is an explicit ratio of complex conjugates (so |zeta| = 1 to
-    rounding) and contains no Gamma poles for beta > beta0.  With the sine
-    and cosine of special._sin_cos_pi, zeta is exactly 1 at odd beta.
+    in real arithmetic, so |zeta| = 1 to rounding, no Gamma pole enters for
+    beta > beta0, and each element has the bits of a one-point call.  With
+    the sine and cosine of special._sin_cos_pi, zeta is exactly -1 + 0j at
+    even beta (a = 0) and exactly 1 at odd beta (b = 0).
     """
-    beta0 = config.beta0
-    _require_continuum(beta, beta0)
-    b_arr = np.asarray(beta, dtype=float)
-    a, cos = _sin_cos_pi(b_arr / 2.0)
-    b = np.sqrt(2.0 / (b_arr - beta0)) * gamma_half_ratio(b_arr / 2.0) * cos
-    value = (a - 1j * b) / (a + 1j * b)
-    return complex(value) if np.ndim(beta) == 0 else value
+    _require_continuum(beta, config.beta0)
+    u, v = _junction_pair(np.atleast_1d(np.asarray(beta, dtype=float)), config.beta0)[:2]
+    value = (u - v) * (u + v) - 2j * (u * v)
+    return complex(value[0]) if np.ndim(beta) == 0 else value
 
 
 def phase_shift(beta, config: PotentialConfig):
-    """Principal-value phase shift delta = arg(zeta) in (-pi, pi]."""
-    # at even beta zeta is -1 - 0j, whose angle is -pi: the principal value is pi
+    """Principal-value phase shift delta = arg(zeta) in (-pi, pi]; pi at even beta."""
     value = np.angle(zeta(beta, config))
-    value = np.where(value == -np.pi, np.pi, value)
     return float(value) if np.ndim(beta) == 0 else value
 
 
@@ -116,27 +118,22 @@ def delay_time(beta, config: PotentialConfig):
 def pi_coefficient(beta, config: PotentialConfig):
     """Interior amplitude Pi(beta) = 2 / [J(beta) + i sqrt(2/(beta-beta0)) J(beta-1)].
 
-    The quotient follows Smith's algorithm as Python's complex division does,
-    so the values equal a per-point loop in Python complex arithmetic bit
-    for bit; numpy's division multiplies by a reciprocal and can differ by
-    an ulp.
+    The bracket is scale (a + i b) / (i e^{i pi beta}), scale = 2 pi / Gamma((beta+1)/2),
+    with the a, b of ``zeta``, so Pi = 2i e^{i pi beta} (a - i b) / (scale (a^2 + b^2))
+    = 2i e^{i pi beta} (u - i v) / (scale hypot(a, b)), with e^{i pi beta} =
+    (c - s)(c + s) + 2i s c from s, c = sin, cos(pi beta / 2): real arithmetic,
+    each element with the bits of a one-point call.  Raises SingularityError
+    naming the first beta where scale hypot(a, b) is below 1e-300 (from beta ~ 335).
     """
-    beta0 = config.beta0
-    _require_continuum(beta, beta0)
-    b = np.asarray(beta, dtype=float)
-    j, j_below = contour._j_and_scale(np.stack([b, b - 1.0]))[0]
-    den = j + 1j * np.sqrt(2.0 / (b - beta0)) * j_below
-    vanished = np.abs(den) < 1e-300
-    if vanished.any():
-        raise SingularityError(
-            f"Pi denominator vanished at beta={float(b[vanished][0])}")
-    re, im = den.real, den.imag
-    big = np.abs(re) >= np.abs(im)
-    ratio = np.where(big, im, re) / np.where(big, re, im)
-    scale = np.where(big, re + im * ratio, re * ratio + im)
-    value = (np.where(big, 2.0, 2.0 * ratio) / scale
-             - 1j * (np.where(big, 2.0 * ratio, 2.0) / scale))
-    return complex(value) if b.ndim == 0 else value
+    _require_continuum(beta, config.beta0)
+    b = np.atleast_1d(np.asarray(beta, dtype=float))
+    u, v, norm, s, c = _junction_pair(b, config.beta0)
+    den = 2.0 * math.pi * reciprocal_gamma(0.5 * (b + 1.0)) * norm
+    if np.any(den < 1e-300):
+        raise SingularityError(f"Pi denominator vanished at beta={float(b[den < 1e-300][0])}")
+    real, imag, factor = (c - s) * (c + s), 2.0 * s * c, 2.0 / den  # e^{i pi beta}, 2 / den
+    value = factor * (real * v - imag * u) + 1j * (factor * (real * u + imag * v))
+    return complex(value[0]) if np.ndim(beta) == 0 else value
 
 
 def _golden_max(f, lo: float, hi: float) -> float:

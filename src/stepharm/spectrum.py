@@ -225,12 +225,14 @@ def bound_eigenfunction(level: EnergyLevel, config: PotentialConfig, xs,
     length (one point, or none) raises DomainError.
     """
     xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
-    j_val = contour.j_beta(level.beta_n)
     values = np.empty(xs_arr.shape, dtype=complex)
     neg = xs_arr < 0.0
     if neg.any():
         y = config.alpha * xs_arr[neg]
-        values[neg] = contour.interior_rows([level.beta_n], y)[0] * np.exp(-0.5 * y * y)
+        rows, js = contour.interior_rows([level.beta_n], y)
+        values[neg] = rows[0] * np.exp(-0.5 * y * y)
+    # J(beta_n) comes with the checked interior row; without one, on its own
+    j_val = complex(js[0]) if neg.any() else contour.j_beta(level.beta_n)
     values[~neg] = j_val * np.exp(-level.k_n * xs_arr[~neg])
     if normalized:
         values /= abs(j_val) * math.sqrt(_norm_over_j2(level, config, xs_arr))

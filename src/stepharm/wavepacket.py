@@ -12,16 +12,15 @@ centroid crosses the detector at x_start, minus the perfect-mirror
 prediction 2*x_start/(hbar*k_center/m).
 
 The k integral is the composite Gauss-Legendre rule ``contour._panel_rule``
-over k_center +/- 5 sigma_k.  The plane waves e^{ikx} of all its nodes form
-one table, built from one exponential per panel centre and one per shared
-node offset (``_plane_waves``); the incoming wave e^{-ikx} is its complex
-conjugate.  ``evolve`` sums the modes (e^{-ikx} + zeta(k) e^{ikx}) / sqrt(2 pi)
-on x >= 0 and one block of interior rows on x < 0, all in ``_mode_matrix``.
-``measure_delay`` follows the reflected packet alone: it sums the bare
-table, with zeta(k) and 1/sqrt(2 pi) put on the k weights instead.  Both
-converge their frames by the one doubling refinement ``contour._refine``:
-from 128 k nodes, doubled until the frames change by less than 1e-6
-relative to 1 + max|psi|, at most six evaluations in all.
+over k_center +/- 5 sigma_k.  Every mode and frame is the one sum
+psi[t, x] = sum_k A[t, k] u_k(x) of ``_mode_sum``: A = w c(k) e^{-i Omega(k) t}
+for a packet, A = [[1]] for one eigenfunction.  zeta(k), Pi(beta) and
+1/sqrt(2 pi) ride on A, so no (k x x) mode table is formed: the plane waves
+e^{ikx} are one table built from per-panel factors (``_plane_waves``), and
+the incoming wave is the conjugate of conj(A) times it.  ``measure_delay``
+sums the outgoing waves alone.  Both converge their frames by the one doubling
+refinement ``contour._refine``: from 128 k nodes, doubled until the frames
+change by less than 1e-6 relative to 1 + max|psi|, at most six evaluations.
 """
 
 from __future__ import annotations
@@ -136,14 +135,14 @@ def improper_eigenfunction(beta, config: PotentialConfig, x):
 
     Pi(beta) F(alpha x) e^{-(alpha x)^2/2} on the harmonic side and
     e^{-ikx} + zeta(beta) e^{ikx} on the step side; the junction is smooth
-    by construction of Pi and zeta.  This is the packet's mode row at
-    k = k(beta): positions x < 0 raise ConvergenceError where the row of
-    ``contour.interior_rows`` misses J(beta), and x >= 0 need no contour solution.
+    by construction of Pi and zeta.  It is ``_mode_sum`` at the one node
+    k = k(beta), amplitude 1: x < 0 raise ConvergenceError where the row of
+    ``contour.interior_rows`` misses J(beta); x >= 0 need no contour solution.
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     k = np.array([config.k_continuum(beta)])
-    out = _mode_matrix(config, contour._PanelRule(k, np.ones(1), k, np.zeros(1)), x_arr,
-                       mirror=False)[0]
+    out = _mode_sum(config, contour._PanelRule(k, np.ones(1), k, np.zeros(1)),
+                    np.ones((1, 1)), x_arr)[0]
     return out[0] if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
@@ -165,39 +164,38 @@ def _plane_waves(rule: contour._PanelRule, x: np.ndarray) -> np.ndarray:
     return (centre[:, None, :] * offset[None, :, :]).reshape(rule.nodes.size, x.size)
 
 
-def _mode_matrix(config: PotentialConfig, rule: contour._PanelRule, x_grid: np.ndarray,
-                 mirror: bool) -> np.ndarray:
-    """Rows u_k(x) of the improper eigenfunctions on the grid.
+def _mode_sum(config: PotentialConfig, rule: contour._PanelRule, amplitudes: np.ndarray,
+              x: np.ndarray, mirror: bool = False, incoming: bool = True) -> np.ndarray:
+    """psi[t, x] = sum_k amplitudes[t, k] u_k(x) over the rule's nodes: every continuum mode.
 
-    The one place where continuum modes are formed: ``evolve`` sums them
-    into packets and ``improper_eigenfunction`` returns a single row.  The
-    step side is e^{-ikx} + zeta(k) e^{ikx}, the incoming wave the complex
-    conjugate of the plane-wave table; the interior is Pi(beta) times the
-    checked rows of ``contour.interior_rows``.
+    u_k is (e^{-ikx} + zeta(k) e^{ikx}) / sqrt(2 pi) on x >= 0, the incoming
+    wave only if ``incoming``, and Pi(beta) F(y) e^{-y^2/2} / sqrt(2 pi) on
+    x < 0, F the checked rows of ``contour.interior_rows``; ``mirror`` sets
+    zeta = 1 and the interior to 0.  The factors of k go on the amplitudes.
     """
     betas = config.beta_from_k(rule.nodes)
-    neg = x_grid < 0.0
-    waves = _plane_waves(rule, x_grid[~neg])
-    step = np.conj(waves)
-    if not mirror:  # the mirror reflects with zeta = 1
-        np.multiply(scattering.zeta(betas, config)[:, None], waves, out=waves)
-    step += waves
-    modes = step
-    if neg.any():
-        modes = np.zeros((betas.size, x_grid.size), dtype=complex)
-        modes[:, ~neg] = step
-        if not mirror:  # the mirror's interior stays zero
-            y = config.alpha * x_grid[neg]
-            modes[:, neg] = (scattering.pi_coefficient(betas, config)[:, None]
-                             * contour.interior_rows(betas, y) * np.exp(-0.5 * y * y))
-    return np.divide(modes, math.sqrt(2.0 * math.pi), out=modes)
+    amplitudes = amplitudes / math.sqrt(2.0 * math.pi)
+    neg = x < 0.0
+    waves = _plane_waves(rule, x[~neg])
+    step = (amplitudes if mirror else amplitudes * scattering.zeta(betas, config)) @ waves
+    if incoming:
+        step += np.conj(np.conj(amplitudes) @ waves)
+    if not neg.any():  # no copy into a larger array
+        return step
+    psi = np.zeros((amplitudes.shape[0], x.size), dtype=complex)
+    psi[:, ~neg] = step
+    if not mirror:
+        y = config.alpha * x[neg]
+        rows, _ = contour.interior_rows(betas, y)
+        psi[:, neg] = ((amplitudes * scattering.pi_coefficient(betas, config)) @ rows
+                       * np.exp(-0.5 * y * y))
+    return psi
 
 
-def _frames_at(spec: WavePacketSpec, ks, weights, modes, times) -> np.ndarray:
-    """Packet frames psi[t, x] = sum_k weights_k c(k) e^{-i Omega(k) t} modes[k, x]."""
-    amplitudes = weights * spec.envelope(ks)
-    phases = np.exp(-1j * np.outer(np.asarray(times, float), spec.omega_of(ks)))
-    return (phases * amplitudes) @ modes
+def _amplitudes(spec: WavePacketSpec, rule: contour._PanelRule, times: np.ndarray) -> np.ndarray:
+    """Packet amplitudes A[t, k] = w_k c(k) e^{-i Omega(k) t} on the rule's nodes."""
+    phases = np.exp(-1j * np.outer(times, spec.omega_of(rule.nodes)))
+    return phases * (rule.weights * spec.envelope(rule.nodes))
 
 
 def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSet:
@@ -221,24 +219,10 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
 
     def frames(n_nodes: int) -> np.ndarray:
         rule = _k_rule(spec, n_nodes)
-        return _frames_at(spec, rule.nodes, rule.weights,
-                          _mode_matrix(spec.config, rule, x_arr, mirror), t_arr)
+        return _mode_sum(spec.config, rule, _amplitudes(spec, rule, t_arr), x_arr, mirror)
 
     psi = contour._refine(frames, _FRAME_NODES, _FRAME_TOL, "packet frames", "about {} k nodes")
     return FrameSet(times=t_arr, x_grid=x_arr, psi=psi)
-
-
-def _reflected_frames(spec: WavePacketSpec, rule: contour._PanelRule, xs: np.ndarray,
-                      times: np.ndarray, mirror: bool) -> np.ndarray:
-    """Frames of the reflected packet alone: its waves zeta(k) e^{ikx} / sqrt(2 pi).
-
-    zeta (1 for the mirror) and 1/sqrt(2 pi) ride on the k weights, so the
-    (k x x) plane-wave table is used as it is built.
-    """
-    cfg = spec.config
-    refl = 1.0 if mirror else scattering.zeta(cfg.beta_from_k(rule.nodes), cfg)
-    weights = rule.weights * refl / math.sqrt(2.0 * math.pi)
-    return _frames_at(spec, rule.nodes, weights, _plane_waves(rule, xs), times)
 
 
 def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
@@ -265,8 +249,13 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
     window = 10.0 * math.pi / cfg.omega
     times = np.linspace(max(t_mirror - 4.0 * spread / v, 0.0), t_mirror + window, 201)
     xs = np.linspace(0.0, spec.x_start + 12.0 * spread, 1600)
-    psi = contour._refine(lambda n: _reflected_frames(spec, _k_rule(spec, n), xs, times, mirror),
-                          _FRAME_NODES, _FRAME_TOL, "reflected frames", "about {} k nodes")
+
+    def frames(n_nodes: int) -> np.ndarray:  # the outgoing waves alone
+        rule = _k_rule(spec, n_nodes)
+        return _mode_sum(cfg, rule, _amplitudes(spec, rule, times), xs, mirror, incoming=False)
+
+    psi = contour._refine(frames, _FRAME_NODES, _FRAME_TOL, "reflected frames",
+                          "about {} k nodes")
     norms, centroids = FrameSet(times=times, x_grid=xs, psi=psi)._moments()
     # the packet has unit norm and |zeta| = 1: what the window misses is 1 - norm
     formed = np.flatnonzero(norms > 1.0 - _UNFORMED_SHARE)

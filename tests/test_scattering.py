@@ -11,7 +11,7 @@ import scipy.special as sps
 from stepharm import (BracketError, DomainError, PotentialConfig, SingularityError,
                       delay_time, delta_prime, find_resonances, phase_shift,
                       pi_coefficient, zeta, j_beta)
-from stepharm import contour, scattering
+from stepharm import scattering
 from stepharm.special import _sin_cos_pi, digamma, gamma_half_ratio
 from stepharm.verification import phase_derivative_residual
 from tests.conftest import make_config
@@ -109,6 +109,28 @@ class TestZeta:
         assert np.all(zeta(odd, cfg15) == 1.0)
         assert zeta(1e6 + 1.0, cfg15) == 1.0
 
+    @pytest.mark.parametrize("beta0", [0.5, 1.5, 2.5, 7.3, 60.0])
+    def test_exact_at_integer_beta(self, beta0):
+        # a = 0 at even beta and b = 0 at odd beta: zeta = (u - v)(u + v) - 2i u v
+        # is exactly -1 + 0j and 1 there, in array and in one-point calls
+        config = make_config(beta0)
+        even = np.arange(2.0 * math.floor(config.beta0 / 2.0) + 2.0, config.beta0 + 300.0, 2.0)
+        for betas, value in ((even, -1.0), (even + 1.0, 1.0)):
+            values = zeta(betas, config)
+            scalars = [zeta(beta, config) for beta in betas.tolist()]
+            assert np.all(values == value) and all(z == value for z in scalars)
+            assert not np.any(np.signbit(values.imag))
+            assert not any(math.copysign(1.0, z.imag) < 0.0 for z in scalars)
+
+    @pytest.mark.parametrize("beta0", [0.7, 1.5, 4.5])
+    def test_array_and_one_point_calls_agree(self, beta0):
+        config = make_config(beta0)
+        betas = np.concatenate([config.beta0 + np.geomspace(1e-8, 150.0, 200),
+                                np.arange(math.floor(config.beta0) + 1.0, config.beta0 + 150.0)])
+        zetas, pis = zeta(betas, config), pi_coefficient(betas, config)
+        for beta, z, p in zip(betas.tolist(), zetas.tolist(), pis.tolist()):
+            assert zeta(beta, config) == z and pi_coefficient(beta, config) == p
+
     def test_domain(self, cfg15):
         with pytest.raises(DomainError):
             zeta(1.5, cfg15)
@@ -123,10 +145,20 @@ class TestPhaseShift:
         assert np.all(deltas > -np.pi) and np.all(deltas <= np.pi)
 
     def test_pi_at_even_beta(self, cfg15):
-        # zeta = -1 - 0j there: the principal value is pi, not -pi
+        # zeta = -1 + 0j there: the principal value is pi, not -pi
         even = np.arange(2.0, 200.0, 2.0)
         assert np.all(phase_shift(even, cfg15) == np.pi)
         assert phase_shift(1e6, cfg15) == np.pi
+
+    @pytest.mark.parametrize("beta0", [1.5, 60.0])
+    def test_is_the_angle_of_zeta(self, beta0):
+        # no branch of its own: the angle of zeta is already pi at even beta
+        config = make_config(beta0)
+        betas = np.concatenate([np.arange(62.0, 400.0, 2.0),
+                                config.beta0 + np.geomspace(1e-6, 300.0, 200)])
+        assert np.array_equal(phase_shift(betas, config), np.angle(zeta(betas, config)))
+        assert all(phase_shift(beta, config) == np.angle(zeta(beta, config))
+                   for beta in betas.tolist())
 
     @pytest.mark.parametrize("beta0", [1.5, 2.5, 4.5])
     def test_against_mpmath_up_to_1e8(self, beta0):
@@ -236,41 +268,36 @@ class TestDelayTime:
         assert abs(delay_time(2.0 + 1e-6, config) * config.omega) < 0.1
 
 
-def pi_per_point(beta: float, beta0: float) -> complex:
-    """Pi(beta) at one point, in Python complex arithmetic."""
-    den = j_beta(beta) + 1j * math.sqrt(2.0 / (beta - beta0)) * j_beta(beta - 1.0)
-    return 2.0 / den
+def mpmath_pi(beta: float, beta0: float) -> complex:
+    """Pi(beta) = 2 / [J(beta) + i sqrt(2/(beta-beta0)) J(beta-1)] at 40 digits."""
+    with mpmath.workdps(40):
+        b = mpmath.mpf(beta)
+
+        def j(x):
+            return (2 * mpmath.pi * mpmath.sinpi(x / 2)
+                    / (1j * mpmath.expjpi(x) * mpmath.gamma((x + 1) / 2)))
+
+        return complex(2 / (j(b) + 1j * mpmath.sqrt(2 / (b - beta0)) * j(b - 1)))
 
 
 class TestPiCoefficient:
     @pytest.mark.parametrize("beta0", [0.7, 1.5, 4.5])
-    def test_array_matches_per_point_reference(self, beta0):
+    def test_against_mpmath(self, beta0):
         config = make_config(beta0)
-        betas = np.linspace(beta0 + 1e-3, 60.0, 3000)
-        values = pi_coefficient(betas, config)
-        reference = np.array([pi_per_point(beta, config.beta0) for beta in betas.tolist()])
-        assert np.array_equal(values, reference)
-        assert pi_coefficient(float(betas[7]), config) == values[7]
+        beta0 = config.beta0
+        betas = np.concatenate([beta0 + np.geomspace(1e-8, 150.0, 300),
+                                np.arange(math.floor(beta0) + 1.0, beta0 + 150.0)])
+        exact = np.array([mpmath_pi(beta, beta0) for beta in betas.tolist()])
+        error = np.abs(pi_coefficient(betas, config) - exact) / np.abs(exact)
+        assert error.max() <= 2e-13
 
-    def test_one_boundary_value_call_for_both_shifts(self, cfg15, monkeypatch):
-        # J(beta) and J(beta - 1) come from one call on the joined array
-        calls = []
-        real = contour._j_and_scale
-        monkeypatch.setattr(contour, "_j_and_scale",
-                            lambda b: calls.append(b.shape) or real(b))
-        betas = np.linspace(1.6, 30.0, 50)
-        values = pi_coefficient(betas, cfg15)
-        scalar = pi_coefficient(7.25, cfg15)
-        assert calls == [(2, 50), (2,)]
-        assert np.array_equal(values, [pi_per_point(b, 1.5) for b in betas.tolist()])
-        assert scalar == pi_per_point(7.25, 1.5)
-
-    def test_vanishing_denominator_names_first_beta(self, cfg15, monkeypatch):
-        # J(b) = J(b - 1) = 0 from b = 3 on
-        monkeypatch.setattr(contour, "_j_and_scale",
-                            lambda b: (np.where(b >= 2.0, 0j, 1.0 + 0j), np.ones_like(b)))
-        with pytest.raises(SingularityError, match=r"beta=3\.5$"):
-            pi_coefficient(np.array([1.7, 2.5, 3.5, 4.5]), cfg15)
+    def test_vanishing_denominator_names_first_beta(self, cfg15):
+        # the denominator 2 pi hypot(a, b) / Gamma((beta+1)/2) is subnormal
+        # at beta = 350, a real input rather than a patched J
+        with pytest.raises(SingularityError, match=r"beta=350\.0$"):
+            pi_coefficient(np.array([1.7, 2.5, 350.0, 360.0]), cfg15)
+        with pytest.raises(SingularityError, match=r"beta=350\.0$"):
+            pi_coefficient(350.0, cfg15)
 
     def test_reconstructs_zeta(self, cfg15):
         for beta in (1.7, 2.9, 5.3, 11.0):

@@ -54,11 +54,14 @@ class TestImproperEigenfunction:
         assert density.min() < 0.03 * ceiling
 
     def test_is_the_mode_row_at_k_of_beta(self, cfg15):
+        # unit amplitudes on one node at a time: each row of the packet's
+        # mode sum over a rule of 20 nodes is the eigenfunction at its k
         xs = np.linspace(-4.0, 6.0, 41)
-        k = np.array([cfg15.k_continuum(2.4)])
-        rule = contour._PanelRule(k, np.ones(1), k, np.zeros(1))  # one node of unit weight
-        row = wavepacket._mode_matrix(cfg15, rule, xs, mirror=False)[0]
-        assert np.array_equal(improper_eigenfunction(2.4, cfg15, xs), row)
+        rule = contour._panel_rule(cfg15.k_continuum(2.3), cfg15.k_continuum(2.5), 20)
+        rows = wavepacket._mode_sum(cfg15, rule, np.eye(rule.nodes.size), xs)
+        for k, row in zip(rule.nodes, rows):
+            expected = improper_eigenfunction(cfg15.beta_from_k(k), cfg15, xs)
+            assert np.abs(row - expected).max() <= 1e-14 * np.abs(expected).max()
 
     @pytest.mark.parametrize("beta", [28.2, 40.3])
     def test_inaccurate_interior_raises(self, cfg15, beta):
@@ -207,9 +210,10 @@ class TestEvolve:
 
     def test_stall_names_last_change_and_budget(self, cfg15, monkeypatch):
         # frames that move with every doubling never settle
-        monkeypatch.setattr(wavepacket, "_frames_at",
-                            lambda spec, ks, weights, modes, times:
-                            np.full((times.size, modes.shape[1]), ks.size, dtype=complex))
+        monkeypatch.setattr(wavepacket, "_mode_sum",
+                            lambda config, rule, amplitudes, x, *flags, **named:
+                            np.full((amplitudes.shape[0], x.size), rule.nodes.size,
+                                    dtype=complex))
         with pytest.raises(ConvergenceError,
                            match=r"packet frames stalled: last change \S+ against "
                                  r"target_tol\*scale=\S+ \(about 4096 k nodes\)"):
@@ -259,21 +263,22 @@ class TestMeasureDelay:
     @pytest.mark.parametrize("mirror", [False, True])
     def test_reflected_frames_evaluated_twice(self, cfg15, mirror, monkeypatch):
         counts = []
-        frames = wavepacket._reflected_frames
+        frames = wavepacket._mode_sum
 
-        def counted(spec, rule, xs, times, mirror):
+        def counted(config, rule, *args, **kwargs):
             counts.append(rule.nodes.size)
-            return frames(spec, rule, xs, times, mirror)
+            return frames(config, rule, *args, **kwargs)
 
-        monkeypatch.setattr(wavepacket, "_reflected_frames", counted)
+        monkeypatch.setattr(wavepacket, "_mode_sum", counted)
         measure_delay(WavePacketSpec.for_beta(cfg15, 6.0), mirror=mirror)
         assert counts == [140, 260]  # 128 and 256 requested, whole panels of 20
 
     def test_stall_names_last_change_and_budget(self, cfg15, monkeypatch):
         # reflected frames that move with every doubling never settle
-        monkeypatch.setattr(wavepacket, "_reflected_frames",
-                            lambda spec, rule, xs, times, mirror:
-                            np.full((times.size, xs.size), rule.nodes.size, dtype=complex))
+        monkeypatch.setattr(wavepacket, "_mode_sum",
+                            lambda config, rule, amplitudes, x, *flags, **named:
+                            np.full((amplitudes.shape[0], x.size), rule.nodes.size,
+                                    dtype=complex))
         with pytest.raises(ConvergenceError,
                            match=r"reflected frames stalled: last change \S+ against "
                                  r"target_tol\*scale=\S+ \(about 4096 k nodes\)"):
@@ -321,13 +326,13 @@ def _direct_frames(spec, ks, ws, modes, times):
 def _delay_grid(spec, monkeypatch):
     """The positions on which measure_delay samples the reflected packet."""
     grids = []
-    frames = wavepacket._reflected_frames
+    frames = wavepacket._mode_sum
 
-    def spy(spec, rule, xs, times, mirror):
-        grids.append(xs)
-        return frames(spec, rule, xs, times, mirror)
+    def spy(config, rule, amplitudes, x, *args, **kwargs):
+        grids.append(x)
+        return frames(config, rule, amplitudes, x, *args, **kwargs)
 
-    monkeypatch.setattr(wavepacket, "_reflected_frames", spy)
+    monkeypatch.setattr(wavepacket, "_mode_sum", spy)
     measure_delay(spec)
     monkeypatch.undo()
     return grids[0]
@@ -383,13 +388,19 @@ class TestPacketSums:
     def test_measure_delay(self, cfg15, beta, mirror, monkeypatch):
         spec = WavePacketSpec.for_beta(cfg15, beta)
         delay = measure_delay(spec, mirror=mirror)
+        times, packet_amplitudes = [], wavepacket._amplitudes
 
-        def reference(spec, rule, xs, times, mirror):
-            # the reflected packet: the outgoing waves alone
+        def recorded(spec, rule, t):
+            times.append(t)
+            return packet_amplitudes(spec, rule, t)
+
+        def reference(config, rule, amplitudes, xs, *flags, **named):
+            # the reflected packet: the outgoing waves alone, at the sampled times
             modes = _direct_modes(cfg15, rule.nodes, xs, mirror, incoming=False)
-            return _direct_frames(spec, rule.nodes, rule.weights, modes, times)
+            return _direct_frames(spec, rule.nodes, rule.weights, modes, times[-1])
 
-        monkeypatch.setattr(wavepacket, "_reflected_frames", reference)
+        monkeypatch.setattr(wavepacket, "_amplitudes", recorded)
+        monkeypatch.setattr(wavepacket, "_mode_sum", reference)
         assert abs(measure_delay(spec, mirror=mirror) - delay) <= 1e-12
 
     @pytest.mark.parametrize("x_lo,mirror", [(0.0, False), (0.0, True), (-4.0, False)])
