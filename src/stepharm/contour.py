@@ -42,22 +42,22 @@ kept, the least recently used going first; a larger table is used once
 and dropped.  A lock makes the cache safe to share between threads.
 
 Both pieces separate in beta, so an array of beta is one block of rows
-F(beta_i, y_j), two products: the (beta x n) weights times the rows h_n,
-which do not depend on beta, and the (beta x m) factors t_m^(b - beta_i),
-b the smallest beta, times the positive cut-edge terms w_m t_m^(-b)
-e^{-t_m^2 + 2 t_m y_j} of a composite Gauss-Legendre rule, cut off where
-they drop below _TARGET_TOL / 100.  A block of few rows on many y (a bound
-state, one continuum mode) factors e^{2 t_m y_j} over the rule's panels
-instead: t_m = c_p + o_q, so the (y x node) exponentials become (y x panel)
-and (y x offset) ones, contracted first over the offsets, then over the
-panels; blocks of many rows (the k nodes of a packet) keep the (y x node)
-product, which costs less there.  The cut edge goes through _refine, the
-one doubling refinement of the package: _LINE_NODES nodes, doubled until two
-successive blocks agree to _TARGET_TOL relative to 1 + max|F|, with
-ConvergenceError after _MAX_ROUNDS evaluations.  A tolerance below a row's
-round-off floor (machine epsilon times its absolute sums at the first
-evaluation) raises ConvergenceError at once, as do series terms that
-overflow.  No reduction goes through BLAS.
+F(beta_i, y_j): the (beta x n) weights times the rows h_n, which do not
+depend on beta, and the cut edge, the factors t_m^(b - beta_i), b the
+smallest beta, times the positive terms w_m t_m^(-b) e^{-t_m^2 + 2 t_m y_j}
+of a composite Gauss-Legendre rule, cut off where they drop below
+_TARGET_TOL / 100.  With nodes t_m = c_p + o_q (panel centre plus offset),
+e^{2 t_m y_j} = e^{2 c_p y_j} e^{2 o_q y_j}, so every block forms (offset x y)
+and (panel x y) exponentials, never (node x y) ones, and contracts the
+offsets in one real matrix product, then the panels.  At bound-state sizes
+that product runs on one CPU: process CPU time equals wall time in the
+benchmark's states workload, and a CI step checks it.  The cut edge goes
+through _refine, the one doubling refinement of the package: _LINE_NODES
+nodes, doubled until two successive blocks agree to _TARGET_TOL relative to
+1 + max|F|, with ConvergenceError after _MAX_ROUNDS evaluations.  A
+tolerance below a row's round-off floor (machine epsilon times its absolute
+sums at the first evaluation) raises ConvergenceError at once, as do series
+terms that overflow.
 
 interior_rows gives every interior sample of the package: one block of rows
 on y plus y = 0, each checked against J(beta) = F(0) by its own F(0), and
@@ -83,7 +83,6 @@ _TARGET_TOL = 1e-10
 _JUNCTION_TOL = 1e-8  # relative F(0) - J(beta) that interior_rows allows
 _MAX_ROUNDS = 6  # evaluations of an adaptive sum before _refine gives up
 _SERIES_CHUNK = 8  # series terms between two checks of the stop rule
-_FACTORED_POINTS_PER_ROW = 100  # y points per row from which _line_part factors e^{2ty}
 _EPS = float(np.finfo(float).eps)
 _TABLE_CACHE_ENTRIES = 8  # Hermite tables _hermite_table keeps between calls
 _TABLE_CACHE_BYTES = 4 << 20  # their total size, y keys included
@@ -231,33 +230,23 @@ def _circle_part(beta: np.ndarray, y: np.ndarray, radius: float, tol: float):
 
 def _line_part(beta: np.ndarray, y: np.ndarray, radius: float, t_max: float,
                n_nodes: int) -> np.ndarray:
-    # t^(-beta_i) = t^(-b) t^(b - beta_i), b the smallest beta.  One exp of the
-    # log integrand of b, weights included, keeps t^(-b) e^{2ty} from pairing
-    # overflow with underflow at large |y|; t^(b - beta_i) <= 1 for t >= 1.
+    # t^(-beta_i) = t^(-b) t^(b - beta_i), b the smallest beta, t^(b - beta_i) <= 1
+    # for t >= 1; t = c_p + o_q gives e^{2ty} = e^{2 c_p y} e^{2 o_q y}.  The
+    # y-free terms, log weights included, are taken relative to -c_p^2 - b log c_p,
+    # their value at the panel centre; the (node) and (offset x y) factors then
+    # multiply to about e^{2 o_q (y - c_p)}, near 1 in the panels of the largest
+    # terms (c_p ~ y), so no factor overflows before the terms themselves do.
     rule = _panel_rule(radius, t_max, n_nodes)
-    t = rule.nodes
     lowest = float(beta.min())
-    log_g = np.log(rule.weights) - t * t - lowest * np.log(t)
-    rise = t ** (lowest - beta)[:, None]
-    if y.size < _FACTORED_POINTS_PER_ROW * beta.size:
-        log_f = np.multiply.outer(y, 2.0 * t)
-        log_f += log_g
-        return np.einsum("bt,yt->by", rise, np.exp(log_f, out=log_f))
-    # Few rows on many y: with t = c_p + o_q, e^{2ty} = e^{2 c_p y} e^{2 o_q y},
-    # so (y x (panels + offsets)) exponentials replace the (y x node) ones.
-    # The y-free terms are taken relative to -c_p^2 - b log c_p, their value at
-    # the panel centre; the (node) and (y x offset) factors then multiply to
-    # about e^{2 o_q (y - c_p)}, near 1 in the panels of the largest terms
-    # (c_p ~ y), so no factor overflows before the terms themselves do.
-    n_panels, n_offsets = rule.centres.size, rule.offsets.size
+    t = rule.nodes.reshape(rule.centres.size, rule.offsets.size)
     centre = -rule.centres * rule.centres - lowest * np.log(rule.centres)
-    log_g = log_g.reshape(n_panels, n_offsets) - centre[:, None]
-    g = rise.reshape(beta.size, n_panels, n_offsets) * np.exp(log_g)
-    offset = np.multiply.outer(y, 2.0 * rule.offsets)
-    panel = np.multiply.outer(y, 2.0 * rule.centres)
-    panel += centre
-    per_panel = np.einsum("bpq,yq->bpy", g, np.exp(offset, out=offset))
-    return np.einsum("bpy,yp->by", per_panel, np.exp(panel, out=panel))
+    g = t ** (lowest - beta)[:, None, None]
+    g *= np.exp(np.log(rule.weights.reshape(t.shape)) - t * t - lowest * np.log(t)
+                - centre[:, None])
+    offset = np.multiply.outer(2.0 * rule.offsets, y)
+    per_panel = g.reshape(-1, t.shape[1]) @ np.exp(offset, out=offset)
+    panel = np.multiply.outer(2.0 * rule.centres, y) + centre[:, None]
+    return np.einsum("bpy,py->by", per_panel.reshape(beta.size, -1, y.size), np.exp(panel))
 
 
 def _auto_truncation(beta: float, y_max: float, radius: float, tol: float) -> float:
@@ -273,6 +262,9 @@ def f_epsilon(beta, y):
 
     An array of beta is one block: one series, one cut-off at its smallest
     beta and one refinement serve every row, with max|F| over the block.
+    The refinement stops on that max|F| and all rows share one node count,
+    so a value can move within _TARGET_TOL * (1 + max|F|) with the block it
+    is evaluated in: F(beta, 0) alone and among other points may differ.
 
     Parameters
     ----------

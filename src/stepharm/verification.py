@@ -8,7 +8,8 @@ as JSON.  All thresholds are fixed here, not tuned at run time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+import time
+from dataclasses import dataclass, asdict, replace
 
 import numpy as np
 
@@ -27,6 +28,7 @@ class CheckResult:
     threshold: float
     passed: bool
     detail: str = ""
+    seconds: float = 0.0  # wall time of the check, set by run_all
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -225,13 +227,15 @@ _ALL_CHECKS = [
 
 
 def run_all() -> list[CheckResult]:
-    """Run every cross-check; never raises, failures are reported as results."""
+    """Run and time every cross-check; never raises, failures are reported as results."""
     results = []
     for check in _ALL_CHECKS:
+        start = time.perf_counter()
         try:
-            results.append(check())
+            result = check()
         except Exception as exc:  # a crashed check is a failed check
-            results.append(CheckResult(name=check.__name__.removeprefix("check_"),
-                                       residual=math.inf, threshold=0.0,
-                                       passed=False, detail=repr(exc)))
+            result = CheckResult(name=check.__name__.removeprefix("check_"),
+                                 residual=math.inf, threshold=0.0,
+                                 passed=False, detail=repr(exc))
+        results.append(replace(result, seconds=time.perf_counter() - start))
     return results

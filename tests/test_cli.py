@@ -12,7 +12,7 @@ import pytest
 
 import stepharm
 from stepharm import (BracketError, PotentialConfig, SingularityError, WavePacketSpec, cli,
-                      contour, evolve, measure_delay, scattering)
+                      contour, evolve, measure_delay, scattering, verification)
 from stepharm.special import _LANCZOS_COEFFS, _RATIO_SERIES
 
 
@@ -398,6 +398,24 @@ class TestVerify:
         report = json.loads((tmp_path / "verify_report.json").read_text())
         assert all(item["passed"] for item in report["data"])
         assert {"name", "residual", "threshold", "passed"} <= set(report["data"][0])
+        assert all(item["seconds"] >= 0.0 for item in report["data"])
+
+    def test_every_check_is_timed_a_crashed_one_included(self, monkeypatch):
+        def check_crashes():
+            time.sleep(0.02)
+            raise RuntimeError("no result")
+
+        monkeypatch.setattr(verification, "_ALL_CHECKS",
+                            [verification.check_gamma_reflection, check_crashes,
+                             verification.check_digamma_recurrence])
+        start = time.perf_counter()
+        results = verification.run_all()
+        wall = time.perf_counter() - start
+        assert [r.name for r in results] == ["gamma_reflection_identity", "crashes",
+                                             "digamma_recurrence"]
+        assert all(r.seconds >= 0.0 for r in results)
+        assert sum(r.seconds for r in results) <= wall
+        assert not results[1].passed and results[1].seconds >= 0.02
 
     def test_corrupted_gamma_constant_fails(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -196,6 +196,16 @@ class TestFEpsilon:
         with pytest.raises(ConvergenceError, match=r"contour for beta=7.3: .* round-off floor"):
             f_epsilon([7.3, 1.3], -2.0)
 
+    @pytest.mark.parametrize("beta", [6.0, 12.3, 20.7])
+    def test_value_moves_with_its_block_within_the_stop_rule(self, beta):
+        # the refinement stops on the call's max|F| and every point shares one
+        # node count, so F(0) alone and F(0) among the 60 points of [-6, 0]
+        # need not be the same bits, but differ by no more than the stop rule
+        ys = np.linspace(-6.0, 0.0, 60)
+        grid = f_epsilon(beta, ys)
+        alone = f_epsilon(beta, 0.0)
+        assert abs(grid[-1] - alone) <= contour._TARGET_TOL * (1.0 + np.abs(grid).max())
+
     def test_stall_names_last_change_and_budget(self, monkeypatch):
         # a cut-edge sum that moves with every doubling never settles
         monkeypatch.setattr(contour, "_line_part", lambda beta, y, radius, t_max, n_nodes:
@@ -269,7 +279,7 @@ class TestFEpsilonBlock:
 
 
 class TestFactoredCutEdge:
-    """Few rows on many y: the cut edge from panel and offset factors of e^{2ty}."""
+    """Every block: the cut edge from panel and offset factors of e^{2ty}."""
 
     YS = np.linspace(-14.0, 3.0, 561)
 
@@ -277,8 +287,9 @@ class TestFactoredCutEdge:
                                       6.0, 6.9, 9.2, 12.45, 17.6, 23.8, 27.15, 30.0])
     def test_one_row_is_its_row_in_a_block(self, beta):
         # beta is the smallest of the 20 rows, so both calls cut the edge off
-        # at the same t; only the block takes the (y x node) form.  Below
-        # beta = 4 the block's rows reach their round-off floor before y = -14.
+        # at the same t; the block's own max|F| decides when its refinement
+        # stops.  Below beta = 4 the block's rows reach their round-off floor
+        # before y = -14.
         ys = self.YS[self.YS >= -12.0] if beta < 4.0 else self.YS
         block = f_epsilon(beta + np.linspace(0.0, 0.019, 20), ys)
         row = f_epsilon(beta, ys)
@@ -287,28 +298,45 @@ class TestFactoredCutEdge:
     @pytest.mark.parametrize("centre", [-40.0, -25.0, 8.0, 12.0])
     @pytest.mark.parametrize("beta", [1.5, 3.0, 7.7, 20.3])
     def test_far_from_the_junction_as_the_node_form(self, beta, centre, monkeypatch):
-        # the same value or the same error as the (y x node) form, at y where
-        # a term's two factors are far apart in size
+        # the same value or the same error as a cut edge summed directly as
+        # one (y x node) table of exponentials, at y where a term's panel and
+        # offset factors are far apart in size; one row and a 20-row block
         ys = np.linspace(centre - 0.5, centre + 0.5, 201)
 
-        def outcome():
+        def node_form(beta, y, radius, t_max, n_nodes):
+            rule = contour._panel_rule(radius, t_max, n_nodes)
+            t = rule.nodes
+            lowest = float(beta.min())
+            log_terms = np.multiply.outer(y, 2.0 * t) + (np.log(rule.weights) - t * t
+                                                         - lowest * np.log(t))
+            return np.einsum("bt,yt->by", t ** (lowest - beta)[:, None], np.exp(log_terms))
+
+        def outcome(betas):
             try:
-                return f_epsilon(beta, ys)
+                return f_epsilon(betas, ys)
             except ConvergenceError as error:
                 return str(error)
 
-        factored = outcome()
-        monkeypatch.setattr(contour, "_FACTORED_POINTS_PER_ROW", math.inf)
-        by_node = outcome()
-        if isinstance(by_node, str) or isinstance(factored, str):
-            assert factored == by_node
-        else:
-            assert np.abs(factored - by_node).max() <= 1e-13 * (1.0 + np.abs(by_node).max())
+        for betas in (beta, beta + np.linspace(0.0, 0.95, 20)):
+            with monkeypatch.context() as patch:
+                patch.setattr(contour, "_line_part", node_form)
+                by_node = outcome(betas)
+            factored = outcome(betas)
+            if isinstance(by_node, str) or isinstance(factored, str):
+                assert factored == by_node
+            else:
+                assert np.abs(factored - by_node).max() <= 1e-13 * (1.0 + np.abs(by_node).max())
 
     def test_one_row_forms_no_y_by_node_exponentials(self, monkeypatch):
-        # the largest exponential of a one-row call is (y x offsets); a 20-row
-        # block on the same y still forms the (y x node) one
-        sizes = []
+        # one row or 20: the largest exponential is (offsets x y), (panels x y)
+        # or the (panels x offsets) y-free terms, never a (y x node) table
+        sizes, panels = [], []
+        panel_rule = contour._panel_rule
+
+        def counted_rule(a, b, n_nodes):
+            rule = panel_rule(a, b, n_nodes)
+            panels.append(rule.centres.size)
+            return rule
 
         class CountedNumpy:
             def __getattr__(self, name):
@@ -320,11 +348,14 @@ class TestFactoredCutEdge:
                 return np.exp(x, *args, **kwargs)
 
         monkeypatch.setattr(contour, "np", CountedNumpy())
-        f_epsilon(6.9, self.YS)
-        assert max(sizes) == self.YS.size * contour._NODES_PER_PANEL
-        sizes.clear()
-        f_epsilon(6.9 + np.linspace(0.0, 1.0, 20), self.YS)
-        assert max(sizes) == self.YS.size * 2 * contour._LINE_NODES
+        monkeypatch.setattr(contour, "_panel_rule", counted_rule)
+        for betas in (6.9, 6.9 + np.linspace(0.0, 1.0, 20)):
+            sizes.clear()
+            panels.clear()
+            f_epsilon(betas, self.YS)
+            most = max(panels)
+            assert max(sizes) <= max(self.YS.size * contour._NODES_PER_PANEL,
+                                     self.YS.size * most, most * contour._NODES_PER_PANEL)
 
 
 def _circle_mpmath(beta: float, y: float, radius: float) -> complex:
