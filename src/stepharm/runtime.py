@@ -8,8 +8,8 @@ def parallel_map(fn, items):
 
     Serial: the mapped work is small, GIL-bound numpy calls, and a thread
     pool made it slower on two CPUs.  Its one caller is ``find_resonances``,
-    which maps its golden-section peak searches through it; it is kept so
-    that the benchmark tracer (``bench/tracer.py``) can time those searches
-    as the ``runtime.parallel_map`` layer and nest their spans under it.
+    which maps its peak heights through it; it is kept only so that the
+    benchmark tracer (``bench/tracer.py``) can time them as the
+    ``runtime.parallel_map`` layer until the benchmark drops that layer.
     """
     return [fn(item) for item in items]

@@ -19,12 +19,13 @@ import numpy as np
 from .errors import BracketError, DomainError, SingularityError
 from .potential import PotentialConfig
 from .runtime import parallel_map
-from .special import _sin_cos_pi, digamma, gamma_half_ratio, reciprocal_gamma
+from .special import (_psi_gap_slope, _ratio_and_psi_gap, _sin_cos_pi, digamma,
+                      gamma_half_ratio, reciprocal_gamma)
 
 _SQRT2 = math.sqrt(2.0)
 _RESONANCE_SCAN_STEP = 0.01
 _RESONANCE_MIN_HEIGHT = 1.05  # in units of the classical limit pi/omega
-_RESONANCE_TOL = 1e-10  # bracket width where the peak and half-height searches stop
+_RESONANCE_TOL = 1e-10  # bracket width where the half-height searches stop
 _SECTIONS = 16  # equal parts each open bracket is cut into per call of the residual
 
 
@@ -32,9 +33,8 @@ _SECTIONS = 16  # equal parts each open bracket is cut into per call of the resi
 class Resonance:
     """A local maximum of the delay curve: position, height and FWHM in beta.
 
-    The maximum is so flat that beta_peak is located only to about 1e-7,
-    although CSV output prints it to 12 digits; tau_peak is far more
-    accurate.
+    beta_peak is a zero of the closed-form delta'', located to the float
+    spacing.
     """
 
     beta_peak: float
@@ -115,6 +115,30 @@ def delay_time(beta, config: PotentialConfig):
     return delta_prime(beta, config) / config.omega
 
 
+def _delta_second(beta: np.ndarray, beta0: float) -> np.ndarray:
+    """Closed-form delta''(beta) of a 1-d array of beta > beta0.
+
+    delta = -2 atan2(p c, s), s, c = sin, cos(pi beta / 2), p = sqrt(2/x) R(beta/2),
+    x = beta - beta0; g = log p has g' = D/2 - 1/(2x) and g'' = D'/4 + 1/(2x^2).
+    Then delta' = -2 p n / m and delta'' = -2 p (n' m - n m') / m^2, with
+    n = g' s c - pi/2, n' = (p n)'/p = (g'' + g'^2) s c - pi g' s^2,
+    m = s^2 + p^2 c^2 > 0 and m' = pi s c (1 - p^2) + 2 p^2 g' c^2.
+    """
+    x = beta - beta0
+    s, c = _sin_cos_pi(beta / 2.0)
+    ratio, gap = _ratio_and_psi_gap(beta / 2.0)
+    p = np.sqrt(2.0 / x) * ratio
+    p2 = p * p
+    g1 = 0.5 * gap - 0.5 / x
+    g2 = 0.25 * _psi_gap_slope(beta / 2.0) + 0.5 / (x * x)
+    sc = s * c
+    n = g1 * sc - 0.5 * np.pi
+    dn = (g2 + g1 * g1) * sc - np.pi * g1 * s * s
+    m = s * s + p2 * c * c
+    dm = np.pi * sc * (1.0 - p2) + 2.0 * p2 * g1 * c * c
+    return -2.0 * p * (dn * m - n * dm) / (m * m)
+
+
 def pi_coefficient(beta, config: PotentialConfig):
     """Interior amplitude Pi(beta) = 2 / [J(beta) + i sqrt(2/(beta-beta0)) J(beta-1)].
 
@@ -136,25 +160,6 @@ def pi_coefficient(beta, config: PotentialConfig):
     return complex(value[0]) if np.ndim(beta) == 0 else value
 
 
-def _golden_max(f, lo: float, hi: float) -> float:
-    """Golden-section search for the maximizer of f on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > _RESONANCE_TOL:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def _multisect(f, inside: np.ndarray, outside: np.ndarray, tol: float) -> np.ndarray:
     """Roots of every bracket (inside[i], outside[i]) at once, ends in either order.
 
@@ -164,8 +169,9 @@ def _multisect(f, inside: np.ndarray, outside: np.ndarray, tol: float) -> np.nda
     bracket into _SECTIONS equal parts and keeps the first, counted from
     the inside, whose far end has changed sign or is zero.  An exact zero
     at an end or a node is the root.  Otherwise a bracket ends no wider
-    than tol, or when a call cannot narrow it (so a tol below the float
-    spacing still ends), and its midpoint is the root.
+    than tol, or when a call cannot narrow it, and its midpoint is the
+    root: tol 0 means the float spacing, as for the peaks of
+    ``find_resonances``; its half-height crossings use _RESONANCE_TOL.
     """
     every = np.arange(inside.size)
     ends = f(np.concatenate([inside, outside]), np.concatenate([every, every]))
@@ -194,16 +200,17 @@ def _multisect(f, inside: np.ndarray, outside: np.ndarray, tol: float) -> np.nda
 
 
 def find_resonances(config: PotentialConfig, beta_max: float) -> list[Resonance]:
-    """Locate delay-curve maxima: coarse scan, golden-section refinement, FWHM.
+    """Locate delay-curve maxima: coarse scan, one multisection on delta'', heights, FWHM.
 
-    Maxima shallower than 1.05 * pi/omega are discarded as non-resonant
-    ripple.  The width is measured where tau crosses halfway between the
-    peak and the classical baseline pi/omega (the raw half-maximum can lie
-    below the baseline and would never be crossed).  The monotone descent
-    from a threshold divergence is not a local maximum and is therefore
-    never reported.  The half-height crossings of all peaks are found
-    together by one multisection, each ``delay_time`` call after the one on
-    the bracket ends narrowing every open bracket 16-fold.
+    Maxima of the coarse scan shallower than 1.05 * pi/omega are discarded
+    as non-resonant ripple; the monotone descent from a threshold divergence
+    is not a local maximum and is never reported.  All peaks are zeros of
+    ``_delta_second``, found together to the float spacing; each height is
+    one ``delay_time`` call.  The width is measured where tau crosses halfway
+    between the peak and the classical baseline pi/omega (the raw
+    half-maximum can lie below the baseline and would never be crossed); all
+    crossings come from a second multisection, each ``delay_time`` call
+    after the one on the bracket ends narrowing every open bracket 16-fold.
     """
     beta0 = config.beta0
     if not math.isfinite(beta_max):
@@ -214,16 +221,13 @@ def find_resonances(config: PotentialConfig, beta_max: float) -> list[Resonance]
     grid = np.arange(beta0 + _RESONANCE_SCAN_STEP, beta_max, _RESONANCE_SCAN_STEP)
     taus = delay_time(grid, config)
     interior = np.flatnonzero((taus[1:-1] > taus[:-2]) & (taus[1:-1] >= taus[2:])) + 1
-    candidates = [i for i in interior if taus[i] > _RESONANCE_MIN_HEIGHT * baseline]
-
-    tau_of = lambda b: delay_time(float(b), config)
-
-    def peak(i: int) -> tuple[float, float]:
-        beta_peak = _golden_max(tau_of, grid[i - 1], grid[i + 1])
-        return beta_peak, tau_of(beta_peak)
-
-    peaks = parallel_map(peak, candidates)
-    halves = [baseline + 0.5 * (tau_peak - baseline) for _, tau_peak in peaks]
+    candidates = interior[taus[interior] > _RESONANCE_MIN_HEIGHT * baseline]
+    if not candidates.size:
+        return []
+    peaks = _multisect(lambda b, k: _delta_second(b, beta0),
+                       grid[candidates - 1], grid[candidates + 1], 0.0).tolist()
+    heights = parallel_map(lambda b: delay_time(b, config), peaks)
+    halves = [baseline + 0.5 * (tau_peak - baseline) for tau_peak in heights]
     # Walk outward on the coarse grid until tau drops through the half
     # level.  A side that reaches the end of the grid first ends there;
     # every other side brackets its crossing between its last two steps.
@@ -242,7 +246,6 @@ def find_resonances(config: PotentialConfig, beta_max: float) -> list[Resonance]
         ends[crossed] = _multisect(
             lambda b, k: delay_time(b, config) - levels[crossed[k]],
             grid[inside[crossed]], ends[crossed], _RESONANCE_TOL)
-    return [Resonance(beta_peak=float(beta_peak), tau_peak=float(tau_peak),
-                      width=float(b_right - b_left))
-            for (beta_peak, tau_peak), b_left, b_right
-            in zip(peaks, ends[0::2], ends[1::2])]
+    return [Resonance(beta_peak=beta_peak, tau_peak=tau_peak, width=float(b_right - b_left))
+            for beta_peak, tau_peak, b_left, b_right
+            in zip(peaks, heights, ends[0::2], ends[1::2])]

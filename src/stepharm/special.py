@@ -26,7 +26,7 @@ argument is moved up to w = z + 16, where the asymptotic series of log R
 (DLMF 5.11.8) and its derivative hold to rounding, and brought back by
 products and sums of positive terms.  gamma_half_ratio is its first
 output; the level solver and the bound-state norm take R and D from it
-directly.
+directly, and _psi_gap_slope forms D'(z) on the same route for delta''.
 
 All functions accept scalars or numpy arrays and are pure, so they are safe
 to call concurrently.  The Lanczos coefficients and the series coefficients
@@ -74,7 +74,7 @@ _RATIO_SERIES = [
     -0.001681857638888889,  # -31/18432
     0.0038341175426136365,  # 691/180224
 ]
-# _ratio_and_psi_gap moves every z below this up by this many unit steps.
+# _ratio_and_psi_gap and _psi_gap_slope move every z below this up by this many unit steps.
 _RATIO_SHIFT = 16.0
 _RATIO_STEPS = np.arange(_RATIO_SHIFT)[:, None]  # j of the factors and terms of the shift
 
@@ -244,6 +244,28 @@ def _ratio_and_psi_gap(z):
         ratio[part] *= np.multiply.reduce(zj / zh)
         gap[part] += np.add.accumulate(0.5 / (zj * zh))[-1]
     return ratio, gap
+
+
+def _psi_gap_slope(z):
+    """D'(z) = psi'(z + 1/2) - psi'(z) of a 1-d array of z > 0, on the route of _ratio_and_psi_gap.
+
+    D'(w) = w^-2 (sum_k k (k+1) d_k w^-k - 1/2) by Horner's rule in w^-2, and
+    D'(z) = D'(w) - sum_j (2 (z + j) + 1/2) / (2 (z + j)^2 (z + j + 1/2)^2), j = 0..15:
+    all terms are negative, so nothing cancels.  Each value has the bits of a one-point call.
+    """
+    d = _RATIO_SERIES
+    low = z < _RATIO_SHIFT
+    u = 1.0 / (z + _RATIO_SHIFT * low)
+    u2 = u * u
+    curvature = (2 * len(d) - 1) * (2 * len(d)) * d[-1]  # sum_k k (k+1) d_k u^(k-1)
+    for i in range(len(d) - 2, -1, -1):
+        curvature = (2 * i + 1) * (2 * i + 2) * d[i] + u2 * curvature
+    slope = u2 * (u * curvature - 0.5)
+    if low.any():
+        zj = z[low] + _RATIO_STEPS
+        zh = zj + 0.5
+        slope[low] -= np.add.accumulate((zj + zh) / (2.0 * (zj * zh) ** 2))[-1]
+    return slope
 
 
 def gamma_half_ratio(z):

@@ -360,10 +360,11 @@ class TestResonances:
             find_resonances(cfg15, beta_max=beta_max)
 
     @pytest.mark.parametrize("n", [3, 31, 99])
-    @pytest.mark.parametrize("delta", [0.05, 1e-3])
+    @pytest.mark.parametrize("delta", [0.05, 0.02, 0.01, 3e-3, 1e-3, 1e-4, 1e-5])
     def test_just_below_odd_step_heights(self, n, delta):
         # the peak that becomes a bound state at beta0 = n sits just above
-        # threshold, on the upward divergence of tau there
+        # threshold, on the upward divergence of tau there; its delta''
+        # bracket must still change sign (no BracketError)
         beta0 = n - delta
         found = find_resonances(make_config(beta0), beta_max=beta0 + 10.0)
         assert found
@@ -412,9 +413,11 @@ class TestHalfCrossings:
         crossings = []
         original = scattering._multisect
 
-        def recorded(*args):
-            roots = original(*args)
-            crossings.extend(roots.tolist())
+        def recorded(f, inside, outside, tol):
+            # the crossing call; the peaks' call runs to the float spacing
+            roots = original(f, inside, outside, tol)
+            if tol == scattering._RESONANCE_TOL:
+                crossings.extend(roots.tolist())
             return roots
 
         monkeypatch.setattr(scattering, "_multisect", recorded)
@@ -445,20 +448,57 @@ class TestHalfCrossings:
         assert next(computed, None) is None
 
     def test_half_crossings_take_few_delay_calls(self, monkeypatch, cfg15):
-        # after the scan (one array call) and the scalar golden sections, the
-        # crossings of 0.01-wide brackets to tol 1e-10 take one call on the
-        # ends and seven 16-fold narrowings
-        calls = []
-        original = scattering.delay_time
+        # the scan is one array call and the peaks one multisection on
+        # delta'' to the float spacing; each height is one scalar call, and
+        # the crossings of 0.01-wide brackets to tol 1e-10 take one call on
+        # the ends and seven 16-fold narrowings
+        calls, second_calls = [], []
+        original, original_second = scattering.delay_time, scattering._delta_second
 
         def counted(beta, config):
             calls.append(np.ndim(beta))
             return original(beta, config)
 
+        def counted_second(beta, beta0):
+            second_calls.append(np.size(beta))
+            return original_second(beta, beta0)
+
         monkeypatch.setattr(scattering, "delay_time", counted)
-        assert len(find_resonances(cfg15, beta_max=100.0)) >= 5
+        monkeypatch.setattr(scattering, "_delta_second", counted_second)
+        found = find_resonances(cfg15, beta_max=100.0)
+        assert len(found) >= 5
         assert calls[0] == 1
         assert calls[1:].count(1) == 8
+        assert calls.count(0) == len(found)
+        assert len(second_calls) <= 16
+
+
+def _mpmath_delay_slope(beta, beta0):
+    """d tau / d beta of _mpmath_delay at 30 digits, by mpmath.diff."""
+    with mpmath.workdps(30):
+        return mpmath.diff(lambda t: _mpmath_delay(t, mpmath.mpf(beta0)), mpmath.mpf(beta))
+
+
+class TestPeaks:
+    """Every peak is a zero of the closed-form delta'', found by one multisection."""
+
+    @pytest.mark.parametrize("beta0", [1.5, 2.5, 4.5])
+    def test_delta_second_against_mpmath(self, beta0):
+        # beta - beta0 from 1e-6 to about 60, integer beta included
+        beta = beta0 + np.concatenate([np.geomspace(1e-6, 60.0, 25),
+                                       np.arange(1.0, 60.0, 7.0) + math.ceil(beta0) - beta0])
+        exact = np.array([float(_mpmath_delay_slope(b, beta0)) for b in beta.tolist()])
+        assert np.max(np.abs(scattering._delta_second(beta, beta0) / exact - 1.0)) <= 1e-13
+
+    @pytest.mark.parametrize("beta0", [1.5, 2.5, 4.5, 2.999])
+    def test_peaks_are_the_mpmath_roots_of_the_delay_slope(self, beta0):
+        found = find_resonances(make_config(beta0), beta_max=beta0 + 10.0)
+        assert len(found) >= 4
+        with mpmath.workdps(30):
+            for res in found:
+                exact = mpmath.findroot(lambda b: _mpmath_delay_slope(b, beta0),
+                                        mpmath.mpf(res.beta_peak))
+                assert abs(res.beta_peak - float(exact)) <= 2e-14
 
 
 class TestMultisection:

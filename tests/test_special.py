@@ -227,6 +227,23 @@ class TestRatioKernel:
         assert special._RATIO_SERIES == exact
 
 
+class TestPsiGapSlope:
+    """D'(z) = psi'(z + 1/2) - psi'(z) from special._psi_gap_slope."""
+
+    ZS = np.concatenate([np.linspace(0.05, 40.0, 800), np.geomspace(40.0, 1e6, 200),
+                         np.nextafter(special._RATIO_SHIFT, [0.0, np.inf])])
+
+    def test_against_mpmath(self):
+        with mpmath.workdps(40):
+            exact = np.array([float(mpmath.psi(1, z + 0.5) - mpmath.psi(1, z))
+                              for z in map(mpmath.mpf, self.ZS.tolist())])
+        assert np.max(np.abs(special._psi_gap_slope(self.ZS) / exact - 1.0)) <= 2e-15
+
+    def test_array_matches_scalars(self):
+        alone = [special._psi_gap_slope(np.array([z]))[0] for z in self.ZS]
+        assert np.array_equal(special._psi_gap_slope(self.ZS), alone)
+
+
 class TestReciprocalGamma:
     def test_against_mpmath(self):
         # reflected below 1/2: the sign of sin(pi x) carries the sign of 1/Gamma
