@@ -17,10 +17,12 @@ psi[t, x] = sum_k A[t, k] u_k(x) of ``_mode_sum``: A = w c(k) e^{-i Omega(k) t}
 for a packet, A = [[1]] for one eigenfunction.  zeta(k), Pi(beta) and
 1/sqrt(2 pi) ride on A, so no (k x x) mode table is formed: the plane waves
 e^{ikx} are one table built from per-panel factors (``_plane_waves``), and
-the incoming wave is the conjugate of conj(A) times it.  ``measure_delay``
-sums the outgoing waves alone.  Both converge their frames by the one doubling
-refinement ``contour._refine``: from 128 k nodes, doubled until the frames
-change by less than 1e-6 relative to 1 + max|psi|, at most six evaluations.
+the incoming wave is the conjugate of conj(A) times it.  ``evolve`` converges
+its frames by the one doubling refinement ``contour._refine``: from 128 k
+nodes, doubled until they change by less than 1e-6 relative to 1 + max|psi|,
+at most six evaluations.  ``measure_delay`` sums the outgoing waves alone, on
+the nodes of its detector window, and converges by that rule only the norm
+and first moment at each time.
 """
 
 from __future__ import annotations
@@ -118,16 +120,12 @@ class FrameSet:
     psi: np.ndarray
 
     def norms(self) -> np.ndarray:
-        """L2 norm of each frame over the stored grid."""
-        return self._moments()[0]
+        """L2 norm of each frame over the stored grid, by the trapezoid rule."""
+        return np.trapezoid(self.psi.real ** 2 + self.psi.imag ** 2, self.x_grid, axis=1)
 
     def centroids(self) -> np.ndarray:
-        return self._moments()[1]
-
-    def _moments(self):  # both from one |psi|^2 and one norm trapezoid
         density = self.psi.real ** 2 + self.psi.imag ** 2
-        norms = np.trapezoid(density, self.x_grid, axis=1)
-        return norms, np.trapezoid(self.x_grid * density, self.x_grid, axis=1) / norms
+        return np.trapezoid(self.x_grid * density, self.x_grid, axis=1) / self.norms()
 
 
 def improper_eigenfunction(beta, config: PotentialConfig, x):
@@ -228,15 +226,17 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
 def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
     """Reflection delay from the centroid of the reflected packet.
 
-    The reflected frames, on 201 times and 1,600 positions x >= 0, converge
-    by the frame rule of ``evolve``.  The centroid of |psi_ref|^2 moves
-    ballistically at the mean group speed once the packet is formed: from
-    the first frame that misses less than Phi(-2) ~ 0.0228 of the unit
-    reflected norm, the share on x < 0 of a Gaussian of width x_start/2
-    centred on the detector.  Until then the window may hold only a faint
-    prompt echo off the step.  The first upward crossing of the detector
-    x = x_start from that frame on, minus the mirror prediction
-    2 x_start / (hbar k_center / m), is the measured delay.  Raises
+    At 201 times, the norm and first moment of |psi_ref|^2 on 0 <= x <= L =
+    x_start + 12 widths converge by the frame rule of ``evolve``, integrated
+    on the ``contour._panel_rule`` of ceil(10 sigma_k L) nodes: |psi_ref|^2
+    holds only wavenumbers within +/- 10 sigma_k, which that many nodes
+    integrate to rounding.  The centroid moves ballistically at the mean group
+    speed once the packet is formed: from the first frame that misses less
+    than Phi(-2) ~ 0.0228 of the unit reflected norm, the share on x < 0 of a
+    Gaussian of width x_start/2 centred on the detector.  Until then the
+    window may hold only a faint prompt echo off the step.  The first upward
+    crossing of the detector x = x_start from that frame on, minus the mirror
+    prediction 2 x_start / (hbar k_center / m), is the measured delay.  Raises
     DispersionError when the centroid is already past the detector on that
     frame (the packet is too broad to localize).
     """
@@ -248,15 +248,18 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
         1.0 + (cfg.hbar * t_mirror / (2.0 * cfg.mass * spec.sigma_x**2)) ** 2)
     window = 10.0 * math.pi / cfg.omega
     times = np.linspace(max(t_mirror - 4.0 * spread / v, 0.0), t_mirror + window, 201)
-    xs = np.linspace(0.0, spec.x_start + 12.0 * spread, 1600)
+    length = spec.x_start + 12.0 * spread
+    x = contour._panel_rule(0.0, length, math.ceil(10.0 * spec.sigma_k * length))
+    moment_weights = np.c_[x.weights, x.weights * x.nodes / spec.x_start]
 
-    def frames(n_nodes: int) -> np.ndarray:  # the outgoing waves alone
+    def moments(n_nodes: int) -> np.ndarray:  # norm, moment / x_start; outgoing waves alone
         rule = _k_rule(spec, n_nodes)
-        return _mode_sum(cfg, rule, _amplitudes(spec, rule, times), xs, mirror, incoming=False)
+        psi = _mode_sum(cfg, rule, _amplitudes(spec, rule, times), x.nodes, mirror, incoming=False)
+        return (psi.real ** 2 + psi.imag ** 2) @ moment_weights
 
-    psi = contour._refine(frames, _FRAME_NODES, _FRAME_TOL, "reflected frames",
-                          "about {} k nodes")
-    norms, centroids = FrameSet(times=times, x_grid=xs, psi=psi)._moments()
+    norms, first = contour._refine(moments, _FRAME_NODES, _FRAME_TOL, "reflected frames",
+                                   "about {} k nodes").T
+    centroids = spec.x_start * first / norms
     # the packet has unit norm and |zeta| = 1: what the window misses is 1 - norm
     formed = np.flatnonzero(norms > 1.0 - _UNFORMED_SHARE)
     if formed.size == 0:

@@ -342,14 +342,15 @@ class TestPlaneWaves:
     @pytest.mark.parametrize("beta", [6.0, 40.0])
     def test_table_equals_direct_exponentials(self, cfg15, beta, monkeypatch):
         spec = WavePacketSpec.for_beta(cfg15, beta)
-        uniform = _delay_grid(spec, monkeypatch)
-        assert np.all(np.diff(uniform) > 0.0) and uniform.size == 1600
+        window = _delay_grid(spec, monkeypatch)
+        # ceil(10 sigma_k L) = 95 nodes requested, whole panels of 20
+        assert np.all(np.diff(window) > 0.0) and window[0] > 0.0 and window.size == 100
         scattered = np.sort(np.concatenate([
-            -np.geomspace(1e-3, 6.0, 50), [0.0], np.geomspace(1e-3, uniform[-1], 300)]))
+            -np.geomspace(1e-3, 6.0, 50), [0.0], np.geomspace(1e-3, window[-1], 300)]))
         for n in (128, 256, 512, 1024):
             rule = wavepacket._k_rule(spec, n)
             assert rule.nodes.size == rule.centres.size * rule.offsets.size >= n
-            for xs in (uniform, scattered):
+            for xs in (window, scattered):
                 table = wavepacket._plane_waves(rule, xs)
                 assert np.abs(table - np.exp(1j * np.outer(rule.nodes, xs))).max() <= 1e-13
 
@@ -421,3 +422,70 @@ class TestPacketSums:
         expected = _direct_frames(spec, last.nodes, last.weights,
                                   _direct_modes(cfg15, last.nodes, xs, mirror), times)
         assert np.abs(psi - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def _window_integrals(d, length):
+    """integral_0^L x^j e^{i d x} dx for j = 0 and 1, in closed form.
+
+    The first moment L^2 [e^{iu} (1/(iu) + 1/u^2) - 1/u^2], u = d L, cancels
+    at small u; below |u| = 1/2 it is the series L^2 sum_n (iu)^n / (n! (n + 2)).
+    """
+    u = d * length
+    zeroth = length * np.exp(0.5j * u) * np.sinc(u / (2.0 * np.pi))
+    small = np.abs(u) < 0.5
+    w = np.where(small, 1.0, u)
+    first = length ** 2 * (np.exp(1j * w) * (1.0 / (1j * w) + 1.0 / w ** 2) - 1.0 / w ** 2)
+    series = length ** 2 * sum((1j * u) ** n / (math.factorial(n) * (n + 2)) for n in range(16))
+    return zeroth, np.where(small, series, first)
+
+
+class TestDelayWindow:
+    """The detector window's Gauss-Legendre rule against exact window integrals."""
+
+    @pytest.mark.parametrize("beta0,beta,mirror", [(1.5, 6.0, False), (4.4, 9.5, False),
+                                                   (1.5, 1.51, False), (1.5, 6.0, True)])
+    def test_moments_match_exact_window_integrals(self, beta0, beta, mirror, monkeypatch):
+        # the reflected packet sum_k a_k e^{ikx} has |psi|^2 = sum_kl a_k conj(a_l)
+        # e^{i(k-l)x}: its norm and first moment on [0, L] are exact double sums
+        config = PotentialConfig.from_beta0(beta0)
+        spec = WavePacketSpec.for_beta(config, beta)
+        delay = measure_delay(spec, mirror=mirror)
+        rules, times = [], []
+        panel_rule, packet_amplitudes, refine = (contour._panel_rule, wavepacket._amplitudes,
+                                                 contour._refine)
+
+        def recorded_rule(a, b, n):
+            rules.append((a, b, panel_rule(a, b, n)))
+            return rules[-1][2]
+
+        def recorded_times(spec, rule, t):
+            times.append(t)
+            return packet_amplitudes(spec, rule, t)
+
+        def exact(moments, *args):
+            refine(moments, *args)  # the final k rule and the sampled times
+            length = next(b for a, b, _ in rules if a == 0.0)
+            rule = rules[-1][2]
+            nodes = rule.nodes
+            amplitudes = packet_amplitudes(spec, rule, times[-1]) / math.sqrt(2.0 * math.pi)
+            if not mirror:
+                amplitudes = amplitudes * zeta(config.beta_from_k(nodes), config)
+            integrals = _window_integrals(np.subtract.outer(nodes, nodes), length)
+            norm, first = (np.einsum("tk,kl,tl->t", amplitudes, z, amplitudes.conj()).real
+                           for z in integrals)
+            return np.stack([norm, first / spec.x_start], axis=1)
+
+        monkeypatch.setattr(contour, "_panel_rule", recorded_rule)
+        monkeypatch.setattr(wavepacket, "_amplitudes", recorded_times)
+        monkeypatch.setattr(contour, "_refine", exact)
+        assert abs(measure_delay(spec, mirror=mirror) - delay) <= 1e-10
+
+    @pytest.mark.parametrize("beta0,beta", [(1.5, 6.0), (4.4, 9.5)])
+    def test_half_the_window_nodes_moves_the_delay_by_rounding(self, beta0, beta, monkeypatch):
+        # the derived count has margin: 60 nodes in place of 100 give the same delay
+        spec = WavePacketSpec.for_beta(PotentialConfig.from_beta0(beta0), beta)
+        delay = measure_delay(spec)
+        panel_rule = contour._panel_rule
+        monkeypatch.setattr(contour, "_panel_rule",
+                            lambda a, b, n: panel_rule(a, b, n // 2 if a == 0.0 else n))
+        assert abs(measure_delay(spec) - delay) < 1e-12
