@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -472,10 +473,16 @@ print(json.dumps([status, sorted(m for m in sys.modules
 """
 
 
-def fresh_interpreter(code, *argv):
-    """Last stdout line of ``code`` run with ``argv`` in a new Python process."""
+def fresh_interpreter(code, *argv, threads=None):
+    """Last stdout line of ``code`` run with ``argv`` in a new Python process.
+
+    The process sees this one's environment with none of the BLAS thread
+    variables but those given in ``threads``.
+    """
     src = str(Path(stepharm.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = {name: value for name, value in os.environ.items()
+           if name not in cli._BLAS_THREAD_VARIABLES}
+    env.update(threads or {}, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
                           capture_output=True, text=True)
@@ -528,6 +535,73 @@ class TestLoading:
         assert [cli._fmt(v) for v in values] == [
             "true", "0", "7", "-3", "200", "0.1", "0.333333333333", "0.10000000149",
             "1e-300"]
+
+
+# Run in a fresh interpreter: calls ``cli.main`` on the arguments, if any,
+# and prints the BLAS thread variables then set, or, with no arguments,
+# whether importing ``stepharm.cli`` changed the environment.
+_THREAD_PROBE = """
+import contextlib, io, json, os, sys
+before = dict(os.environ)
+from stepharm import cli
+if len(sys.argv) > 1:
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(sys.argv[1:])
+    print(json.dumps({name: os.environ.get(name) for name in cli._BLAS_THREAD_VARIABLES}))
+else:
+    print(json.dumps(dict(os.environ) == before))
+"""
+
+# Run in a fresh interpreter: the JSON document ``cli.main`` writes, on one line.
+_JSON_OUTPUT = """
+import contextlib, io, json, sys
+from stepharm import cli
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    cli.main(sys.argv[1:])
+print(json.dumps(json.loads(out.getvalue())))
+"""
+
+
+class TestBlasThreads:
+    def test_main_runs_openblas_on_one_thread(self):
+        seen = json.loads(fresh_interpreter(_THREAD_PROBE, "levels", "--beta0", "4.5"))
+        assert seen == {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": None,
+                        "OMP_NUM_THREADS": None}
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                                      "OMP_NUM_THREADS"])
+    def test_a_callers_thread_count_is_kept(self, name):
+        seen = json.loads(fresh_interpreter(_THREAD_PROBE, "levels", "--beta0", "4.5",
+                                            threads={name: "2"}))
+        assert seen == {n: "2" if n == name else None for n in cli._BLAS_THREAD_VARIABLES}
+
+    def test_main_after_numpy_sets_nothing(self, capsys):
+        with mock.patch.dict(os.environ):
+            for name in cli._BLAS_THREAD_VARIABLES:
+                os.environ.pop(name, None)
+            before = dict(os.environ)
+            assert run_cli("levels", "--beta0", "4.5") == 0
+            assert dict(os.environ) == before
+
+    def test_import_sets_nothing(self):
+        assert json.loads(fresh_interpreter(_THREAD_PROBE)) is True
+
+    def test_two_threads_move_packet_rows_only_at_rounding(self):
+        argv = ("wavepacket", "--beta0", "2.5", "--beta-center", "8.5",
+                "--include-interior", "--format", "json")
+        one, two = (json.loads(fresh_interpreter(_JSON_OUTPUT, *argv, threads=threads))
+                    for threads in ({}, {"OPENBLAS_NUM_THREADS": "2"}))
+        rows = [np.array([list(row.values()) for row in document["data"]])
+                for document in (one, two)]
+        assert rows[0].shape == rows[1].shape == (9 * 400, 5)
+        np.testing.assert_array_equal(rows[0][:, :2], rows[1][:, :2])
+        scale = np.sqrt(rows[0][:, 4].max())
+        np.testing.assert_allclose(rows[0][:, 2:4], rows[1][:, 2:4], rtol=0,
+                                   atol=1e-15 * scale)
+        np.testing.assert_allclose(rows[0][:, 4], rows[1][:, 4], rtol=0,
+                                   atol=2e-15 * scale ** 2)
+        delays = [document["summary"]["measured_delay"] for document in (one, two)]
+        assert delays[1] == pytest.approx(delays[0], rel=1e-14, abs=0.0)
 
 
 class TestPackage:
