@@ -12,17 +12,17 @@ centroid crosses the detector at x_start, minus the perfect-mirror
 prediction 2*x_start/(hbar*k_center/m).
 
 The k integral is the composite Gauss-Legendre rule ``contour._panel_rule``
-over k_center +/- 5 sigma_k.  Every mode and frame is the one sum
+over the packet's ``support``.  Every mode and frame is the one sum
 psi[t, x] = sum_k A[t, k] u_k(x) of ``_mode_sum``: A = w c(k) e^{-i Omega(k) t}
 for a packet, A = [[1]] for one eigenfunction.  zeta(k), Pi(beta) and
 1/sqrt(2 pi) ride on A, so no (k x x) mode table is formed: the plane waves
 e^{ikx} are one table built from per-panel factors (``_plane_waves``), and
 the incoming wave is the conjugate of conj(A) times it.  ``evolve`` converges
-its frames by the one doubling refinement ``contour._refine``: from 128 k
-nodes, doubled until they change by less than 1e-6 relative to 1 + max|psi|,
-at most six evaluations.  ``measure_delay`` sums the outgoing waves alone, on
-the nodes of its detector window, and converges by that rule only the norm
-and first moment at each time.
+its frames by the one doubling refinement ``contour._refine``: from the
+k-node count of ``_first_nodes``, doubled until they change by less than
+1e-6 relative to 1 + max|psi|, at most six evaluations.  ``measure_delay``
+sums the outgoing waves alone, on the nodes of its detector window, and
+converges by that rule only the norm and first moment at each time.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .errors import ConvergenceError, DispersionError, DomainError
 from .potential import PotentialConfig
 
 _FRAME_TOL = 1e-6
-_FRAME_NODES = 128  # first k-node count of the frame refinement
+_SUPPORT = 2.0 * math.sqrt(math.log(1.0 / _FRAME_TOL))  # ~7.43: |c| = _FRAME_TOL max|c| there
+_TABLE_ENTRIES = 2 ** 23  # most k nodes x (positions + times) of one round: ~134 MB a table
 _REL_WIDTH = 1.0 / 30.0  # default sigma_k / k_center of WavePacketSpec.for_k
 _START_WIDTHS = 6.0  # default x_start of WavePacketSpec.for_k, in initial widths sigma_x
-_K_SUPPORT_SIGMAS = 5.0
 _MIN_OVERLAP_SIGMAS = 4.8  # Gaussian tail beyond 4.75 sigma is < 1e-6
 # Phi(-2): the share on x < 0 of a Gaussian of width x_start/2 centred on
 # the detector; a reflected packet missing more than this is not yet formed
@@ -91,6 +91,11 @@ class WavePacketSpec:
         return 1.0 / (2.0 * self.sigma_k)
 
     @property
+    def support(self) -> np.ndarray:
+        """k_center -/+ _SUPPORT sigma_k clipped at k = 0: the packet is the Gaussian on it."""
+        return np.maximum(self.k_center + np.array([-_SUPPORT, _SUPPORT]) * self.sigma_k, 0.0)
+
+    @property
     def beta_center(self) -> float:
         return self.config.beta_from_k(self.k_center)
 
@@ -119,14 +124,6 @@ class FrameSet:
     x_grid: np.ndarray
     psi: np.ndarray
 
-    def norms(self) -> np.ndarray:
-        """L2 norm of each frame over the stored grid, by the trapezoid rule."""
-        return np.trapezoid(self.psi.real ** 2 + self.psi.imag ** 2, self.x_grid, axis=1)
-
-    def centroids(self) -> np.ndarray:
-        density = self.psi.real ** 2 + self.psi.imag ** 2
-        return np.trapezoid(self.x_grid * density, self.x_grid, axis=1) / self.norms()
-
 
 def improper_eigenfunction(beta, config: PotentialConfig, x):
     """Continuum eigenfunction, k-normalized with the 1/sqrt(2 pi) prefactor.
@@ -144,10 +141,29 @@ def improper_eigenfunction(beta, config: PotentialConfig, x):
     return out[0] if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
-def _k_rule(spec: WavePacketSpec, n_nodes: int) -> contour._PanelRule:
-    """The ``contour._panel_rule`` over k_center +/- 5 sigma_k."""
-    return contour._panel_rule(spec.k_center - _K_SUPPORT_SIGMAS * spec.sigma_k,
-                               spec.k_center + _K_SUPPORT_SIGMAS * spec.sigma_k, n_nodes)
+def _k_rule(spec: WavePacketSpec, n_nodes: int, points: int = 0) -> contour._PanelRule:
+    """``contour._panel_rule`` over the support; ConvergenceError for sums past _TABLE_ENTRIES."""
+    if n_nodes * points > _TABLE_ENTRIES:
+        raise ConvergenceError(f"packet needs {n_nodes} k nodes on {points} positions and "
+                               f"times, more than one round's {_TABLE_ENTRIES} table entries")
+    return contour._panel_rule(*spec.support, n_nodes)
+
+
+def _first_nodes(spec: WavePacketSpec, x, times, signs: tuple, mirror: bool) -> int:
+    """First k-node count of a refinement, ceil(_SUPPORT sigma_k B), one panel at least.
+
+    B, the k-rate of the summand's phase, is max|x_start + sign x - hbar k t / m| over the
+    increasing x, the times and the support's ends, plus max|delta' k| / alpha^2 of arg zeta.
+    """
+    cfg, reach = spec.config, spec.x_start + np.multiply.outer(signs, np.r_[x[:1], x[-1:]])
+    drift = np.multiply.outer(cfg.hbar / cfg.mass * spec.support, times)
+    rate = np.abs(np.subtract.outer(reach, drift)).max(initial=0.0)
+    if not mirror:  # one delta_prime call, on the rule sized without that term
+        k = _k_rule(spec, math.ceil(_SUPPORT * spec.sigma_k * rate), x.size + times.size).nodes
+        rate += np.abs(scattering.delta_prime(cfg.beta_from_k(k), cfg) * k).max() / cfg.alpha ** 2
+    first = max(math.ceil(_SUPPORT * spec.sigma_k * rate), contour._NODES_PER_PANEL)
+    _k_rule(spec, 2 * first, x.size + times.size)  # ConvergenceError unless round two fits
+    return first
 
 
 def _plane_waves(rule: contour._PanelRule, x: np.ndarray) -> np.ndarray:
@@ -199,16 +215,17 @@ def _amplitudes(spec: WavePacketSpec, rule: contour._PanelRule, times: np.ndarra
 def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSet:
     """Propagate the packet and return frames on the given grids.
 
-    The k-quadrature (Gauss-Legendre over k_center +/- 5 sigma_k) starts
-    from 128 nodes and doubles them until the frames change by less than
-    1e-6 relative to 1 + max|psi|; ConvergenceError names the last change
-    and node count if six evaluations do not settle.  A scalar ``x_grid`` or
-    ``times`` is one point; an empty one gives empty frames.  Positions x < 0
-    add one contour call per round, the block of ``contour.interior_rows`` on
-    them plus x = 0, which raises ConvergenceError naming the first beta
-    whose own F(0) misses J(beta), or the first at the round-off floor of
-    its sums.
-    ``mirror`` replaces zeta by 1, the delay-free perfect-mirror reference.
+    The k-quadrature (Gauss-Legendre over the packet's support) starts from
+    ``_first_nodes`` and doubles them until the frames change by less than
+    1e-6 relative to 1 + max|psi|; ConvergenceError names the last change and
+    node count if six evaluations do not settle, and the count if a round's
+    (k x position) and (time x k) tables would pass _TABLE_ENTRIES.  A scalar
+    ``x_grid`` or ``times`` is one point; an empty one gives empty frames.
+    Positions x < 0 add one contour call per round, the block of
+    ``contour.interior_rows`` on them plus x = 0, which raises ConvergenceError
+    naming the first beta whose own F(0) misses J(beta), or the first at the
+    round-off floor of its sums.  ``mirror`` replaces zeta by 1, the delay-free
+    mirror reference.
     """
     x_arr = np.atleast_1d(np.asarray(x_grid, dtype=float))
     t_arr = np.atleast_1d(np.asarray(times, dtype=float))
@@ -216,10 +233,11 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
         raise DomainError("x_grid must be strictly increasing")
 
     def frames(n_nodes: int) -> np.ndarray:
-        rule = _k_rule(spec, n_nodes)
+        rule = _k_rule(spec, n_nodes, x_arr.size + t_arr.size)
         return _mode_sum(spec.config, rule, _amplitudes(spec, rule, t_arr), x_arr, mirror)
 
-    psi = contour._refine(frames, _FRAME_NODES, _FRAME_TOL, "packet frames", "about {} k nodes")
+    psi = contour._refine(frames, _first_nodes(spec, x_arr, t_arr, (1.0, -1.0), mirror),
+                          _FRAME_TOL, "packet frames", "about {} k nodes")
     return FrameSet(times=t_arr, x_grid=x_arr, psi=psi)
 
 
@@ -228,17 +246,18 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
 
     At 201 times, the norm and first moment of |psi_ref|^2 on 0 <= x <= L =
     x_start + 12 widths converge by the frame rule of ``evolve``, integrated
-    on the ``contour._panel_rule`` of ceil(10 sigma_k L) nodes: |psi_ref|^2
-    holds only wavenumbers within +/- 10 sigma_k, which that many nodes
-    integrate to rounding.  The centroid moves ballistically at the mean group
-    speed once the packet is formed: from the first frame that misses less
-    than Phi(-2) ~ 0.0228 of the unit reflected norm, the share on x < 0 of a
-    Gaussian of width x_start/2 centred on the detector.  Until then the
-    window may hold only a faint prompt echo off the step.  The first upward
-    crossing of the detector x = x_start from that frame on, minus the mirror
-    prediction 2 x_start / (hbar k_center / m), is the measured delay.  Raises
-    DispersionError when the centroid is already past the detector on that
-    frame (the packet is too broad to localize).
+    on the ``contour._panel_rule`` of ceil(d L) nodes, d = sqrt(2) _SUPPORT sigma_k:
+    the terms e^{i(k - l)x} of |psi_ref|^2 weigh less than _FRAME_TOL past k - l = d,
+    and 2 pi nodes per wavelength 2 pi/d integrate them to rounding, half as many
+    to 1e-12.  The centroid moves ballistically at the mean group speed once the
+    packet is formed: from the first frame that misses less than Phi(-2) ~ 0.0228
+    of the unit reflected norm, the share on x < 0 of a Gaussian of width
+    x_start/2 centred on the detector.  Until then the window may hold only a
+    faint prompt echo off the step.  The first upward crossing of the detector
+    x = x_start from that frame on, minus the mirror prediction 2 x_start /
+    (hbar k_center / m), is the measured delay.  Raises DispersionError when the
+    centroid is already past the detector on that frame (the packet is too broad
+    to localize).
     """
     cfg = spec.config
     v = spec.group_speed
@@ -249,16 +268,16 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
     window = 10.0 * math.pi / cfg.omega
     times = np.linspace(max(t_mirror - 4.0 * spread / v, 0.0), t_mirror + window, 201)
     length = spec.x_start + 12.0 * spread
-    x = contour._panel_rule(0.0, length, math.ceil(10.0 * spec.sigma_k * length))
+    x = contour._panel_rule(0.0, length, math.ceil(2 ** 0.5 * _SUPPORT * spec.sigma_k * length))
     moment_weights = np.c_[x.weights, x.weights * x.nodes / spec.x_start]
 
     def moments(n_nodes: int) -> np.ndarray:  # norm, moment / x_start; outgoing waves alone
-        rule = _k_rule(spec, n_nodes)
+        rule = _k_rule(spec, n_nodes, x.nodes.size + times.size)
         psi = _mode_sum(cfg, rule, _amplitudes(spec, rule, times), x.nodes, mirror, incoming=False)
         return (psi.real ** 2 + psi.imag ** 2) @ moment_weights
 
-    norms, first = contour._refine(moments, _FRAME_NODES, _FRAME_TOL, "reflected frames",
-                                   "about {} k nodes").T
+    norms, first = contour._refine(moments, _first_nodes(spec, x.nodes, times, (1.0,), mirror),
+                                   _FRAME_TOL, "reflected frames", "about {} k nodes").T
     centroids = spec.x_start * first / norms
     # the packet has unit norm and |zeta| = 1: what the window misses is 1 - norm
     formed = np.flatnonzero(norms > 1.0 - _UNFORMED_SHARE)

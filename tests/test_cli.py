@@ -13,7 +13,7 @@ import pytest
 
 import stepharm
 from stepharm import (BracketError, PotentialConfig, SingularityError, WavePacketSpec, cli,
-                      contour, evolve, measure_delay, scattering, verification)
+                      contour, evolve, measure_delay, scattering, verification, wavepacket)
 from stepharm.special import _LANCZOS_COEFFS, _RATIO_SERIES
 
 
@@ -342,9 +342,51 @@ class TestWavepacket:
         density = np.abs(edge) ** 2
         assert np.all(np.abs(density[:, 0] - density[:, 1]) <= 1e-6 * density[:, 1])
 
+    def test_packet_reaching_threshold(self, capsys, monkeypatch):
+        # k_center = 4.1 sigma_k: the k support is clipped at 0, and the delay is
+        # that of a dense rule on (0, k_center + 8 sigma_k]
+        assert run_cli("wavepacket", "--beta0", "1.5", "--k-center", "0.82", "--sigma-k", "0.2",
+                       "--x-start", "60", "--format", "json") == 0
+        measured = json.loads(capsys.readouterr().out)["summary"]["measured_delay"]
+        spec = WavePacketSpec(k_center=0.82, sigma_k=0.2, x_start=60.0,
+                              config=PotentialConfig.from_beta0(1.5))
+        dense = contour._panel_rule(0.0, 0.82 + 8.0 * 0.2, 4096)
+        monkeypatch.setattr(wavepacket, "_k_rule", lambda spec, n_nodes, *points: dense)
+        assert abs(measured - measure_delay(spec)) < 1e-6
+
+    def test_beta_200_frames_settle(self, capsys):
+        # the emitted frames against four times the first k count, summed a
+        # hundred positions at a time
+        assert run_cli("wavepacket", "--beta0", "1.5", "--beta-center", "200",
+                       "--format", "json") == 0
+        data = json.loads(capsys.readouterr().out)["data"]
+        psi = np.array([row["re_psi"] + 1j * row["im_psi"] for row in data]).reshape(9, 400)
+        spec = WavePacketSpec.for_beta(PotentialConfig.from_beta0(1.5), 200.0)
+        xs = np.linspace(0.0, spec.x_start + 12.0 * spec.sigma_x, 400)
+        times = np.linspace(0.0, 40.0, 9)
+        first = wavepacket._first_nodes(spec, xs, times, (1.0, -1.0), False)
+        rule = wavepacket._k_rule(spec, 4 * first)
+        amplitudes = wavepacket._amplitudes(spec, rule, times)
+        reference = np.hstack([wavepacket._mode_sum(spec.config, rule, amplitudes, part)
+                               for part in np.split(xs, 4)])
+        assert np.abs(psi - reference).max() <= 1e-10 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("beta,nodes", [("1000", 42744), ("1e4", 194279)])
+    def test_packet_past_the_table_budget_exits_4(self, capsys, beta, nodes):
+        # the delay's k count grows with beta_center; past one round's 2^23
+        # table entries the command stops before forming any table
+        start = time.perf_counter()
+        code = run_cli("wavepacket", "--beta0", "1.5", "--beta-center", beta)
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert f"packet needs {nodes} k nodes on 301 positions and times" in captured.err
+        assert elapsed < 2.0
+
     def test_inaccurate_interior_packet_exits_4(self, capsys):
-        # the k-support spans beta 28.2 to 53.9, where the contour solution
-        # misses J(beta): the junction check of the first k node's row stops it
+        # the k-support spans beta 23.3 to 61.4, and from beta 25.2 up the
+        # contour solution misses J(beta): the junction check of that row stops it
         start = time.perf_counter()
         code = run_cli("wavepacket", "--beta0", "1.5", "--beta-center", "40",
                        "--include-interior")
@@ -352,7 +394,7 @@ class TestWavepacket:
         captured = capsys.readouterr()
         assert code == 4
         assert captured.out == ""
-        assert "beta=28.2466101151" in captured.err
+        assert "beta=25.2051972529" in captured.err
         assert elapsed < 5.0
 
 

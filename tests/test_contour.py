@@ -222,10 +222,13 @@ class TestFEpsilonBlock:
     @pytest.mark.parametrize("beta0,beta_center", [(1.2, 2.8), (1.5, 6.0), (2.7, 8.1),
                                                    (4.4, 9.5), (4.4, 10.0)])
     def test_rows_are_the_one_row_values(self, beta0, beta_center):
-        # the k nodes of a default packet, over the y range of its interior rows
+        # the k nodes of a default packet's first round of frames on x in
+        # [-6, x_start + 12 sigma_x] and t in [0, 40], over the y of its interior rows
         config = PotentialConfig.from_beta0(beta0)
         spec = WavePacketSpec.for_beta(config, beta_center)
-        betas = config.beta_from_k(wavepacket._k_rule(spec, 128).nodes)
+        xs = np.linspace(-6.0, spec.x_start + 12.0 * spec.sigma_x, 400)
+        first = wavepacket._first_nodes(spec, xs, np.linspace(0.0, 40.0, 9), (1.0, -1.0), False)
+        betas = config.beta_from_k(wavepacket._k_rule(spec, first).nodes)
         ys = np.linspace(-6.0, 0.0, 41)
         block = f_epsilon(betas, ys)
         assert block.shape == (betas.size, ys.size)

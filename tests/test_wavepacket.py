@@ -12,6 +12,18 @@ from stepharm import (ConvergenceError, DispersionError, DomainError,
                       measure_delay, pi_coefficient, wavepacket, zeta)
 
 
+def _recorded_rules(monkeypatch):
+    """The list every ``_mode_sum`` call appends its k rule to, from now on."""
+    rules, mode_sum = [], wavepacket._mode_sum
+
+    def recorded(config, rule, *args, **kwargs):
+        rules.append(rule)
+        return mode_sum(config, rule, *args, **kwargs)
+
+    monkeypatch.setattr(wavepacket, "_mode_sum", recorded)
+    return rules
+
+
 class TestSpecValidation:
     def test_for_beta_defaults(self, cfg15):
         spec = WavePacketSpec.for_beta(cfg15, 6.0)
@@ -92,8 +104,8 @@ class TestEvolve:
     def test_initial_centroid_and_approach_speed(self, cfg15):
         spec = WavePacketSpec.for_beta(cfg15, 6.0)
         xs = np.linspace(0.0, 80.0, 900)
-        frames = evolve(spec, xs, [0.0, 1.0, 2.0])
-        centroids = frames.centroids()
+        density = np.abs(evolve(spec, xs, [0.0, 1.0, 2.0]).psi) ** 2
+        centroids = np.trapezoid(xs * density, xs, axis=1) / np.trapezoid(density, xs, axis=1)
         assert centroids[0] == pytest.approx(spec.x_start, abs=0.05)
         velocity = (centroids[2] - centroids[0]) / 2.0
         assert velocity == pytest.approx(-spec.group_speed, rel=0.02)
@@ -102,8 +114,8 @@ class TestEvolve:
         spec = WavePacketSpec.for_beta(cfg15, 6.0)
         t0 = 2.0 * spec.x_start / spec.group_speed + 6.0
         xs = np.linspace(0.0, 110.0, 1100)
-        frames = evolve(spec, xs, [t0, t0 + 1.0, t0 + 2.0])
-        centroids = frames.centroids()
+        density = np.abs(evolve(spec, xs, [t0, t0 + 1.0, t0 + 2.0]).psi) ** 2
+        centroids = np.trapezoid(xs * density, xs, axis=1) / np.trapezoid(density, xs, axis=1)
         velocity = (centroids[2] - centroids[0]) / 2.0
         assert velocity == pytest.approx(spec.group_speed, rel=0.02)
 
@@ -113,7 +125,7 @@ class TestEvolve:
         xs = np.linspace(-6.0, 80.0, 1100)
         frames = evolve(spec, xs, [0.0, 0.7 * bounce, bounce, 1.3 * bounce,
                                    2.0 * bounce + 4.0])
-        norms = frames.norms()
+        norms = np.trapezoid(np.abs(frames.psi) ** 2, xs, axis=1)
         assert np.max(np.abs(norms - norms[0])) < 0.01 * norms[0]
 
     def test_mirror_frames_skip_interior(self, cfg15):
@@ -149,19 +161,14 @@ class TestEvolve:
         # each k-refinement round forms all its interior rows, with their
         # junction values, as one block
         spec = WavePacketSpec.for_beta(cfg15, 6.0)
-        calls, rounds = [], []
-        exact, k_rule = contour.f_epsilon, wavepacket._k_rule
+        calls, exact = [], contour.f_epsilon
 
         def counted(beta, y):
             calls.append((np.size(beta), np.size(y)))
             return exact(beta, y)
 
-        def recorded(spec, n):
-            rounds.append(k_rule(spec, n))
-            return rounds[-1]
-
         monkeypatch.setattr(contour, "f_epsilon", counted)
-        monkeypatch.setattr(wavepacket, "_k_rule", recorded)
+        rounds = _recorded_rules(monkeypatch)
         xs = np.linspace(-4.0, spec.x_start + 12.0 * spec.sigma_x, 400)
         evolve(spec, xs, np.linspace(0.0, 40.0, 9))
         interior = int(np.count_nonzero(xs < 0.0))
@@ -172,20 +179,15 @@ class TestEvolve:
         # every k round forms its rows on the same y, so the circle's
         # Hermite recurrence runs once for the whole refinement
         spec = WavePacketSpec.for_beta(cfg15, 6.0)
-        built, rounds = [], []
-        exact, k_rule = contour._hermite_rows, wavepacket._k_rule
+        built, exact = [], contour._hermite_rows
 
         def counted(y, radius, limit):
             built.append(y.size)
             return exact(y, radius, limit)
 
-        def recorded(spec, n):
-            rounds.append(k_rule(spec, n))
-            return rounds[-1]
-
         monkeypatch.setattr(contour, "_tables", OrderedDict())
         monkeypatch.setattr(contour, "_hermite_rows", counted)
-        monkeypatch.setattr(wavepacket, "_k_rule", recorded)
+        rounds = _recorded_rules(monkeypatch)
         xs = np.linspace(-4.0, spec.x_start + 12.0 * spec.sigma_x, 400)
         evolve(spec, xs, np.linspace(0.0, 40.0, 9))
         assert len(rounds) >= 2
@@ -209,14 +211,15 @@ class TestEvolve:
         assert np.array_equal(frames.psi, evolve(spec, [5.0], [0.0, 10.0]).psi)
 
     def test_stall_names_last_change_and_budget(self, cfg15, monkeypatch):
-        # frames that move with every doubling never settle
+        # frames that move with every doubling never settle; the message names
+        # the sixth count, 32 times the first, 61
         monkeypatch.setattr(wavepacket, "_mode_sum",
                             lambda config, rule, amplitudes, x, *flags, **named:
                             np.full((amplitudes.shape[0], x.size), rule.nodes.size,
                                     dtype=complex))
         with pytest.raises(ConvergenceError,
                            match=r"packet frames stalled: last change \S+ against "
-                                 r"target_tol\*scale=\S+ \(about 4096 k nodes\)"):
+                                 r"target_tol\*scale=\S+ \(about 1952 k nodes\)"):
             evolve(WavePacketSpec.for_beta(cfg15, 6.0), np.linspace(0.0, 40.0, 7), [0.0])
 
     def test_grid_must_increase(self, cfg15):
@@ -262,26 +265,21 @@ class TestMeasureDelay:
 
     @pytest.mark.parametrize("mirror", [False, True])
     def test_reflected_frames_evaluated_twice(self, cfg15, mirror, monkeypatch):
-        counts = []
-        frames = wavepacket._mode_sum
-
-        def counted(config, rule, *args, **kwargs):
-            counts.append(rule.nodes.size)
-            return frames(config, rule, *args, **kwargs)
-
-        monkeypatch.setattr(wavepacket, "_mode_sum", counted)
+        rules = _recorded_rules(monkeypatch)
         measure_delay(WavePacketSpec.for_beta(cfg15, 6.0), mirror=mirror)
-        assert counts == [140, 260]  # 128 and 256 requested, whole panels of 20
+        # 130 and 260 requested, whole panels of 20
+        assert [rule.nodes.size for rule in rules] == [140, 260]
 
     def test_stall_names_last_change_and_budget(self, cfg15, monkeypatch):
-        # reflected frames that move with every doubling never settle
+        # reflected frames that move with every doubling never settle; the
+        # message names the sixth count, 32 times the first, 130
         monkeypatch.setattr(wavepacket, "_mode_sum",
                             lambda config, rule, amplitudes, x, *flags, **named:
                             np.full((amplitudes.shape[0], x.size), rule.nodes.size,
                                     dtype=complex))
         with pytest.raises(ConvergenceError,
                            match=r"reflected frames stalled: last change \S+ against "
-                                 r"target_tol\*scale=\S+ \(about 4096 k nodes\)"):
+                                 r"target_tol\*scale=\S+ \(about 4160 k nodes\)"):
             measure_delay(WavePacketSpec.for_beta(cfg15, 6.0))
 
     def test_dispersed_packet_rejected(self, cfg15):
@@ -292,6 +290,107 @@ class TestMeasureDelay:
                               x_start=4.81 / (2.0 * sigma_k), config=cfg15)
         with pytest.raises(DispersionError):
             measure_delay(spec)
+
+
+class TestPacketSupport:
+    """The k rule spans the packet's support and starts from its band limit."""
+
+    @pytest.mark.parametrize("widths", [4.1, 4.5])
+    def test_no_node_at_or_below_threshold(self, cfg15, widths, monkeypatch):
+        spec = WavePacketSpec(k_center=widths * 0.2, sigma_k=0.2, x_start=60.0, config=cfg15)
+        assert spec.support[0] == 0.0
+        rules = _recorded_rules(monkeypatch)
+        evolve(spec, np.linspace(0.0, spec.x_start + 12.0 * spec.sigma_x, 400),
+               np.linspace(0.0, 40.0, 9))
+        measure_delay(spec)
+        assert len(rules) == 4
+        assert all(np.all(rule.nodes > 0.0) for rule in rules)
+
+    @pytest.mark.parametrize("beta", [6.0, 40.0])
+    def test_frames_match_a_wider_denser_rule(self, cfg15, beta):
+        # within 2e-7 of max|psi| of k_center +/- 8 sigma_k on 4,096 nodes (4.7e-4
+        # over k_center +/- 5 sigma_k, the former support)
+        spec = WavePacketSpec.for_beta(cfg15, beta)
+        xs = np.linspace(0.0, spec.x_start + 12.0 * spec.sigma_x, 400)
+        times = np.linspace(0.0, 40.0, 9)
+        wide = contour._panel_rule(spec.k_center - 8.0 * spec.sigma_k,
+                                   spec.k_center + 8.0 * spec.sigma_k, 4096)
+        reference = wavepacket._mode_sum(cfg15, wide, wavepacket._amplitudes(spec, wide, times), xs)
+        psi = evolve(spec, xs, times).psi
+        assert np.abs(psi - reference).max() <= 1e-6 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("beta0,beta", [(1.2, 2.7), (1.2, 10.0), (2.85, 4.35), (2.85, 7.0),
+                                            (4.5, 6.0), (4.5, 10.0), (1.391, 7.678),
+                                            (4.131, 9.99)])
+    def test_first_count_and_its_double_settle(self, beta0, beta, monkeypatch):
+        # default packets over t from 0 to their return on x >= 0: frames on
+        # [-6, 18 sigma_x] with the interior, and on [0, x_start + 12 sigma_x]
+        # as the command samples them, and the measured delay
+        spec = WavePacketSpec.for_beta(PotentialConfig.from_beta0(beta0), beta)
+        times = np.linspace(0.0, (2.0 * spec.x_start + 3.0 * spec.sigma_x) / spec.group_speed
+                            + math.pi, 9)
+        with_interior = np.concatenate([np.linspace(-6.0, 0.0, 41)[:-1],
+                                        np.arange(0.0, 18.0 * spec.sigma_x, 0.1)])
+        exterior = np.linspace(0.0, spec.x_start + 12.0 * spec.sigma_x, 400)
+        rules = _recorded_rules(monkeypatch)
+        runs = [lambda: evolve(spec, with_interior, times)]
+        for mirror in (False, True):
+            runs += [lambda mirror=mirror: evolve(spec, exterior, times, mirror=mirror),
+                     lambda mirror=mirror: measure_delay(spec, mirror=mirror)]
+        for run in runs:
+            rules.clear()
+            run()
+            assert len(rules) == 2
+
+    @pytest.mark.parametrize("beta,counts", [(6.0, [165, 130]), (40.0, [1073, 857]),
+                                             (200.0, [5341, 4276])])
+    def test_first_counts_of_the_command_packet(self, cfg15, beta, counts, monkeypatch):
+        # the frames the command emits (t in [0, 40]) and its delay
+        spec = WavePacketSpec.for_beta(cfg15, beta)
+        firsts, first_nodes = [], wavepacket._first_nodes
+
+        def recorded(*args):
+            firsts.append(first_nodes(*args))
+            return firsts[-1]
+
+        monkeypatch.setattr(wavepacket, "_first_nodes", recorded)
+        evolve(spec, np.linspace(0.0, spec.x_start + 12.0 * spec.sigma_x, 400),
+               np.linspace(0.0, 40.0, 9))
+        measure_delay(spec)
+        assert firsts == counts
+
+    @pytest.mark.parametrize("beta", [40.0, 200.0])
+    def test_high_energy_settles_in_two(self, cfg15, beta, monkeypatch):
+        # the command's frames (t in [0, 40]) and delay; a first count of 128
+        # took four and three evaluations at beta = 40 and stalled at 200
+        spec = WavePacketSpec.for_beta(cfg15, beta)
+        rules = _recorded_rules(monkeypatch)
+        evolve(spec, np.linspace(0.0, spec.x_start + 12.0 * spec.sigma_x, 400),
+               np.linspace(0.0, 40.0, 9))
+        assert len(rules) == 2
+        measure_delay(spec)
+        assert len(rules) == 4
+
+    def test_table_budget_refuses_before_any_sum(self, cfg15, monkeypatch):
+        # beta = 1000: the delay's second round, 42,744 k nodes on 100 window
+        # positions and 201 times, exceeds the 2^23 entries of one round
+        rules = _recorded_rules(monkeypatch)
+        with pytest.raises(ConvergenceError, match=r"packet needs 42744 k nodes on 301 "
+                                                   r"positions and times, more than one "
+                                                   r"round's 8388608 table entries"):
+            measure_delay(WavePacketSpec.for_beta(cfg15, 1000.0))
+        assert rules == []
+
+    def test_table_budget_bounds_every_round(self, cfg15, monkeypatch):
+        # frames that never settle stop at the first round past the budget,
+        # the fourth (8 x 61 = 488 nodes on 7 + 1 points, past 3,000 entries)
+        monkeypatch.setattr(wavepacket, "_TABLE_ENTRIES", 3000)
+        monkeypatch.setattr(wavepacket, "_mode_sum",
+                            lambda config, rule, amplitudes, x, *flags, **named:
+                            np.full((amplitudes.shape[0], x.size), rule.nodes.size,
+                                    dtype=complex))
+        with pytest.raises(ConvergenceError, match=r"packet needs 488 k nodes on 8 "):
+            evolve(WavePacketSpec.for_beta(cfg15, 6.0), np.linspace(0.0, 40.0, 7), [0.0])
 
 
 def _direct_modes(config, ks, xs, mirror, incoming=True):
@@ -343,7 +442,8 @@ class TestPlaneWaves:
     def test_table_equals_direct_exponentials(self, cfg15, beta, monkeypatch):
         spec = WavePacketSpec.for_beta(cfg15, beta)
         window = _delay_grid(spec, monkeypatch)
-        # ceil(10 sigma_k L) = 95 nodes requested, whole panels of 20
+        # ceil(sqrt(2) _SUPPORT sigma_k L) = 100 nodes requested, whole panels of
+        # 20: sigma_k L is the same for every default packet
         assert np.all(np.diff(window) > 0.0) and window[0] > 0.0 and window.size == 100
         scattered = np.sort(np.concatenate([
             -np.geomspace(1e-3, 6.0, 50), [0.0], np.geomspace(1e-3, window[-1], 300)]))
@@ -359,9 +459,9 @@ class TestPlaneWaves:
         # panel's mid + half x_GL; the shared weights differ from each
         # panel's own only by the rounding of the linspace panel widths
         spec = WavePacketSpec.for_beta(cfg15, 6.0)
-        lo, hi = spec.k_center - 5.0 * spec.sigma_k, spec.k_center + 5.0 * spec.sigma_k
+        lo, hi = spec.support
         x_gl, w_gl = np.polynomial.legendre.leggauss(20)
-        for n in (128, 1024):
+        for n in (180, 1440):
             rule = wavepacket._k_rule(spec, n)
             assert np.array_equal(rule.nodes, np.add.outer(rule.centres, rule.offsets).ravel())
             edges = np.linspace(lo, hi, rule.centres.size + 1)
@@ -412,8 +512,8 @@ class TestPacketSums:
         rules = []
         k_rule = wavepacket._k_rule
 
-        def recorded(spec, n):
-            rules.append(k_rule(spec, n))
+        def recorded(spec, n, *points):
+            rules.append(k_rule(spec, n, *points))
             return rules[-1]
 
         monkeypatch.setattr(wavepacket, "_k_rule", recorded)
