@@ -32,7 +32,7 @@ _EXPORTS = {
                    "delay_time", "pi_coefficient", "find_resonances"),
     "wavepacket": ("WavePacketSpec", "FrameSet", "improper_eigenfunction",
                    "evolve", "measure_delay"),
-    "special": (), "runtime": (), "oracle": (), "verification": (), "cli": (),
+    "quadrature": (), "special": (), "runtime": (), "oracle": (), "verification": (), "cli": (),
 }
 
 _ORIGIN = {name: f"{__name__}.{module}"

@@ -45,16 +45,14 @@ Both pieces separate in beta, so an array of beta is one block of rows
 F(beta_i, y_j): the (beta x n) weights times the rows h_n, which do not
 depend on beta, and the cut edge, the factors t_m^(b - beta_i), b the
 smallest beta, times the positive terms w_m t_m^(-b) e^{-t_m^2 + 2 t_m y_j}
-of a composite Gauss-Legendre rule, cut off where they drop below
+of the Gauss-Legendre panel rule of quadrature, cut off where they drop below
 _TARGET_TOL / 100.  With nodes t_m = c_p + o_q (panel centre plus offset),
 e^{2 t_m y_j} = e^{2 c_p y_j} e^{2 o_q y_j}, so every block forms (offset x y)
 and (panel x y) exponentials, never (node x y) ones, and contracts the
 offsets in one real matrix product, then the panels.  At bound-state sizes
 that product runs on one CPU: process CPU time equals wall time in the
 benchmark's states workload, and a CI step checks it.  The cut edge goes
-through _refine, the one doubling refinement of the package: _LINE_NODES
-nodes, doubled until two successive blocks agree to _TARGET_TOL relative to
-1 + max|F|, with ConvergenceError after _MAX_ROUNDS evaluations.  A
+through quadrature.refine from _LINE_NODES nodes at _TARGET_TOL.  A
 tolerance below a row's round-off floor (machine epsilon times its absolute
 sums at the first evaluation) raises ConvergenceError at once, as do series
 terms that overflow.
@@ -69,11 +67,13 @@ from __future__ import annotations
 import math
 import threading
 from collections import OrderedDict
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError
+# _line_part's rule; bench/tracer.py (EXTRA_FUNCTIONS) looks it up under this name and
+# counts its calls, in every traced module that binds it, as contour._panel_rule
+from .quadrature import panel_rule as _panel_rule, refine
 from .special import _sin_cos_pi, reciprocal_gamma
 
 _TWO_PI = 2.0 * math.pi
@@ -81,65 +81,12 @@ _CIRCLE_RADIUS = 1.0
 _LINE_NODES = 120  # first node count of the cut-edge refinement
 _TARGET_TOL = 1e-10
 _JUNCTION_TOL = 1e-8  # relative F(0) - J(beta) that interior_rows allows
-_MAX_ROUNDS = 6  # evaluations of an adaptive sum before _refine gives up
 _SERIES_CHUNK = 8  # series terms between two checks of the stop rule
 _EPS = float(np.finfo(float).eps)
 _TABLE_CACHE_ENTRIES = 8  # Hermite tables _hermite_table keeps between calls
 _TABLE_CACHE_BYTES = 4 << 20  # their total size, y keys included
 _tables: OrderedDict = OrderedDict()  # key -> table, least recently used first
 _tables_lock = threading.Lock()
-
-
-_NODES_PER_PANEL = 20
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_NODES_PER_PANEL)
-
-
-class _PanelRule(NamedTuple):
-    """Composite Gauss-Legendre rule in the factors of its nodes.
-
-    Node p * len(offsets) + q is nodes = centres[p] + offsets[q]: the
-    equal-width panels share one half-width, hence their node offsets from
-    the panel centre and their weights.
-    """
-
-    nodes: np.ndarray
-    weights: np.ndarray
-    centres: np.ndarray
-    offsets: np.ndarray
-
-
-def _panel_rule(a: float, b: float, n_nodes: int) -> _PanelRule:
-    """Composite Gauss-Legendre rule on [a, b] with about n_nodes nodes."""
-    n_panels = max(1, int(math.ceil(n_nodes / _NODES_PER_PANEL)))
-    edges = np.linspace(a, b, n_panels + 1)
-    centres = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * (b - a) / n_panels
-    offsets = half * _GL_NODES
-    return _PanelRule(np.add.outer(centres, offsets).ravel(),
-                      np.multiply.outer(np.full(n_panels, half), _GL_WEIGHTS).ravel(),
-                      centres, offsets)
-
-
-def _refine(evaluate, n_nodes: int, tol: float, what: str, nodes: str):
-    """evaluate(n) at n = n_nodes, 2 n_nodes, ... until two successive values agree.
-
-    Returns the first value v_n with max|v_n - v_{n/2}| < tol (1 + max|v_n|).
-    After _MAX_ROUNDS evaluations raises ConvergenceError naming ``what``,
-    the last change, the change allowed and the node count, written into
-    ``nodes`` by str.format.
-    """
-    previous = evaluate(n_nodes)
-    for _ in range(_MAX_ROUNDS - 1):
-        n_nodes *= 2
-        value = evaluate(n_nodes)
-        allowed = tol * (1.0 + float(np.abs(value).max(initial=0.0)))
-        change = float(np.abs(value - previous).max(initial=0.0))
-        if change < allowed:
-            return value
-        previous = value
-    raise ConvergenceError(
-        f"{what} stalled: last change {change:.3g} against "
-        f"target_tol*scale={allowed:.3g} ({nodes.format(n_nodes)})")
 
 
 def _hermite_table(y: np.ndarray, radius: float, limit: float) -> np.ndarray:
@@ -315,7 +262,7 @@ def f_epsilon(beta, y):
         return value
 
     what = f"beta={b[0]}" if b.size == 1 else f"beta in [{b.min()}, {b.max()}]"
-    value = _refine(value_at, _LINE_NODES, tol, f"contour for {what}",
+    value = refine(value_at, _LINE_NODES, tol, f"contour for {what}",
                     f"{n_terms} series terms, {{}} line nodes")
     return value.reshape(shape)[()]
 

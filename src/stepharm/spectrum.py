@@ -32,9 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import contour
-from .errors import BracketError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError
 from .potential import PotentialConfig
 from .special import _ratio_and_psi_gap, _sin_cos_pi, gamma_half_ratio
+
+_MAX_LEVELS = 2 ** 20  # most levels of one table, beta0 up to ~2.1e6: ~0.7 GB at its peak
 
 
 @dataclass(frozen=True)
@@ -121,6 +123,7 @@ def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLeve
     bracket known to hold the root halves it instead.  A level is
     done once its last step is no longer than tol, or when its bracket is
     two adjacent floats, so a tol below the float spacing still ends.
+    More than _MAX_LEVELS levels raise ConvergenceError before any array is formed.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -128,7 +131,11 @@ def solve_levels(config: PotentialConfig, tol: float = 1e-12) -> list[EnergyLeve
     if beta0 == 1.0:
         return [EnergyLevel(n=0, beta_n=1.0, energy=config.energy(1.0),
                             k_n=0.0, marginal=True)]
-    odd = 2.0 * np.arange(level_count(config)) + 1.0
+    count = level_count(config)
+    if count > _MAX_LEVELS:
+        raise ConvergenceError(f"beta0={beta0:g} has {count:.7g} bound states, more than "
+                               f"the {_MAX_LEVELS} levels of one table")
+    odd = 2.0 * np.arange(count) + 1.0
     lo, hi = odd.copy(), np.minimum(odd + 1.0, beta0)
     x = 0.5 * (lo + hi)
     g, slope = (v.reshape(3, -1) for v in

@@ -11,14 +11,14 @@ The reflection delay is measured as the time the reflected packet's
 centroid crosses the detector at x_start, minus the perfect-mirror
 prediction 2*x_start/(hbar*k_center/m).
 
-The k integral is the composite Gauss-Legendre rule ``contour._panel_rule``
+The k integral is the composite Gauss-Legendre rule ``quadrature.panel_rule``
 over the packet's ``support``.  Every mode and frame is the one sum
 psi[t, x] = sum_k A[t, k] u_k(x) of ``_mode_sum``: A = w c(k) e^{-i Omega(k) t}
 for a packet, A = [[1]] for one eigenfunction.  zeta(k), Pi(beta) and
 1/sqrt(2 pi) ride on A, so no (k x x) mode table is formed: the plane waves
 e^{ikx} are one table built from per-panel factors (``_plane_waves``), and
 the incoming wave is the conjugate of conj(A) times it.  ``evolve`` converges
-its frames by the one doubling refinement ``contour._refine``: from the
+its frames by the one doubling refinement ``quadrature.refine``: from the
 k-node count of ``_first_nodes``, doubled until they change by less than
 1e-6 relative to 1 + max|psi|, at most six evaluations.  ``measure_delay``
 sums the outgoing waves alone, on the nodes of its detector window, and
@@ -35,12 +35,14 @@ import numpy as np
 from . import contour, scattering
 from .errors import ConvergenceError, DispersionError, DomainError
 from .potential import PotentialConfig
+from .quadrature import NODES_PER_PANEL, PanelRule, panel_rule, refine
 
 _FRAME_TOL = 1e-6
 _SUPPORT = 2.0 * math.sqrt(math.log(1.0 / _FRAME_TOL))  # ~7.43: |c| = _FRAME_TOL max|c| there
 _TABLE_ENTRIES = 2 ** 23  # most k nodes x (positions + times) of one round: ~134 MB a table
 _REL_WIDTH = 1.0 / 30.0  # default sigma_k / k_center of WavePacketSpec.for_k
 _START_WIDTHS = 6.0  # default x_start of WavePacketSpec.for_k, in initial widths sigma_x
+_POSITIVE = "k_center, sigma_k and x_start must be positive"
 _MIN_OVERLAP_SIGMAS = 4.8  # Gaussian tail beyond 4.75 sigma is < 1e-6
 # Phi(-2): the share on x < 0 of a Gaussian of width x_start/2 centred on
 # the detector; a reflected packet missing more than this is not yet formed
@@ -58,7 +60,7 @@ class WavePacketSpec:
 
     def __post_init__(self):
         if self.k_center <= 0 or self.sigma_k <= 0 or self.x_start <= 0:
-            raise DomainError("k_center, sigma_k and x_start must be positive")
+            raise DomainError(_POSITIVE)
         if self.k_center - 4.0 * self.sigma_k <= 0.0:
             raise DomainError("packet must be supported above threshold "
                               "(k_center - 4 sigma_k > 0)")
@@ -76,6 +78,8 @@ class WavePacketSpec:
         """
         if sigma_k is None:
             sigma_k = k_center * _REL_WIDTH
+        if k_center <= 0 or sigma_k <= 0:  # before x_start divides by sigma_k
+            raise DomainError(_POSITIVE)
         if x_start is None:
             x_start = _START_WIDTHS / (2.0 * sigma_k)
         return cls(k_center=k_center, sigma_k=sigma_k, x_start=x_start, config=config)
@@ -136,17 +140,22 @@ def improper_eigenfunction(beta, config: PotentialConfig, x):
     """
     x_arr = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
     k = np.array([config.k_continuum(beta)])
-    out = _mode_sum(config, contour._PanelRule(k, np.ones(1), k, np.zeros(1)),
+    out = _mode_sum(config, PanelRule(k, np.ones(1), k, np.zeros(1)),
                     np.ones((1, 1)), x_arr)[0]
     return out[0] if np.ndim(x) == 0 else out.reshape(np.shape(x))
 
 
-def _k_rule(spec: WavePacketSpec, n_nodes: int, points: int = 0) -> contour._PanelRule:
-    """``contour._panel_rule`` over the support; ConvergenceError for sums past _TABLE_ENTRIES."""
+def _check_table(n_nodes: int, points: int) -> None:
+    """ConvergenceError if n_nodes k nodes on ``points`` positions and times pass _TABLE_ENTRIES."""
     if n_nodes * points > _TABLE_ENTRIES:
         raise ConvergenceError(f"packet needs {n_nodes} k nodes on {points} positions and "
                                f"times, more than one round's {_TABLE_ENTRIES} table entries")
-    return contour._panel_rule(*spec.support, n_nodes)
+
+
+def _k_rule(spec: WavePacketSpec, n_nodes: int, points: int = 0) -> PanelRule:
+    """``panel_rule`` over the support, after ``_check_table``."""
+    _check_table(n_nodes, points)
+    return panel_rule(*spec.support, n_nodes)
 
 
 def _first_nodes(spec: WavePacketSpec, x, times, signs: tuple, mirror: bool) -> int:
@@ -161,12 +170,12 @@ def _first_nodes(spec: WavePacketSpec, x, times, signs: tuple, mirror: bool) -> 
     if not mirror:  # one delta_prime call, on the rule sized without that term
         k = _k_rule(spec, math.ceil(_SUPPORT * spec.sigma_k * rate), x.size + times.size).nodes
         rate += np.abs(scattering.delta_prime(cfg.beta_from_k(k), cfg) * k).max() / cfg.alpha ** 2
-    first = max(math.ceil(_SUPPORT * spec.sigma_k * rate), contour._NODES_PER_PANEL)
-    _k_rule(spec, 2 * first, x.size + times.size)  # ConvergenceError unless round two fits
+    first = max(math.ceil(_SUPPORT * spec.sigma_k * rate), NODES_PER_PANEL)
+    _check_table(2 * first, x.size + times.size)  # round two must fit too
     return first
 
 
-def _plane_waves(rule: contour._PanelRule, x: np.ndarray) -> np.ndarray:
+def _plane_waves(rule: PanelRule, x: np.ndarray) -> np.ndarray:
     """Table e^{ikx}[node, x] of the rule's nodes, from per-panel factors.
 
     e^{i (c_p + o_q) x} = e^{i c_p x} e^{i o_q x}: one exponential per panel
@@ -178,7 +187,7 @@ def _plane_waves(rule: contour._PanelRule, x: np.ndarray) -> np.ndarray:
     return (centre[:, None, :] * offset[None, :, :]).reshape(rule.nodes.size, x.size)
 
 
-def _mode_sum(config: PotentialConfig, rule: contour._PanelRule, amplitudes: np.ndarray,
+def _mode_sum(config: PotentialConfig, rule: PanelRule, amplitudes: np.ndarray,
               x: np.ndarray, mirror: bool = False, incoming: bool = True) -> np.ndarray:
     """psi[t, x] = sum_k amplitudes[t, k] u_k(x) over the rule's nodes: every continuum mode.
 
@@ -206,7 +215,7 @@ def _mode_sum(config: PotentialConfig, rule: contour._PanelRule, amplitudes: np.
     return psi
 
 
-def _amplitudes(spec: WavePacketSpec, rule: contour._PanelRule, times: np.ndarray) -> np.ndarray:
+def _amplitudes(spec: WavePacketSpec, rule: PanelRule, times: np.ndarray) -> np.ndarray:
     """Packet amplitudes A[t, k] = w_k c(k) e^{-i Omega(k) t} on the rule's nodes."""
     phases = np.exp(-1j * np.outer(times, spec.omega_of(rule.nodes)))
     return phases * (rule.weights * spec.envelope(rule.nodes))
@@ -236,8 +245,8 @@ def evolve(spec: WavePacketSpec, x_grid, times, mirror: bool = False) -> FrameSe
         rule = _k_rule(spec, n_nodes, x_arr.size + t_arr.size)
         return _mode_sum(spec.config, rule, _amplitudes(spec, rule, t_arr), x_arr, mirror)
 
-    psi = contour._refine(frames, _first_nodes(spec, x_arr, t_arr, (1.0, -1.0), mirror),
-                          _FRAME_TOL, "packet frames", "about {} k nodes")
+    psi = refine(frames, _first_nodes(spec, x_arr, t_arr, (1.0, -1.0), mirror),
+                 _FRAME_TOL, "packet frames", "about {} k nodes")
     return FrameSet(times=t_arr, x_grid=x_arr, psi=psi)
 
 
@@ -245,8 +254,8 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
     """Reflection delay from the centroid of the reflected packet.
 
     At 201 times, the norm and first moment of |psi_ref|^2 on 0 <= x <= L =
-    x_start + 12 widths converge by the frame rule of ``evolve``, integrated
-    on the ``contour._panel_rule`` of ceil(d L) nodes, d = sqrt(2) _SUPPORT sigma_k:
+    x_start + 12 widths converge by ``quadrature.refine`` as in ``evolve``, integrated
+    on the ``quadrature.panel_rule`` of ceil(d L) nodes, d = sqrt(2) _SUPPORT sigma_k:
     the terms e^{i(k - l)x} of |psi_ref|^2 weigh less than _FRAME_TOL past k - l = d,
     and 2 pi nodes per wavelength 2 pi/d integrate them to rounding, half as many
     to 1e-12.  The centroid moves ballistically at the mean group speed once the
@@ -268,7 +277,7 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
     window = 10.0 * math.pi / cfg.omega
     times = np.linspace(max(t_mirror - 4.0 * spread / v, 0.0), t_mirror + window, 201)
     length = spec.x_start + 12.0 * spread
-    x = contour._panel_rule(0.0, length, math.ceil(2 ** 0.5 * _SUPPORT * spec.sigma_k * length))
+    x = panel_rule(0.0, length, math.ceil(2 ** 0.5 * _SUPPORT * spec.sigma_k * length))
     moment_weights = np.c_[x.weights, x.weights * x.nodes / spec.x_start]
 
     def moments(n_nodes: int) -> np.ndarray:  # norm, moment / x_start; outgoing waves alone
@@ -276,8 +285,8 @@ def measure_delay(spec: WavePacketSpec, mirror: bool = False) -> float:
         psi = _mode_sum(cfg, rule, _amplitudes(spec, rule, times), x.nodes, mirror, incoming=False)
         return (psi.real ** 2 + psi.imag ** 2) @ moment_weights
 
-    norms, first = contour._refine(moments, _first_nodes(spec, x.nodes, times, (1.0,), mirror),
-                                   _FRAME_TOL, "reflected frames", "about {} k nodes").T
+    norms, first = refine(moments, _first_nodes(spec, x.nodes, times, (1.0,), mirror),
+                          _FRAME_TOL, "reflected frames", "about {} k nodes").T
     centroids = spec.x_start * first / norms
     # the packet has unit norm and |zeta| = 1: what the window misses is 1 - norm
     formed = np.flatnonzero(norms > 1.0 - _UNFORMED_SHARE)

@@ -2,10 +2,8 @@
 
 import json
 import os
-import subprocess
 import sys
 import time
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -13,8 +11,10 @@ import pytest
 
 import stepharm
 from stepharm import (BracketError, PotentialConfig, SingularityError, WavePacketSpec, cli,
-                      contour, evolve, measure_delay, scattering, verification, wavepacket)
+                      contour, evolve, measure_delay, quadrature, scattering, verification,
+                      wavepacket)
 from stepharm.special import _LANCZOS_COEFFS, _RATIO_SERIES
+from tests.conftest import fresh_interpreter
 
 
 def run_cli(*argv):
@@ -120,6 +120,39 @@ class TestLevels:
                            "-o", str(path)) == 0
             documents.append(json.loads(path.read_text()))
         assert documents[0]["data"] == documents[1]["data"]
+
+
+# Run in a fresh interpreter whose address space is capped at 1 GiB, so a
+# table too large for it fails there and not on the machine: the exit status
+# of ``cli.main`` on the arguments, its stdout and its stderr.
+_CAPPED_RUN = """
+import contextlib, io, json, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from stepharm import cli
+out, err = io.StringIO(), io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    status = cli.main(sys.argv[1:])
+print(json.dumps([status, out.getvalue(), err.getvalue()]))
+"""
+
+
+class TestLevelTableCap:
+    @pytest.mark.parametrize("argv,beta0,count", [
+        (["levels", "--u0", "1e300"], "1e+300", "5e+299"),
+        (["eigenfunction", "--u0", "1e300", "--n", "0"], "1e+300", "5e+299"),
+        (["levels", "--beta0", "1e8"], "1e+08", "5e+07")])
+    def test_table_past_the_cap_exits_4(self, argv, beta0, count):
+        start = time.perf_counter()
+        status, out, err = json.loads(fresh_interpreter(_CAPPED_RUN, *argv))
+        assert time.perf_counter() - start < 2.0
+        assert (status, out) == (4, "")
+        assert err == (f"numerical failure: beta0={beta0} has {count} bound states, "
+                       f"more than the 1048576 levels of one table\n")
+
+    def test_table_below_the_cap_exits_0(self):
+        status, out, err = json.loads(fresh_interpreter(_CAPPED_RUN, "levels", "--beta0", "1e5"))
+        assert status == 0 and json.loads(err)["manifest"]["command"] == "levels"
+        assert len(read_csv(out)[1]) == 50000
 
 
 class TestDelay:
@@ -298,6 +331,16 @@ class TestWavepacket:
             run_cli("wavepacket", "--beta0", "1.5", "--k-center", "3.0", option, "0")
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [["--beta-center", "1.5"], ["--k-center", "0"],
+                                      ["--k-center", "1", "--sigma-k", "0"]])
+    def test_packet_at_threshold_exits_2(self, capsys, argv):
+        # the spec is refused before the default x_start divides by sigma_k
+        with pytest.raises(SystemExit) as exc:
+            run_cli("wavepacket", "--beta0", "1.5", *argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(
+            "error: k_center, sigma_k and x_start must be positive\n")
+
     def test_unlaunchable_packet_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             run_cli("wavepacket", "--beta0", "1.5", "--k-center", "3.0",
@@ -350,7 +393,7 @@ class TestWavepacket:
         measured = json.loads(capsys.readouterr().out)["summary"]["measured_delay"]
         spec = WavePacketSpec(k_center=0.82, sigma_k=0.2, x_start=60.0,
                               config=PotentialConfig.from_beta0(1.5))
-        dense = contour._panel_rule(0.0, 0.82 + 8.0 * 0.2, 4096)
+        dense = quadrature.panel_rule(0.0, 0.82 + 8.0 * 0.2, 4096)
         monkeypatch.setattr(wavepacket, "_k_rule", lambda spec, n_nodes, *points: dense)
         assert abs(measured - measure_delay(spec)) < 1e-6
 
@@ -513,22 +556,6 @@ if len(sys.argv) > 1:
 print(json.dumps([status, sorted(m for m in sys.modules
                                  if m.split(".")[0] in ("numpy", "stepharm"))]))
 """
-
-
-def fresh_interpreter(code, *argv, threads=None):
-    """Last stdout line of ``code`` run with ``argv`` in a new Python process.
-
-    The process sees this one's environment with none of the BLAS thread
-    variables but those given in ``threads``.
-    """
-    src = str(Path(stepharm.__file__).resolve().parents[1])
-    env = {name: value for name, value in os.environ.items()
-           if name not in cli._BLAS_THREAD_VARIABLES}
-    env.update(threads or {}, PYTHONPATH=os.pathsep.join(
-        filter(None, (src, os.environ.get("PYTHONPATH")))))
-    done = subprocess.run([sys.executable, "-c", code, *argv], env=env, check=True,
-                          capture_output=True, text=True)
-    return done.stdout.splitlines()[-1]
 
 
 def loaded_by(*argv):

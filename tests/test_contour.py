@@ -12,7 +12,7 @@ import scipy.special as sps
 
 from stepharm import (ConvergenceError, DomainError, PotentialConfig, WavePacketSpec,
                       contour, f_epsilon, f_epsilon_derivative, hermite_poly, j_beta,
-                      wavepacket)
+                      quadrature, wavepacket)
 
 EPS = np.finfo(float).eps
 
@@ -357,8 +357,8 @@ class TestFactoredCutEdge:
             panels.clear()
             f_epsilon(betas, self.YS)
             most = max(panels)
-            assert max(sizes) <= max(self.YS.size * contour._NODES_PER_PANEL,
-                                     self.YS.size * most, most * contour._NODES_PER_PANEL)
+            assert max(sizes) <= max(self.YS.size * quadrature.NODES_PER_PANEL,
+                                     self.YS.size * most, most * quadrature.NODES_PER_PANEL)
 
 
 def _circle_mpmath(beta: float, y: float, radius: float) -> complex:

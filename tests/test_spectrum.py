@@ -253,6 +253,16 @@ class TestSolveLevels:
                 assert level.k_n == config.k_bound(level.beta_n)
                 assert type(level.energy) is float and type(level.k_n) is float
 
+    def test_level_cap_refuses_before_any_evaluation(self, monkeypatch):
+        # every beta0 up to 2e6 fits under the cap; past it nothing is evaluated
+        assert level_count(make_config(2e6)) == 1_000_000 <= spectrum._MAX_LEVELS
+        monkeypatch.setattr(spectrum, "_MAX_LEVELS", 2)
+        assert len(solve_levels(make_config(4.5))) == 2
+        monkeypatch.setattr(spectrum, "_level_phase", None)
+        with pytest.raises(ConvergenceError, match=r"^beta0=5\.5 has 3 bound states, more "
+                                                   r"than the 2 levels of one table$"):
+            solve_levels(make_config(5.5))
+
     def test_no_sign_change_raises_bracket_error(self, monkeypatch):
         # the phase form is negative at 2n+1 and positive at the upper end by
         # construction; a residual without that sign change is refused

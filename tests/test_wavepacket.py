@@ -9,7 +9,7 @@ import pytest
 from stepharm import (ConvergenceError, DispersionError, DomainError,
                       PotentialConfig, WavePacketSpec, contour, delay_time, evolve, f_epsilon,
                       f_epsilon_derivative, improper_eigenfunction,
-                      measure_delay, pi_coefficient, wavepacket, zeta)
+                      measure_delay, pi_coefficient, quadrature, wavepacket, zeta)
 
 
 def _recorded_rules(monkeypatch):
@@ -34,6 +34,13 @@ class TestSpecValidation:
     def test_below_threshold_rejected(self, cfg15):
         with pytest.raises(DomainError):
             WavePacketSpec(k_center=0.3, sigma_k=0.1, x_start=30.0, config=cfg15)
+
+    @pytest.mark.parametrize("k_center,sigma_k", [(0.0, None), (-1.0, None), (1.0, 0.0),
+                                                   (1.0, -0.1)])
+    def test_for_k_refuses_a_packet_at_threshold(self, cfg15, k_center, sigma_k):
+        # before the default x_start divides by sigma_k
+        with pytest.raises(DomainError, match="k_center, sigma_k and x_start must be positive"):
+            WavePacketSpec.for_k(cfg15, k_center, sigma_k)
 
     def test_overlapping_launch_rejected(self, cfg15):
         with pytest.raises(DomainError):
@@ -69,7 +76,7 @@ class TestImproperEigenfunction:
         # unit amplitudes on one node at a time: each row of the packet's
         # mode sum over a rule of 20 nodes is the eigenfunction at its k
         xs = np.linspace(-4.0, 6.0, 41)
-        rule = contour._panel_rule(cfg15.k_continuum(2.3), cfg15.k_continuum(2.5), 20)
+        rule = quadrature.panel_rule(cfg15.k_continuum(2.3), cfg15.k_continuum(2.5), 20)
         rows = wavepacket._mode_sum(cfg15, rule, np.eye(rule.nodes.size), xs)
         for k, row in zip(rule.nodes, rows):
             expected = improper_eigenfunction(cfg15.beta_from_k(k), cfg15, xs)
@@ -313,8 +320,8 @@ class TestPacketSupport:
         spec = WavePacketSpec.for_beta(cfg15, beta)
         xs = np.linspace(0.0, spec.x_start + 12.0 * spec.sigma_x, 400)
         times = np.linspace(0.0, 40.0, 9)
-        wide = contour._panel_rule(spec.k_center - 8.0 * spec.sigma_k,
-                                   spec.k_center + 8.0 * spec.sigma_k, 4096)
+        wide = quadrature.panel_rule(spec.k_center - 8.0 * spec.sigma_k,
+                                     spec.k_center + 8.0 * spec.sigma_k, 4096)
         reference = wavepacket._mode_sum(cfg15, wide, wavepacket._amplitudes(spec, wide, times), xs)
         psi = evolve(spec, xs, times).psi
         assert np.abs(psi - reference).max() <= 1e-6 * np.abs(reference).max()
@@ -380,6 +387,18 @@ class TestPacketSupport:
                                                    r"round's 8388608 table entries"):
             measure_delay(WavePacketSpec.for_beta(cfg15, 1000.0))
         assert rules == []
+
+    @pytest.mark.parametrize("mirror,built", [(False, 1), (True, 0)])
+    def test_first_count_builds_only_the_delta_prime_rule(self, cfg15, mirror, built,
+                                                          monkeypatch):
+        # round two's table budget is checked on its node count, with no rule
+        spec = WavePacketSpec.for_beta(cfg15, 6.0)
+        rules, panel_rule = [], wavepacket.panel_rule
+        monkeypatch.setattr(wavepacket, "panel_rule",
+                            lambda *args: rules.append(panel_rule(*args)) or rules[-1])
+        wavepacket._first_nodes(spec, np.linspace(0.0, 150.0, 400), np.linspace(0.0, 40.0, 9),
+                                (1.0, -1.0), mirror)
+        assert len(rules) == built
 
     def test_table_budget_bounds_every_round(self, cfg15, monkeypatch):
         # frames that never settle stop at the first round past the budget,
@@ -551,8 +570,8 @@ class TestDelayWindow:
         spec = WavePacketSpec.for_beta(config, beta)
         delay = measure_delay(spec, mirror=mirror)
         rules, times = [], []
-        panel_rule, packet_amplitudes, refine = (contour._panel_rule, wavepacket._amplitudes,
-                                                 contour._refine)
+        panel_rule, packet_amplitudes, refine = (wavepacket.panel_rule, wavepacket._amplitudes,
+                                                 wavepacket.refine)
 
         def recorded_rule(a, b, n):
             rules.append((a, b, panel_rule(a, b, n)))
@@ -575,9 +594,9 @@ class TestDelayWindow:
                            for z in integrals)
             return np.stack([norm, first / spec.x_start], axis=1)
 
-        monkeypatch.setattr(contour, "_panel_rule", recorded_rule)
+        monkeypatch.setattr(wavepacket, "panel_rule", recorded_rule)
         monkeypatch.setattr(wavepacket, "_amplitudes", recorded_times)
-        monkeypatch.setattr(contour, "_refine", exact)
+        monkeypatch.setattr(wavepacket, "refine", exact)
         assert abs(measure_delay(spec, mirror=mirror) - delay) <= 1e-10
 
     @pytest.mark.parametrize("beta0,beta", [(1.5, 6.0), (4.4, 9.5)])
@@ -585,7 +604,7 @@ class TestDelayWindow:
         # the derived count has margin: 60 nodes in place of 100 give the same delay
         spec = WavePacketSpec.for_beta(PotentialConfig.from_beta0(beta0), beta)
         delay = measure_delay(spec)
-        panel_rule = contour._panel_rule
-        monkeypatch.setattr(contour, "_panel_rule",
+        panel_rule = wavepacket.panel_rule
+        monkeypatch.setattr(wavepacket, "panel_rule",
                             lambda a, b, n: panel_rule(a, b, n // 2 if a == 0.0 else n))
         assert abs(measure_delay(spec) - delay) < 1e-12
