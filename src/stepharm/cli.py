@@ -60,9 +60,41 @@ def _fmt(value) -> str:
     return f"{float(value):.12g}"
 
 
-def _csv_text(header: list[str], rows: list[tuple]) -> str:
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+# json's spelling of float.__repr__'s nan, inf and -inf
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _column(values: tuple, as_json: bool) -> tuple[str, list]:
+    """A %-format for a column, from its value types, and the values it formats.
+
+    Each value's text is that of ``json.dumps(..., default=float)`` or ``_fmt``.
+    """
+    kinds = set(map(type, values))
+    if all(issubclass(kind, float) for kind in kinds):
+        if not as_json:
+            return "%.12g", values
+        text = list(map(float.__repr__, values))
+        if not all(map(math.isfinite, values)):
+            text = [_JSON_NON_FINITE.get(t, t) for t in text]
+        return "%s", text
+    if kinds == {bool}:
+        return "%s", ["true" if v else "false" for v in values]
+    if bool not in kinds and all(issubclass(kind, int if as_json else numbers.Integral)
+                                 for kind in kinds):
+        return "%d", values
+    return "%s", [json.dumps(v, default=float) if as_json else _fmt(v) for v in values]
+
+
+def _rows_text(header: list[str], rows: list[tuple], as_json: bool) -> str:
+    """CSV lines, or the list json.dumps(indent=2) writes under a top key: a %-format a row."""
+    if not rows:
+        return "[]" if as_json else ""
+    formats, columns = zip(*(_column(values, as_json) for values in zip(*rows)))
+    template = ("    {\n" + ",\n".join(f"      {json.dumps(key).replace('%', '%%')}: {form}"
+                                         for key, form in zip(header, formats)) + "\n    }"
+                if as_json else ",".join(formats))
+    text = (",\n" if as_json else "\n").join(map(template.__mod__, zip(*columns)))
+    return "[\n" + text + "\n  ]" if as_json else text + "\n"
 
 
 def _manifest(args) -> dict:
@@ -85,11 +117,15 @@ def _emit(args, header: list[str], rows: list[tuple], extra: dict | None = None)
     as_json = args.format == "json"
     record = {"manifest": _manifest(args)}
     if as_json:
-        record["data"] = [dict(zip(header, row)) for row in rows]
+        record["data"] = []
     record.update(extra or {})
     text = json.dumps(record, indent=2 if as_json or args.output else None,
                       default=float) + "\n"
-    body, meta = (text, "") if as_json else (_csv_text(header, rows), text)
+    if as_json:  # json's indented encoder is pure Python: the rows go in by %-format
+        body, meta = text.replace('\n  "data": []',
+                                  '\n  "data": ' + _rows_text(header, rows, True), 1), ""
+    else:
+        body, meta = ",".join(header) + "\n" + _rows_text(header, rows, False), text
     if not args.output:
         sys.stdout.write(body)
         sys.stderr.write(meta)

@@ -32,30 +32,36 @@ doubled, is below _TARGET_TOL / 100.  At integer beta = m+1 every sinc
 vanishes but the n = m one, and the series is the residue formula
 (2 pi i / m!) H_m(y).
 
-The rows h_n do not depend on beta, so they are built once per y grid:
-_hermite_table keeps each (terms x y) table, read-only, under the bytes of
-the float64 y, the radius, the stop limit and _SERIES_CHUNK.  A later call
-on the same y (another level on a state grid, the next k round of a packet,
-a repeated F(0)) skips the recurrence and gets the same bits as a cold
-call.  At most _TABLE_CACHE_ENTRIES tables and _TABLE_CACHE_BYTES are
-kept, the least recently used going first; a larger table is used once
-and dropped.  A lock makes the cache safe to share between threads.
-
 Both pieces separate in beta, so an array of beta is one block of rows
 F(beta_i, y_j): the (beta x n) weights times the rows h_n, which do not
-depend on beta, and the cut edge, the factors t_m^(b - beta_i), b the
-smallest beta, times the positive terms w_m t_m^(-b) e^{-t_m^2 + 2 t_m y_j}
-of the Gauss-Legendre panel rule of quadrature, cut off where they drop below
-_TARGET_TOL / 100.  With nodes t_m = c_p + o_q (panel centre plus offset),
-e^{2 t_m y_j} = e^{2 c_p y_j} e^{2 o_q y_j}, so every block forms (offset x y)
-and (panel x y) exponentials, never (node x y) ones, and contracts the
-offsets in one real matrix product, then the panels.  At bound-state sizes
-that product runs on one CPU: process CPU time equals wall time in the
-benchmark's states workload, and a CI step checks it.  The cut edge goes
-through quadrature.refine from _LINE_NODES nodes at _TARGET_TOL.  A
-tolerance below a row's round-off floor (machine epsilon times its absolute
-sums at the first evaluation) raises ConvergenceError at once, as do series
-terms that overflow.
+depend on beta, and the cut edge, the positive terms
+w_m t_m^(-beta_i) e^{-t_m^2 + 2 t_m y_j} of the Gauss-Legendre panel rule of
+quadrature, cut off where they drop below _TARGET_TOL / 100 at b, the
+smallest beta.  With nodes t_m = c_p + o_q (panel centre plus offset), a term
+is g_im e^{2 o_q y_j} e^{2 c_p y_j - c_p^2}: only the node factor
+g_im = w_m t_m^(-beta_i) e^{-2 c_p o_q - o_q^2} depends on beta, and the
+(offset x y) and (panel x y) exponentials on y alone.  Every block contracts
+g with the offsets in one real matrix product, then with the panels, and
+forms no (node x y) exponentials.  At bound-state sizes that product runs on
+one CPU: process CPU time equals wall time in the benchmark's states
+workload, and a CI step checks it.  The cut edge goes through
+quadrature.refine from _LINE_NODES nodes at _TARGET_TOL.  A tolerance below a
+row's round-off floor (machine epsilon times its absolute sums at the first
+evaluation) raises ConvergenceError at once, as do series terms that
+overflow.
+
+Every table on y is built once per y grid: _grid_table keeps one read-only
+entry per grid, under the bytes of the float64 y, with the rows h_n (keyed by
+the radius, the stop limit and _SERIES_CHUNK) and, added the first time each
+is used, the cut edge's node factors and exponentials (keyed by the radius,
+t_max, the node count and quadrature.NODES_PER_PANEL).  A later call on the
+same y (another level on a state grid, the next k round of a packet) forms
+no exponential and no recurrence on y, and gets the same bits as a cold call,
+which uses the same tables.  At most _TABLE_CACHE_ENTRIES grids and
+_TABLE_CACHE_BYTES of arrays are kept (the four grids of the benchmark's
+states workload take 4.3 MB), least recently used first out; a larger table
+is used once.  A lock makes this cache, the package's one hidden state, safe
+to share between threads.
 
 interior_rows gives every interior sample of the package: one block of rows
 on y plus y = 0, each checked against J(beta) = F(0) by its own F(0), and
@@ -70,6 +76,7 @@ from collections import OrderedDict
 
 import numpy as np
 
+from . import quadrature
 from .errors import ConvergenceError, DomainError
 # _line_part's rule; bench/tracer.py (EXTRA_FUNCTIONS) looks it up under this name and
 # counts its calls, in every traced module that binds it, as contour._panel_rule
@@ -83,37 +90,38 @@ _TARGET_TOL = 1e-10
 _JUNCTION_TOL = 1e-8  # relative F(0) - J(beta) that interior_rows allows
 _SERIES_CHUNK = 8  # series terms between two checks of the stop rule
 _EPS = float(np.finfo(float).eps)
-_TABLE_CACHE_ENTRIES = 8  # Hermite tables _hermite_table keeps between calls
-_TABLE_CACHE_BYTES = 4 << 20  # their total size, y keys included
-_tables: OrderedDict = OrderedDict()  # key -> table, least recently used first
+_TABLE_CACHE_ENTRIES = 8  # y grids whose tables _grid_table keeps between calls
+_TABLE_CACHE_BYTES = 6 << 20  # every array of them, y keys included
+_tables: OrderedDict = OrderedDict()  # y bytes -> {key: arrays}, least recently used first
 _tables_lock = threading.Lock()
 
 
-def _hermite_table(y: np.ndarray, radius: float, limit: float) -> np.ndarray:
-    """Read-only (terms x y) rows h_n(y) of _hermite_rows, kept between calls.
+def _grid_table(y: np.ndarray, key: tuple, build) -> tuple:
+    """Read-only arrays ``build()`` of the grid y, kept in its entry under ``key``.
 
-    The key is the bytes of the float64 y and every number the rows depend
-    on, so a later call on the same y gets the same bits without the
-    recurrence.  The least recently used tables go first once there are more
-    than _TABLE_CACHE_ENTRIES of them or more than _TABLE_CACHE_BYTES; a
-    larger table is returned but not kept.
+    ``key`` holds every number the arrays depend on (see the module docstring);
+    the least recently used grids go first, and a table above the byte cap is
+    returned but not kept.
     """
-    key = (y.tobytes(), radius, limit, _SERIES_CHUNK)
+    grid = y.tobytes()
     with _tables_lock:
-        h = _tables.get(key)
-        if h is not None:
-            _tables.move_to_end(key)
-            return h
-    h = _hermite_rows(y, radius, limit)
-    h.flags.writeable = False
-    if h.nbytes + len(key[0]) <= _TABLE_CACHE_BYTES:
+        entry = _tables.get(grid)
+        if entry is not None:
+            _tables.move_to_end(grid)
+            if key in entry:
+                return entry[key]
+    table = build()
+    for array in table:
+        array.flags.writeable = False
+    if len(grid) + sum(a.nbytes for a in table) <= _TABLE_CACHE_BYTES:
         with _tables_lock:
-            _tables[key] = h
-            _tables.move_to_end(key)  # another thread may have stored it first
-            while (len(_tables) > _TABLE_CACHE_ENTRIES
-                   or sum(t.nbytes + len(k[0]) for k, t in _tables.items()) > _TABLE_CACHE_BYTES):
+            _tables.setdefault(grid, {})[key] = table
+            _tables.move_to_end(grid)  # another thread may have stored it first
+            while len(_tables) > _TABLE_CACHE_ENTRIES or sum(
+                    len(g) + sum(a.nbytes for t in e.values() for a in t)
+                    for g, e in _tables.items()) > _TABLE_CACHE_BYTES:
                 _tables.popitem(last=False)
-    return h
+    return table
 
 
 def _hermite_rows(y: np.ndarray, radius: float, limit: float) -> np.ndarray:
@@ -156,7 +164,9 @@ def _circle_part(beta: np.ndarray, y: np.ndarray, radius: float, tol: float):
         raise ConvergenceError(
             f"circle prefactor r^(1-beta)={prefactor[i]} is out of range for "
             f"r={radius}, beta={beta[i]}")
-    h = _hermite_table(y, radius, tol / (400.0 * _TWO_PI * largest))
+    limit = tol / (400.0 * _TWO_PI * largest)
+    (h,) = _grid_table(y, ("hermite", radius, limit, _SERIES_CHUNK),
+                       lambda: (_hermite_rows(y, radius, limit),))
     n = h.shape[0] - 1
     # With beta = k + f, k = round(beta), the weight 2 pi e^{i pi a} sinc(a)
     # is 2 pi e^{-i pi f} d_n, d_n = -sin(pi f) / (pi a_n), and d_n = 1 at
@@ -175,25 +185,30 @@ def _circle_part(beta: np.ndarray, y: np.ndarray, radius: float, tol: float):
     return value, abs_sum, n + 1, -2j * phase * sine
 
 
+def _line_tables(y: np.ndarray, radius: float, t_max: float, n_nodes: int) -> tuple:
+    """log g at beta = 0 and log t by node, e^{2 o y} and e^{2 c y - c^2}: the cut edge tables."""
+    rule = _panel_rule(radius, t_max, n_nodes)
+    # t^2 - c^2 = o (2c + o), exact to rounding where t^2 and c^2 are large
+    log_g0 = np.log(rule.weights) - (rule.offsets * np.add.outer(2.0 * rule.centres,
+                                                                 rule.offsets)).ravel()
+    offset = np.multiply.outer(2.0 * rule.offsets, y)
+    panel = np.multiply.outer(2.0 * rule.centres, y) - (rule.centres * rule.centres)[:, None]
+    return log_g0, np.log(rule.nodes), np.exp(offset, out=offset), np.exp(panel, out=panel)
+
+
 def _line_part(beta: np.ndarray, y: np.ndarray, radius: float, t_max: float,
                n_nodes: int) -> np.ndarray:
-    # t^(-beta_i) = t^(-b) t^(b - beta_i), b the smallest beta, t^(b - beta_i) <= 1
-    # for t >= 1; t = c_p + o_q gives e^{2ty} = e^{2 c_p y} e^{2 o_q y}.  The
-    # y-free terms, log weights included, are taken relative to -c_p^2 - b log c_p,
-    # their value at the panel centre; the (node) and (offset x y) factors then
-    # multiply to about e^{2 o_q (y - c_p)}, near 1 in the panels of the largest
-    # terms (c_p ~ y), so no factor overflows before the terms themselves do.
-    rule = _panel_rule(radius, t_max, n_nodes)
-    lowest = float(beta.min())
-    t = rule.nodes.reshape(rule.centres.size, rule.offsets.size)
-    centre = -rule.centres * rule.centres - lowest * np.log(rule.centres)
-    g = t ** (lowest - beta)[:, None, None]
-    g *= np.exp(np.log(rule.weights.reshape(t.shape)) - t * t - lowest * np.log(t)
-                - centre[:, None])
-    offset = np.multiply.outer(2.0 * rule.offsets, y)
-    per_panel = g.reshape(-1, t.shape[1]) @ np.exp(offset, out=offset)
-    panel = np.multiply.outer(2.0 * rule.centres, y) + centre[:, None]
-    return np.einsum("bpy,py->by", per_panel.reshape(beta.size, -1, y.size), np.exp(panel))
+    # t = c_p + o_q: w t^(-beta) e^{-t^2 + 2ty} = g e^{2 o_q y} e^{2 c_p y - c_p^2}, and only
+    # g = w t^(-beta) e^{-2 c_p o_q - o_q^2} depends on beta; the y tables are the grid's
+    # kept ones.  e^{2 c_p y - c_p^2} = e^{y^2 - (c_p - y)^2} is at most 1 for y <= 0 and
+    # e^{y^2}, the size of the largest term, for y > 0, and |o_q| is at most half a panel,
+    # so no factor overflows before the terms or the circle series do.
+    key = ("line", radius, t_max, n_nodes, quadrature.NODES_PER_PANEL)
+    log_g0, log_t, offset, panel = _grid_table(
+        y, key, lambda: _line_tables(y, radius, t_max, n_nodes))
+    g = np.exp(log_g0 - np.multiply.outer(beta, log_t))
+    per_panel = g.reshape(-1, offset.shape[0]) @ offset
+    return np.einsum("bpy,py->by", per_panel.reshape(beta.size, -1, y.size), panel)
 
 
 def _auto_truncation(beta: float, y_max: float, radius: float, tol: float) -> float:

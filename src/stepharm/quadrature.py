@@ -13,7 +13,16 @@ from .errors import ConvergenceError
 
 NODES_PER_PANEL = 20
 MAX_ROUNDS = 6  # evaluations of an adaptive sum before refine gives up
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(NODES_PER_PANEL)
+# numpy.polynomial.legendre.leggauss(20) bit for bit, as literals so that no
+# process loads numpy.polynomial: the positive nodes and their weights, mirrored
+_HALF_NODES = (0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+               0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+               0.9639719272779138, 0.993128599185095)
+_HALF_WEIGHTS = (0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+                 0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+                 0.040601429800386446, 0.017614007139150893)
+_GL_NODES = np.array([-x for x in reversed(_HALF_NODES)] + list(_HALF_NODES))
+_GL_WEIGHTS = np.array(list(reversed(_HALF_WEIGHTS)) + list(_HALF_WEIGHTS))
 
 
 class PanelRule(NamedTuple):

@@ -136,6 +136,70 @@ print(json.dumps([status, out.getvalue(), err.getvalue()]))
 """
 
 
+def _document_by_dumps(header, rows, extra, as_json, manifest):
+    """stdout of a command as json.dumps(indent=2) and _fmt per value write it."""
+    if not as_json:
+        lines = [",".join(header)] + [",".join(cli._fmt(v) for v in row) for row in rows]
+        return "\n".join(lines) + "\n"
+    record = {"manifest": manifest, "data": [dict(zip(header, row)) for row in rows]}
+    record.update(extra or {})
+    return json.dumps(record, indent=2, default=float) + "\n"
+
+
+class TestEmitBytes:
+    """Rows written by one %-format each, byte for byte as json.dumps and _fmt write them."""
+
+    MANIFEST = {"command": "x", "parameters": {"beta0": 1.5, "data": "[]"},
+                "tool_version": "0", "timestamp": "t"}
+
+    @pytest.fixture
+    def emitted(self, monkeypatch):
+        """(header, rows, extra) of each _emit call, under a fixed manifest."""
+        calls, exact = [], cli._emit
+
+        def recorded(args, header, rows, extra=None):
+            calls.append((header, rows, extra))
+            return exact(args, header, rows, extra)
+
+        monkeypatch.setattr(cli, "_manifest", lambda args: self.MANIFEST)
+        monkeypatch.setattr(cli, "_emit", recorded)
+        return calls
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("argv", [
+        ["levels", "--beta0", "4.5"],
+        ["levels", "--beta0", "1"],  # the marginal flag: a bool column
+        ["levels", "--beta0", "0.7"],  # no rows
+        ["delay", "--beta0", "4.5", "--beta-min", "5", "--beta-max", "9", "--steps", "7"],
+        ["eigenfunction", "--beta0", "4.5", "--n", "1", "--points", "41"],  # numpy floats
+        ["wavepacket", "--beta0", "1.5", "--beta-center", "6", "--frames", "2",
+         "--x-points", "30", "--include-interior"],
+        ["resonances", "--beta0", "4.5", "--beta-max", "7"],
+        ["resonances", "--beta0", "1.5", "--beta-max", "2.6"],  # no resonance
+    ], ids=lambda argv: "-".join(argv[:3]))
+    def test_command_bytes(self, argv, fmt, emitted, capsys):
+        assert run_cli(*argv, "--format", fmt) == 0
+        ((header, rows, extra),) = emitted
+        assert capsys.readouterr().out == _document_by_dumps(header, rows, extra, fmt == "json",
+                                                             self.MANIFEST)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_every_value_type(self, fmt, monkeypatch, capsys):
+        # non-finite floats, numpy scalars, ints and bools, and columns that mix them
+        monkeypatch.setattr(cli, "_manifest", lambda args: self.MANIFEST)
+        header = ["x%", "a", "b", "c", "d", "e", "f", "g", "h"]
+        rows = [(0.1, np.float64(np.nan), float("inf"), 3, np.int64(4), True, np.bool_(True),
+                 1e16, -0.0),
+                (2.5e-7, np.float64(-np.inf), -float("inf"), 5, np.int64(-6), False,
+                 np.bool_(False), True, 7),
+                (-1.0, np.float64(1.0 / 3.0), float("nan"), 7, np.int64(8), False,
+                 np.bool_(True), 2.0, np.int64(9))]
+        args = mock.Mock(format=fmt, output=None)
+        cli._emit(args, header, rows, extra={"summary": {"v": np.float64(2.5)}})
+        assert capsys.readouterr().out == _document_by_dumps(
+            header, rows, {"summary": {"v": np.float64(2.5)}}, fmt == "json", self.MANIFEST)
+
+
 class TestLevelTableCap:
     @pytest.mark.parametrize("argv,beta0,count", [
         (["levels", "--u0", "1e300"], "1e+300", "5e+299"),

@@ -12,7 +12,7 @@ import scipy.special as sps
 
 from stepharm import (ConvergenceError, DomainError, PotentialConfig, WavePacketSpec,
                       contour, f_epsilon, f_epsilon_derivative, hermite_poly, j_beta,
-                      quadrature, wavepacket)
+                      quadrature, solve_levels, wavepacket)
 
 EPS = np.finfo(float).eps
 
@@ -331,8 +331,8 @@ class TestFactoredCutEdge:
                 assert np.abs(factored - by_node).max() <= 1e-13 * (1.0 + np.abs(by_node).max())
 
     def test_one_row_forms_no_y_by_node_exponentials(self, monkeypatch):
-        # one row or 20: the largest exponential is (offsets x y), (panels x y)
-        # or the (panels x offsets) y-free terms, never a (y x node) table
+        # one row or 20, on a cold grid: the largest exponential is (offsets x y),
+        # (panels x y) or the (rows x node) y-free factors, never a (y x node) table
         sizes, panels = [], []
         panel_rule = contour._panel_rule
 
@@ -355,10 +355,12 @@ class TestFactoredCutEdge:
         for betas in (6.9, 6.9 + np.linspace(0.0, 1.0, 20)):
             sizes.clear()
             panels.clear()
+            monkeypatch.setattr(contour, "_tables", OrderedDict())
             f_epsilon(betas, self.YS)
             most = max(panels)
             assert max(sizes) <= max(self.YS.size * quadrature.NODES_PER_PANEL,
-                                     self.YS.size * most, most * quadrature.NODES_PER_PANEL)
+                                     self.YS.size * most,
+                                     np.size(betas) * most * quadrature.NODES_PER_PANEL)
 
 
 def _circle_mpmath(beta: float, y: float, radius: float) -> complex:
@@ -407,7 +409,7 @@ def _bits(value) -> bytes:
 
 
 class TestHermiteTableCache:
-    """The circle's Hermite rows, built once per y grid and kept between calls."""
+    """One entry per y grid: the circle's Hermite rows and the cut edge's exponentials."""
 
     YS = np.linspace(-7.0, 0.0, 561)
 
@@ -428,6 +430,18 @@ class TestHermiteTableCache:
         monkeypatch.setattr(contour, "_hermite_rows", counted)
         return sizes
 
+    @pytest.fixture
+    def line_built(self, monkeypatch):
+        """(y size, node count) of each cut-edge table built, in call order."""
+        built, exact = [], contour._line_tables
+
+        def counted(y, radius, t_max, n_nodes):
+            built.append((y.size, n_nodes))
+            return exact(y, radius, t_max, n_nodes)
+
+        monkeypatch.setattr(contour, "_line_tables", counted)
+        return built
+
     @staticmethod
     def outcome(beta, y):
         try:
@@ -436,17 +450,25 @@ class TestHermiteTableCache:
             return str(error)
 
     @staticmethod
-    def held():
+    def arrays():
+        return [a for entry in contour._tables.values() for table in entry.values()
+                for a in table]
+
+    @classmethod
+    def held(cls):
+        # every array of every entry, and the y bytes each entry is kept under
         return (len(contour._tables),
-                sum(t.nbytes + len(k[0]) for k, t in contour._tables.items()))
+                sum(a.nbytes for a in cls.arrays()) + sum(map(len, contour._tables)))
 
     @pytest.mark.parametrize("beta,y", [(7.7, YS), (3.3 + np.linspace(0.0, 1.9, 20), YS),
                                         (7.7, 0.0), (np.array([2.5, 6.1]), 0.0)],
                              ids=["one-row", "twenty-rows", "scalar", "two-rows-at-zero"])
-    def test_warm_call_is_the_cold_call_bit_for_bit(self, beta, y, built):
+    def test_warm_call_is_the_cold_call_bit_for_bit(self, beta, y, built, line_built):
         cold = f_epsilon(beta, y)
+        tables = len(line_built)
         warm = f_epsilon(beta, y)
         assert len(built) == 1
+        assert tables >= 2 and len(line_built) == tables
         assert _bits(warm) == _bits(cold)
 
     def test_table_of_one_row_serves_a_block(self, built):
@@ -480,10 +502,12 @@ class TestHermiteTableCache:
 
     def test_table_is_read_only(self):
         f_epsilon(7.7, self.YS)
-        (table,) = contour._tables.values()
-        assert not table.flags.writeable
-        with pytest.raises(ValueError):
-            table[0, 0] = 2.0
+        (entry,) = contour._tables.values()
+        assert sorted({key[0] for key in entry}) == ["hermite", "line"]
+        for array in self.arrays():
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 2.0
 
     def test_grid_changed_in_place_is_a_new_grid(self):
         ys = self.YS.copy()
@@ -505,9 +529,12 @@ class TestHermiteTableCache:
             assert entries <= contour._TABLE_CACHE_ENTRIES
             assert size <= contour._TABLE_CACHE_BYTES
         assert entries == contour._TABLE_CACHE_ENTRIES
+        # each grid's one entry holds its Hermite rows and its cut-edge tables
+        assert all(sorted({key[0] for key in entry}) == ["hermite", "line"]
+                   for entry in contour._tables.values())
 
     def test_byte_bound_keeps_the_latest_tables(self, monkeypatch):
-        # the same points in five orders: five keys, five tables of one size
+        # the same points in five orders: five keys, five entries of one size
         grids = [np.roll(np.linspace(-6.0, 0.0, 201), i) for i in range(5)]
         f_epsilon(2.5, grids[0])
         size = self.held()[1]
@@ -517,14 +544,17 @@ class TestHermiteTableCache:
             assert self.held()[1] <= contour._TABLE_CACHE_BYTES
         f_epsilon(2.5, grids[3])  # used last, so kept over grids[4]
         f_epsilon(2.5, grids[0])
-        assert [key[0] for key in contour._tables] == [grids[3].tobytes(), grids[0].tobytes()]
-        # a table above the whole budget is used once and not kept
-        large = np.linspace(-6.0, 0.0, 2001)
+        assert list(contour._tables) == [grids[3].tobytes(), grids[0].tobytes()]
+        # a table above the whole budget is used once and not kept (the
+        # smallest, a cut edge's at 120 nodes, is about a quarter of an entry)
+        large = np.linspace(-6.0, 0.0, 4001)
         assert _bits(f_epsilon(2.5, large)) == _bits(f_epsilon(2.5, large))
-        assert [key[0] for key in contour._tables] == [grids[3].tobytes(), grids[0].tobytes()]
+        assert list(contour._tables) == [grids[3].tobytes(), grids[0].tobytes()]
 
     def test_threads_get_the_serial_values(self):
-        # 12 grids against 8 entries, so tables are evicted while other threads read
+        # 12 grids against 8 entries, so tables are evicted while other threads
+        # read, and the two betas of a grid cut its edge off at different t, so
+        # cut-edge tables are added to an entry that other threads use
         jobs = [(np.linspace(-6.0 + 0.25 * i, 1.0, 41), beta)
                 for i in range(12) for beta in (2.3, 5.6)]
         serial = []
@@ -547,6 +577,77 @@ class TestHermiteTableCache:
             sys.setswitchinterval(interval)
         assert len(results) == 200
         assert all(value == serial[j] for j, value in results)
+        assert any(len({key for key in entry if key[0] == "line"}) > 2
+                   for entry in contour._tables.values())
+
+
+def _line_part_per_call(beta, y, radius, t_max, n_nodes):
+    """The cut edge with every exponential on y formed in the call, none kept.
+
+    The y-free terms are taken relative to -c_p^2 - b log c_p, their value at
+    the panel centre, b the smallest beta.
+    """
+    rule = contour._panel_rule(radius, t_max, n_nodes)
+    lowest = float(beta.min())
+    t = rule.nodes.reshape(rule.centres.size, rule.offsets.size)
+    centre = -rule.centres * rule.centres - lowest * np.log(rule.centres)
+    g = t ** (lowest - beta)[:, None, None]
+    g *= np.exp(np.log(rule.weights.reshape(t.shape)) - t * t - lowest * np.log(t)
+                - centre[:, None])
+    per_panel = g.reshape(-1, t.shape[1]) @ np.exp(np.multiply.outer(2.0 * rule.offsets, y))
+    panel = np.exp(np.multiply.outer(2.0 * rule.centres, y) + centre[:, None])
+    return np.einsum("bpy,py->by", per_panel.reshape(beta.size, -1, y.size), panel)
+
+
+def _state_rows(x_min: float) -> np.ndarray:
+    """y of a bound state's interior row on the benchmark's 1/80 grid from x_min, plus 0."""
+    xs = np.linspace(x_min, 3.0, int(round((3.0 - x_min) * 80)) + 1)
+    return np.append(xs[xs < 0.0], 0.0)
+
+
+class TestCutEdgeTables:
+    """The cut edge from a grid's kept exponentials, as from exponentials formed per call."""
+
+    @pytest.fixture(autouse=True)
+    def empty_cache(self, monkeypatch):
+        monkeypatch.setattr(contour, "_tables", OrderedDict())
+
+    def within_rounding_of_per_call(self, betas, ys, monkeypatch):
+        contour._tables.clear()
+        kept = f_epsilon(betas, ys)
+        contour._tables.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(contour, "_line_part", _line_part_per_call)
+            per_call = f_epsilon(betas, ys)
+        assert np.abs(kept - per_call).max() <= 1e-15 * np.abs(per_call).max()
+
+    @pytest.mark.parametrize("beta0,x_min", [(3.0, -6.0), (6.5, -7.0), (11.0, -8.0),
+                                             (60.0, -14.0)])
+    def test_states_grids(self, beta0, x_min, monkeypatch):
+        # the four grids of the states workload, each level below beta0 = 60's
+        # fault and above the round-off floor of its sums at y = -14
+        betas = [lv.beta_n for lv in solve_levels(PotentialConfig.from_beta0(beta0))]
+        for beta in (b for b in betas if beta0 < 60.0 or 4.0 < b < 30.0):
+            self.within_rounding_of_per_call(beta, _state_rows(x_min), monkeypatch)
+
+    def test_packet_block(self, monkeypatch):
+        # 260 k nodes of a default packet at beta0 = 1.5 centred on beta = 6,
+        # on the 40 interior points of the packets workload plus y = 0
+        config = PotentialConfig.from_beta0(1.5)
+        spec = WavePacketSpec.for_beta(config, 6.0)
+        betas = config.beta_from_k(wavepacket._k_rule(spec, 260).nodes)
+        assert betas.size == 260
+        ys = np.append(np.linspace(-6.0, 0.0, 41)[:-1], 0.0)
+        self.within_rounding_of_per_call(betas, ys, monkeypatch)
+
+    @pytest.mark.parametrize("y_lo,y_hi", [(-400.0, 0.0), (0.0, 20.0)])
+    def test_panel_factors_are_at_most_the_largest_term(self, y_lo, y_hi):
+        # e^{2 c y - c^2} = e^{y^2 - (c - y)^2}: at most 1 for y <= 0, e^{y^2} for y > 0
+        y = np.linspace(y_lo, y_hi, 201)
+        t_max = contour._auto_truncation(2.6, y_hi, contour._CIRCLE_RADIUS, contour._TARGET_TOL)
+        panel = contour._line_tables(y, contour._CIRCLE_RADIUS, t_max, 240)[3]
+        assert np.all(np.isfinite(panel))
+        assert np.all(panel <= np.exp(np.maximum(y, 0.0) ** 2) * (1.0 + 1e-12))
 
 
 class TestFEpsilonDerivative:

@@ -460,6 +460,58 @@ class TestBoundEigenfunction:
         assert built == [np.count_nonzero(xs < 0.0) + 1]
         assert warm.tobytes() == cold.tobytes()
 
+    @pytest.fixture
+    def tables_built(self, monkeypatch):
+        """Panel rules made and grid tables built, in call order, from an empty cache."""
+        made, built = [], []
+
+        def spy(name, record):
+            exact = getattr(contour, name)
+
+            def counted(*args):
+                record.append((name, args[-1]))
+                return exact(*args)
+
+            monkeypatch.setattr(contour, name, counted)
+
+        spy("_panel_rule", made)
+        spy("_hermite_rows", built)
+        spy("_line_tables", built)
+        monkeypatch.setattr(contour, "_tables", OrderedDict())
+        return made, built
+
+    def test_warm_state_builds_no_table(self, tables_built):
+        # a state on a grid already seen forms no exponential on y: its cut
+        # edge's rule and tables, like its Hermite rows, are the kept ones
+        made, built = tables_built
+        config = make_config(11.0)
+        levels = solve_levels(config)
+        xs = np.linspace(-8.0, 3.0, 881)
+        cold = bound_eigenfunction(levels[2], config, xs)
+        assert [name for name, _ in built] == ["_hermite_rows", "_line_tables", "_line_tables"]
+        assert [n for name, n in built if name == "_line_tables"] == [120, 240]
+        assert len(made) == 2
+        made.clear()
+        built.clear()
+        warm = bound_eigenfunction(levels[2], config, xs)
+        assert made == [] and built == []
+        assert warm.tobytes() == cold.tobytes()
+
+    def test_faulty_state_fails_warm_as_cold(self, tables_built):
+        # the beta_n ~ 31.5 state on its states grid raises from the kept tables too
+        made, built = tables_built
+        config = make_config(60.0)
+        level = solve_levels(config)[15]
+        xs = np.linspace(-14.0, 3.0, 1361)
+        with pytest.raises(ConvergenceError, match=r"beta=31.48") as cold:
+            bound_eigenfunction(level, config, xs)
+        assert made and built
+        made.clear()
+        built.clear()
+        with pytest.raises(ConvergenceError, match=r"beta=31.48") as warm:
+            bound_eigenfunction(level, config, xs)
+        assert str(warm.value) == str(cold.value) and made == [] and built == []
+
     def test_junction_value_of_the_sampling_call_is_checked(self, cfg45, monkeypatch):
         # F(0) is spoiled only in a call that also samples y < 0, so only a
         # check on the row's own evaluation can see it
